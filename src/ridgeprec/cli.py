@@ -162,12 +162,14 @@ def cmd_ggm(args) -> int:
     if args.auto_lambda and lam is not None:
         raise UsageError("give either --lambda or --auto-lambda, not both")
     target = parse_target(args.target)
+    Y = matio.read_data(args.data, header=args.header) if args.data else None
     grid = None
-    if args.data and (args.grid_min is not None or args.grid_max is not None):
-        # Bounds must be fully given here, so the S fallback is never reached.
-        grid = _grid_from_flags(args, S=np.eye(2))
+    bounds = args.grid_min is not None or args.grid_max is not None
+    if Y is not None and (args.auto_lambda or bounds):
+        S = estimators.sample_cov(Y, center=args.center)
+        grid = _grid_from_flags(args, S=S, kind=args.estimator)
     res = ggm.extract_network(
-        Y=matio.read_data(args.data, header=args.header) if args.data else None,
+        Y=Y,
         omega=matio.read_matrix(args.omega, header=args.header) if args.omega else None,
         estimator=args.estimator,
         target=target,

@@ -12,13 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .errors import (
-    EmptyDataError,
-    InvalidFoldsError,
-    InvalidMatrixError,
-    InvalidParameterError,
-)
-from .estimators import loglik, sample_cov
+from .errors import InvalidFoldsError, InvalidParameterError
+from .estimators import loglik, prepare_data, sample_cov
 
 SCHEMES = ("kfold", "loocv", "aloocv")
 
@@ -80,19 +75,26 @@ def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
     return list(np.array_split(perm, k))
 
 
-def _prep_data(Y, config: CVConfig) -> np.ndarray:
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.ndim != 2:
-        raise InvalidMatrixError(f"data must be 2-D, got shape {Y.shape}")
-    if Y.shape[0] == 0:
-        raise EmptyDataError("data matrix has zero rows")
-    if not np.all(np.isfinite(Y)):
-        raise InvalidMatrixError("data matrix contains non-finite entries")
-    if config.center:
-        Y = Y - Y.mean(axis=0)
-    return Y
+def _scorer(Y, config: CVConfig, scheme: str):
+    """Per-penalty score function of ``scheme`` on data prepared once.
+
+    The data are validated (and centered) here, and whatever does not depend
+    on the penalty is computed here too: the folds, or for "aloocv" the
+    full-data sample covariance.
+    """
+    Y = prepare_data(Y, config.center)
+    n = Y.shape[0]
+    if scheme == "kfold":
+        folds = make_folds(n, config.k, config.fold_seed)
+        return lambda lam: _score_with_folds(Y, lam, config, folds)
+    if n < 2:
+        what = "leave-one-out" if scheme == "loocv" else "approximate leave-one-out"
+        raise InvalidFoldsError(f"{what} needs at least 2 observations")
+    if scheme == "loocv":
+        folds = [np.array([i]) for i in range(n)]
+        return lambda lam: _score_with_folds(Y, lam, config, folds)
+    S = sample_cov(Y)
+    return lambda lam: _approx_loocv(Y, S, lam, config)
 
 
 def _score_with_folds(Y, lam, config, folds) -> float:
@@ -108,6 +110,20 @@ def _score_with_folds(Y, lam, config, folds) -> float:
     return float(score)
 
 
+def _approx_loocv(Y, S, lam, config) -> float:
+    n = Y.shape[0]
+    est = estimators.fit(config.estimator, S, lam, config.target)
+    omega, sigma = est.omega, est.sigma
+    W = omega @ S @ omega
+    Z = Y @ omega
+    t0 = float(np.einsum("ij,ij->", sigma, W))
+    v1 = np.einsum("ij,ij->i", Z @ sigma, Z)
+    v2 = np.einsum("ij,ij->i", Y @ W, Y)
+    q = np.einsum("ij,ij->i", Z, Y)
+    gamma = t0 - v1 - v2 + q * q
+    return float(-0.5 * loglik(omega, S) + gamma.sum() / (2.0 * n * (n - 1.0)))
+
+
 def kfold_cv_score(Y, lam: float, config: CVConfig) -> float:
     """K-fold predictive negative log-likelihood at one penalty value.
 
@@ -115,19 +131,12 @@ def kfold_cv_score(Y, lam: float, config: CVConfig) -> float:
     held-out sample covariance (divisor n_k, uncentered) and ``omega_{-k}``
     fitted on the remaining rows.
     """
-    Y = _prep_data(Y, config)
-    folds = make_folds(Y.shape[0], config.k, config.fold_seed)
-    return _score_with_folds(Y, lam, config, folds)
+    return _scorer(Y, config, "kfold")(lam)
 
 
 def exact_loocv_score(Y, lam: float, config: CVConfig) -> float:
     """Leave-one-out score: K-fold with every fold a single row."""
-    Y = _prep_data(Y, config)
-    n = Y.shape[0]
-    if n < 2:
-        raise InvalidFoldsError("leave-one-out needs at least 2 observations")
-    folds = [np.array([i]) for i in range(n)]
-    return _score_with_folds(Y, lam, config, folds)
+    return _scorer(Y, config, "loocv")(lam)
 
 
 def approx_loocv_score(Y, lam: float, config: CVConfig) -> float:
@@ -144,28 +153,7 @@ def approx_loocv_score(Y, lam: float, config: CVConfig) -> float:
     and drags the argmin. Exactly one estimator fit (and no matrix
     inversion) per call.
     """
-    Y = _prep_data(Y, config)
-    n = Y.shape[0]
-    if n < 2:
-        raise InvalidFoldsError("approximate leave-one-out needs at least 2 observations")
-    S = sample_cov(Y)
-    est = estimators.fit(config.estimator, S, lam, config.target)
-    omega, sigma = est.omega, est.sigma
-    W = omega @ S @ omega
-    Z = Y @ omega
-    t0 = float(np.einsum("ij,ij->", sigma, W))
-    v1 = np.einsum("ij,ij->i", Z @ sigma, Z)
-    v2 = np.einsum("ij,ij->i", Y @ W, Y)
-    q = np.einsum("ij,ij->i", Z, Y)
-    gamma = t0 - v1 - v2 + q * q
-    return float(-0.5 * loglik(omega, S) + gamma.sum() / (2.0 * n * (n - 1.0)))
-
-
-_SCORERS = {
-    "kfold": kfold_cv_score,
-    "loocv": exact_loocv_score,
-    "aloocv": approx_loocv_score,
-}
+    return _scorer(Y, config, "aloocv")(lam)
 
 
 def map_maybe_threaded(fn, items, threads: int = 1) -> list:
@@ -184,17 +172,8 @@ def map_maybe_threaded(fn, items, threads: int = 1) -> list:
 
 def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
     """Evaluate the configured scheme's score at every grid value."""
-    scorer = _SCORERS[config.scheme]
-    if config.scheme == "kfold":
-        Yp = _prep_data(Y, config)
-        folds = make_folds(Yp.shape[0], config.k, config.fold_seed)
-        scores = map_maybe_threaded(
-            lambda lam: _score_with_folds(Yp, lam, config, folds), list(config.grid), threads
-        )
-    else:
-        scores = map_maybe_threaded(
-            lambda lam: scorer(Y, lam, config), list(config.grid), threads
-        )
+    scorer = _scorer(Y, config, config.scheme)
+    scores = map_maybe_threaded(scorer, list(config.grid), threads)
     return np.asarray(scores, dtype=float)
 
 

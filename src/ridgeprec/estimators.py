@@ -31,7 +31,7 @@ from .errors import (
     InvalidTargetError,
     NotPositiveDefiniteError,
 )
-from .linalg import check_symmetric, eig_sym, inv_pd, pd_tolerance, symmetrize
+from .linalg import check_symmetric, eig_sym_unchecked, inv_pd, pd_tolerance, symmetrize
 
 #: Canonical estimator kind names (also the CLI spelling).
 KINDS = ("archetype-1", "archetype-2", "alt-1", "alt-2")
@@ -144,19 +144,22 @@ def default_diagonal_target(S) -> Target:
 
     Requires every diagonal entry of S to be strictly positive.
     """
-    S = check_symmetric(S, "S")
-    d = np.diag(S)
-    if np.any(d <= 0):
-        raise InvalidTargetError("default diagonal target needs diag(S) > 0")
-    return Target.diagonal(1.0 / d)
+    return resolve_target(DDIAG, check_symmetric(S, "S"))
 
 
 def resolve_target(target, S) -> Target:
-    """Resolve a target spec (Target instance or the ``"ddiag"`` sentinel)."""
+    """Resolve a target spec (Target instance or the ``"ddiag"`` sentinel).
+
+    ``S`` is read, not validated: pass the output of
+    :func:`~ridgeprec.linalg.check_symmetric`.
+    """
     if isinstance(target, Target):
         return target
     if target == DDIAG:
-        return default_diagonal_target(S)
+        d = np.diag(S)
+        if np.any(d <= 0):
+            raise InvalidTargetError("default diagonal target needs diag(S) > 0")
+        return Target.diagonal(1.0 / d)
     raise InvalidTargetError(f"unknown target spec {target!r}")
 
 
@@ -185,12 +188,31 @@ class RidgeEstimate:
         return self.omega.shape[0]
 
 
-def _check_penalty(lam, lower_open: float = 0.0, upper: float = np.inf) -> float:
+def _check_penalty(lam, upper: float = np.inf) -> float:
     lam = float(lam)
-    if not np.isfinite(lam) or lam <= lower_open or lam > upper:
-        bound = f"({lower_open}, {upper}]" if np.isfinite(upper) else f"({lower_open}, inf)"
+    if not np.isfinite(lam) or lam <= 0 or lam > upper:
+        bound = f"(0.0, {upper}]" if np.isfinite(upper) else "(0.0, inf)"
         raise InvalidPenaltyError(f"penalty must be in {bound}, got {lam}")
     return lam
+
+
+def prepare_data(Y, center: bool = False) -> np.ndarray:
+    """Validated 2-D float data matrix, column-centered when ``center`` is set.
+
+    A 1-D input is one column. Rejects empty and non-finite data.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    if Y.ndim != 2:
+        raise InvalidMatrixError(f"data must be 2-D, got shape {Y.shape}")
+    if Y.shape[0] == 0:
+        raise EmptyDataError("data matrix has zero rows")
+    if not np.all(np.isfinite(Y)):
+        raise InvalidMatrixError("data matrix contains non-finite entries")
+    if center:
+        Y = Y - Y.mean(axis=0)
+    return Y
 
 
 def sample_cov(Y, center: bool = False) -> np.ndarray:
@@ -199,30 +221,24 @@ def sample_cov(Y, center: bool = False) -> np.ndarray:
     With ``center=True`` column means are subtracted first; the divisor is
     still n.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.ndim != 2:
-        raise InvalidMatrixError(f"data must be 2-D, got shape {Y.shape}")
-    n = Y.shape[0]
-    if n == 0:
-        raise EmptyDataError("data matrix has zero rows")
-    if not np.all(np.isfinite(Y)):
-        raise InvalidMatrixError("data matrix contains non-finite entries")
-    if center:
-        Y = Y - Y.mean(axis=0)
-    return symmetrize(Y.T @ Y / n)
+    Y = prepare_data(Y, center)
+    return symmetrize(Y.T @ Y / Y.shape[0])
 
 
-def _alt_shrink(m: np.ndarray, lam: float):
-    """Covariance/precision eigenvalues of the alternative ridge solution.
+def _eigen_map(kind: str, m: np.ndarray, lam: float):
+    """Covariance- and precision-side eigenvalues of a fit.
 
-    Given the spectrum ``m`` of ``S - lam*T``, the covariance-side value is
-    ``sqrt(lam + m^2/4) + m/2`` and the precision value its reciprocal. Each
-    is evaluated on the cancellation-free side of the identity
-    ``(R + m/2)(R - m/2) = lam``.
+    ``m`` is the spectrum of the matrix the kind decomposes: ``S - lam*T``
+    for the alternative kinds (``T = 0`` for alt-2), ``(1-lam)S + lam*G``
+    for archetype-1 and ``S`` for archetype-2. The alternative covariance
+    value is ``sqrt(lam + m^2/4) + m/2`` and the precision value its
+    reciprocal; each is evaluated on the cancellation-free side of the
+    identity ``(R + m/2)(R - m/2) = lam``.
     """
-    m = np.asarray(m, dtype=float)
+    if kind == "archetype-1":
+        return m, 1.0 / m
+    if kind == "archetype-2":
+        return m + lam, 1.0 / (m + lam)
     root = np.sqrt(lam + 0.25 * m * m)
     cov = np.empty_like(m)
     prec = np.empty_like(m)
@@ -234,14 +250,6 @@ def _alt_shrink(m: np.ndarray, lam: float):
     cov[neg] = lam / other
     prec[neg] = other / lam
     return cov, prec
-
-
-def _alt_fit(M: np.ndarray, lam: float):
-    vals, vecs = eig_sym(M)
-    cov, prec = _alt_shrink(vals, lam)
-    sigma = symmetrize((vecs * cov) @ vecs.T)
-    omega = symmetrize((vecs * prec) @ vecs.T)
-    return omega, sigma
 
 
 def alt_ridge1(S, target, lam: float) -> RidgeEstimate:
@@ -261,14 +269,7 @@ def alt_ridge1(S, target, lam: float) -> RidgeEstimate:
     lam : float
         Penalty, any positive value.
     """
-    S = check_symmetric(S, "S")
-    lam = _check_penalty(lam)
-    target = resolve_target(target, S)
-    if target.is_zero:
-        return alt_ridge2(S, lam)
-    T = target.matrix(S.shape[0])
-    omega, sigma = _alt_fit(S - lam * T, lam)
-    return RidgeEstimate(omega, sigma, "alt-1", lam, target)
+    return fit("alt-1", S, lam, target)
 
 
 def alt_ridge2(S, lam: float) -> RidgeEstimate:
@@ -277,10 +278,7 @@ def alt_ridge2(S, lam: float) -> RidgeEstimate:
     ``omega = {[lam*I + (1/4)S^2]^(1/2) + (1/2)S}^-1``, positive definite for
     every symmetric S and ``lam > 0``.
     """
-    S = check_symmetric(S, "S")
-    lam = _check_penalty(lam)
-    omega, sigma = _alt_fit(S, lam)
-    return RidgeEstimate(omega, sigma, "alt-2", lam, Target.zero())
+    return fit("alt-2", S, lam)
 
 
 def archetype1(S, target, lam: float) -> RidgeEstimate:
@@ -289,35 +287,12 @@ def archetype1(S, target, lam: float) -> RidgeEstimate:
     ``G`` is the covariance-side target, the inverse of the precision-side
     ``target`` (which therefore must be p.d.; the zero target is rejected).
     """
-    S = check_symmetric(S, "S")
-    lam = _check_penalty(lam, upper=1.0)
-    target = resolve_target(target, S)
-    p = S.shape[0]
-    G = target.gamma(p)
-    C = symmetrize((1.0 - lam) * S + lam * G)
-    vals, vecs = eig_sym(C)
-    if vals[-1] <= pd_tolerance(vals):
-        raise NotPositiveDefiniteError(
-            f"combined matrix not p.d. (min eigenvalue {vals[-1]:.3e})"
-        )
-    omega = symmetrize((vecs / vals) @ vecs.T)
-    sigma = symmetrize((vecs * vals) @ vecs.T)
-    return RidgeEstimate(omega, sigma, "archetype-1", lam, target)
+    return fit("archetype-1", S, lam, target)
 
 
 def archetype2(S, lam: float) -> RidgeEstimate:
     """Plain diagonal ridge ``omega = (S + v*I)^-1``, ``v > 0``."""
-    S = check_symmetric(S, "S")
-    lam = _check_penalty(lam)
-    vals, vecs = eig_sym(S)
-    shifted = vals + lam
-    if shifted[-1] <= 0:
-        raise NotPositiveDefiniteError(
-            f"S + lam*I not p.d. (min eigenvalue {shifted[-1]:.3e})"
-        )
-    omega = symmetrize((vecs / shifted) @ vecs.T)
-    sigma = symmetrize((vecs * shifted) @ vecs.T)
-    return RidgeEstimate(omega, sigma, "archetype-2", lam, None)
+    return fit("archetype-2", S, lam)
 
 
 def fit(kind: str, S, lam: float, target=None) -> RidgeEstimate:
@@ -325,20 +300,43 @@ def fit(kind: str, S, lam: float, target=None) -> RidgeEstimate:
 
     ``target`` is required for "archetype-1" and "alt-1" (a
     :class:`Target` or ``"ddiag"``) and ignored by the other two kinds.
+
+    Every kind runs the same steps: validate ``S``, the penalty (in the
+    kind's own domain) and the target once; decompose ``S``, ``S - lam*T``
+    or ``(1-lam)S + lam*G`` once; map its eigenvalues by the kind's rule;
+    and rebuild ``omega`` and ``sigma`` from the one set of eigenvectors.
     """
+    if kind not in KINDS:
+        raise InvalidPenaltyError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
+    targeted = kind in ("alt-1", "archetype-1")
+    if targeted and target is None:
+        raise InvalidTargetError(f"{kind} requires a target")
+    S = check_symmetric(S, "S")
+    lam = _check_penalty(lam, upper=1.0 if kind == "archetype-1" else np.inf)
+    target = resolve_target(target, S) if targeted else None
+    if kind == "alt-1" and target.is_zero:
+        kind = "alt-2"
+    p = S.shape[0]
     if kind == "alt-1":
-        if target is None:
-            raise InvalidTargetError("alt-1 requires a target")
-        return alt_ridge1(S, target, lam)
+        M = S - lam * target.matrix(p)
+    elif kind == "archetype-1":
+        M = (1.0 - lam) * S + lam * target.gamma(p)
+    else:
+        M = S
+    vals, vecs = eig_sym_unchecked(M)
+    if kind == "archetype-1" and vals[-1] <= pd_tolerance(vals):
+        raise NotPositiveDefiniteError(
+            f"combined matrix not p.d. (min eigenvalue {vals[-1]:.3e})"
+        )
+    if kind == "archetype-2" and vals[-1] + lam <= 0:
+        raise NotPositiveDefiniteError(
+            f"S + lam*I not p.d. (min eigenvalue {vals[-1] + lam:.3e})"
+        )
+    cov, prec = _eigen_map(kind, vals, lam)
+    omega, sigma = (symmetrize((vecs * x) @ vecs.T) for x in (prec, cov))
     if kind == "alt-2":
-        return alt_ridge2(S, lam)
-    if kind == "archetype-1":
-        if target is None:
-            raise InvalidTargetError("archetype-1 requires a target")
-        return archetype1(S, target, lam)
-    if kind == "archetype-2":
-        return archetype2(S, lam)
-    raise InvalidPenaltyError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
+        target = Target.zero()
+    return RidgeEstimate(omega, sigma, kind, lam, target)
 
 
 # ---------------------------------------------------------------------------
@@ -356,31 +354,26 @@ def shrunk_eigenvalues(kind: str, d, lam: float, psi: float = 1.0) -> np.ndarray
     * archetype-1: ``(1-lam)*d + lam/psi``
     * archetype-2: ``d + lam``
 
-    Precision-side values are the reciprocals.
+    Precision-side values are the reciprocals. These are the eigenvalue maps
+    :func:`fit` applies, so they agree with ``fit(kind, diag(d), lam,
+    Target.scalar(psi)).sigma``.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.all(np.isfinite(d)):
         raise InvalidMatrixError("eigenvalues must be finite")
+    if kind not in KINDS:
+        raise InvalidPenaltyError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
+    lam = _check_penalty(lam, upper=1.0 if kind == "archetype-1" else np.inf)
     psi = float(psi)
     if kind == "alt-1":
-        lam = _check_penalty(lam)
         if not np.isfinite(psi) or psi < 0:
             raise InvalidTargetError(f"alt-1 scalar target needs psi >= 0, got {psi}")
-        cov, _ = _alt_shrink(d - lam * psi, lam)
-        return cov
-    if kind == "alt-2":
-        lam = _check_penalty(lam)
-        cov, _ = _alt_shrink(d, lam)
-        return cov
-    if kind == "archetype-1":
-        lam = _check_penalty(lam, upper=1.0)
+        d = d - lam * psi
+    elif kind == "archetype-1":
         if not np.isfinite(psi) or psi <= 0:
             raise InvalidTargetError(f"archetype-1 scalar target needs psi > 0, got {psi}")
-        return (1.0 - lam) * d + lam / psi
-    if kind == "archetype-2":
-        lam = _check_penalty(lam)
-        return d + lam
-    raise InvalidPenaltyError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
+        d = (1.0 - lam) * d + lam / psi
+    return _eigen_map(kind, d, lam)[0]
 
 
 def penalty_map_1(lam_a: float) -> float:

@@ -2,7 +2,9 @@
 
 All public functions validate their inputs and return exactly symmetric
 arrays: results are passed through :func:`symmetrize`, which guarantees the
-(i, j) and (j, i) entries are the same float, not merely close.
+(i, j) and (j, i) entries are the same float, not merely close. The one
+exception is :func:`eig_sym_unchecked`, the body of :func:`eig_sym` for
+callers that have validated the matrix already.
 """
 
 from typing import NamedTuple
@@ -69,19 +71,20 @@ def eig_sym(a) -> EigenDecomposition:
     InvalidMatrixError
         If the input is not finite/square/symmetric.
     """
-    a = check_symmetric(a)
+    return eig_sym_unchecked(check_symmetric(a))
+
+
+def eig_sym_unchecked(a: np.ndarray) -> EigenDecomposition:
+    """:func:`eig_sym` without validation, for a finite, exactly symmetric array."""
     vals, vecs = np.linalg.eigh(a)
     # eigh sorts ascending; flip for descending without re-sorting.
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     # Sign convention: first component with |v_i| above a relative threshold
     # is made positive. Unit-norm columns always have such a component.
-    p = vecs.shape[0]
-    for j in range(p):
-        col = vecs[:, j]
-        idx = np.argmax(np.abs(col) > 1e-12)
-        if col[idx] < 0:
-            vecs[:, j] = -col
+    lead = np.argmax(np.abs(vecs) > 1e-12, axis=0)
+    flip = vecs[lead, np.arange(vecs.shape[1])] < 0
+    vecs[:, flip] = -vecs[:, flip]
     return EigenDecomposition(vals, vecs)
 
 
@@ -89,29 +92,6 @@ def pd_tolerance(values) -> float:
     """Default positive-definiteness cutoff: 1e-12 * max(1, max |eigenvalue|)."""
     values = np.asarray(values, dtype=float)
     return 1e-12 * max(1.0, float(np.abs(values).max()))
-
-
-def is_pd(a, tol: float = 0.0) -> bool:
-    """True iff the smallest eigenvalue of symmetric ``a`` exceeds ``tol``."""
-    a = check_symmetric(a)
-    smallest = float(np.linalg.eigvalsh(a)[0])
-    return smallest > tol
-
-
-def mat_sqrt_pd(a) -> np.ndarray:
-    """Symmetric positive-definite square root of a p.d. matrix.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If any eigenvalue is at or below the relative p.d. tolerance.
-    """
-    vals, vecs = eig_sym(a)
-    if vals[-1] <= pd_tolerance(vals):
-        raise NotPositiveDefiniteError(
-            f"matrix square root requires a p.d. input (min eigenvalue {vals[-1]:.3e})"
-        )
-    return symmetrize((vecs * np.sqrt(vals)) @ vecs.T)
 
 
 def inv_pd(a) -> np.ndarray:

@@ -7,9 +7,6 @@ an absolute tolerance of 1e-9 on load; rectangular data matrices skip the
 symmetry check.
 """
 
-import io
-import sys
-
 import numpy as np
 
 from .errors import InvalidMatrixError
@@ -93,13 +90,3 @@ def read_matrix(source, header: bool = False) -> np.ndarray:
     if np.abs(a - a.T).max() > 1e-9:
         raise InvalidMatrixError("matrix is not symmetric (abs tolerance 1e-9)")
     return symmetrize(a)
-
-
-def print_matrix(a, file=None) -> None:
-    """Print a matrix as CSV to stdout (or ``file``)."""
-    (file or sys.stdout).write(matrix_to_csv(a))
-
-
-def matrix_from_text(text: str, header: bool = False) -> np.ndarray:
-    """Parse a symmetric matrix from in-memory CSV text (test convenience)."""
-    return read_matrix(io.StringIO(text), header=header)

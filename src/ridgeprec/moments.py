@@ -81,14 +81,10 @@ def mc_moments(
     reps = int(reps)
     p = Sigma.shape[0]
     L = np.linalg.cholesky(Sigma)
+    target = Target.zero() if target is None else target
     acc = np.zeros((p, p))
     for r in range(reps):
         rng = np.random.default_rng([int(seed), r])
-        Y = rng.standard_normal((n, p)) @ L.T
-        S = sample_cov(Y)
-        if target is None or (isinstance(target, Target) and target.is_zero):
-            est = estimators.alt_ridge2(S, lam)
-        else:
-            est = estimators.alt_ridge1(S, target, lam)
-        acc += est.sigma
+        S = sample_cov(rng.standard_normal((n, p)) @ L.T)
+        acc += estimators.alt_ridge1(S, target, lam).sigma
     return symmetrize(acc / reps)

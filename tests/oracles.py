@@ -4,9 +4,11 @@ Everything here recomputes a quantity by a route the package does not use:
 cyclic Jacobi rotations instead of LAPACK eigensolvers, safeguarded 1-D
 Newton instead of the matrix square-root formula, explicit loops instead of
 vectorized linear algebra. Values produced by these helpers are what the
-tests trust.
+tests trust. The last two helpers, ``is_pd`` and ``matrix_from_text``, are
+small test conveniences that the package itself never needs.
 """
 
+import io
 import math
 
 import numpy as np
@@ -185,3 +187,31 @@ def null_partial_corr_draws(rng, kappa: float, size: int) -> np.ndarray:
     """
     a = 0.5 * (kappa - 1.0)
     return 2.0 * rng.beta(a, a, size=size) - 1.0
+
+
+def canonical_signs_loop(vecs) -> np.ndarray:
+    """Per-column loop form of ``eig_sym``'s eigenvector sign convention.
+
+    The first component with magnitude above 1e-12 of each column is made
+    positive. Negation is exact, so the result must match bit for bit.
+    """
+    vecs = np.array(vecs, dtype=float)
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        idx = np.argmax(np.abs(col) > 1e-12)
+        if col[idx] < 0:
+            vecs[:, j] = -col
+    return vecs
+
+
+def is_pd(a, tol: float = 0.0) -> bool:
+    """True iff the smallest eigenvalue of symmetric ``a`` exceeds ``tol``."""
+    a = np.asarray(a, dtype=float)
+    return float(np.linalg.eigvalsh(a)[0]) > tol
+
+
+def matrix_from_text(text: str, header: bool = False) -> np.ndarray:
+    """Parse a symmetric matrix from in-memory CSV text with ``read_matrix``."""
+    from ridgeprec.matio import read_matrix
+
+    return read_matrix(io.StringIO(text), header=header)

@@ -5,9 +5,11 @@ criterion. Each test prints its one-line verdict (with the measured
 numbers) before asserting, so failures still report what was measured.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +27,9 @@ from ridgeprec.estimators import (
     shrunk_eigenvalues,
     stationarity_residual,
 )
-from ridgeprec.linalg import inv_pd, is_pd
+from ridgeprec.linalg import inv_pd
 
-from oracles import fd_gradient_max_abs, newton_max_penalized
+from oracles import fd_gradient_max_abs, is_pd, newton_max_penalized
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -279,36 +281,45 @@ def test_criterion_09_risk_curves_desk_scale():
     )
     curve = simulate.risk_curve(config, threads=4)
     half = grid.size // 2
+
+    def at_optimum(alt, arch):
+        """Compare two median-loss curves at each one's own best grid penalty."""
+        i_alt, i_arch = int(np.argmin(alt)), int(np.argmin(arch))
+        interior = 0 < i_alt < grid.size - 1 and 0 < i_arch < grid.size - 1
+        ratio = float(alt[i_alt] / arch[i_arch])
+        return interior and ratio <= 1.05, (
+            f"optimum ratio {ratio:.4f} (argmin {i_alt}/{i_arch} of {grid.size})"
+        )
+
     details = []
-    type1_ok = True
-    type2_ok = True
+    ok = True
     for n in config.sample_sizes:
-        alt1 = curve.medians[("alt-1", n)][:half]
-        arch1 = curve.medians[("archetype-1", n)][:half]
-        frac = float(np.mean(alt1 <= arch1))
-        type1_ok &= frac >= 0.9
-        # The type-free pair is compared at each estimator's own best grid
-        # penalty. At a shared grid point archetype-2 runs at sqrt(lam), which
-        # shrinks every nonzero sample eigenvalue more than alt-2 does at lam
-        # (criterion 05), so the pointwise ratio measures that map rather than
-        # the estimators; it is reported, not asserted.
+        # Shared grid points are translated for the archetypes (penalty_map_1,
+        # sqrt), and those maps equate the pair only in special cases: the
+        # type I map only for a unit scalar target, while this run uses
+        # ddiag; the type-free map only at zero sample eigenvalues (criterion
+        # 05). So both pairs are also compared at each estimator's own best
+        # grid penalty. The type I lower-half check stays; the type-free
+        # pointwise ratio is reported, not asserted.
+        alt1 = curve.medians[("alt-1", n)]
+        arch1 = curve.medians[("archetype-1", n)]
+        frac = float(np.mean(alt1[:half] <= arch1[:half]))
+        opt1_ok, opt1 = at_optimum(alt1, arch1)
         alt2 = curve.medians[("alt-2", n)]
         arch2 = curve.medians[("archetype-2", n)]
-        i_alt, i_arch = int(np.argmin(alt2)), int(np.argmin(arch2))
-        interior = 0 < i_alt < grid.size - 1 and 0 < i_arch < grid.size - 1
-        opt_ratio = float(alt2[i_alt] / arch2[i_arch])
+        opt2_ok, opt2 = at_optimum(alt2, arch2)
+        ok &= frac >= 0.9 and opt1_ok and opt2_ok
         pointwise = float(np.max(alt2 / arch2))
-        type2_ok &= interior and opt_ratio <= 1.05
         details.append(
-            f"n={n}: lower-half win frac {frac:.2f}, type-free optimum ratio {opt_ratio:.4f} "
-            f"(argmin {i_alt}/{i_arch} of {grid.size}), pointwise max ratio {pointwise:.4f}"
+            f"n={n}: lower-half win frac {frac:.2f}, type I {opt1}, "
+            f"type-free {opt2}, pointwise max ratio {pointwise:.4f}"
         )
     elapsed = time.perf_counter() - t0
     _report(
         9,
-        type1_ok and type2_ok and elapsed < 600,
+        ok and elapsed < 600,
         "; ".join(details)
-        + "; need frac >= 0.9, interior argmins and optimum ratio <= 1.05; "
+        + "; need frac >= 0.9, interior argmins and optimum ratios <= 1.05; "
         f"{elapsed:.0f}s (< 10 min)",
     )
 
@@ -411,6 +422,10 @@ def test_criterion_13_cli_determinism(tmp_path):
         ],
         ["moments", "--sigma", str(sig), "--n", "8", "--lambda", "50", "--mc-reps", "10"],
     ]
+    # Run the package this test imported, installed or not.
+    src = str(Path(cv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     mismatched = []
     for argv in commands:
         runs = [
@@ -418,6 +433,7 @@ def test_criterion_13_cli_determinism(tmp_path):
                 [sys.executable, "-m", "ridgeprec", *argv],
                 capture_output=True,
                 check=False,
+                env=env,
             )
             for _ in range(2)
         ]

@@ -218,6 +218,17 @@ class TestGgm:
         keys = [line.split(",")[0] for line in report.strip().splitlines()]
         assert keys == ["eta0", "kappa", "min_eigenvalue", "lambda"]
 
+    def test_auto_lambda_uses_grid_n(self, data_file, capsys):
+        path, _ = data_file
+        assert main(["cv", "--data", path, "--grid-n", "3"]) == 0
+        cv_out, _ = capsys.readouterr()
+        grid = [line.split(",")[0] for line in cv_out.splitlines()[1:-1]]
+        assert len(grid) == 3
+        assert main(["ggm", "--data", path, "--auto-lambda", "--grid-n", "3"]) == 0
+        out, _ = capsys.readouterr()
+        report = dict(line.split(",") for line in out.split("# report\n", 1)[1].splitlines())
+        assert report["lambda"] in grid
+
     def test_edges_out_moves_block(self, data_file, tmp_path, capsys):
         path, _ = data_file
         edges_path = tmp_path / "edges.csv"

@@ -29,9 +29,9 @@ from ridgeprec.estimators import (
     shrunk_eigenvalues,
     stationarity_residual,
 )
-from ridgeprec.linalg import inv_pd, is_pd
+from ridgeprec.linalg import inv_pd
 
-from oracles import fd_gradient_max_abs, newton_max_penalized, sample_cov_loop
+from oracles import fd_gradient_max_abs, is_pd, newton_max_penalized, sample_cov_loop
 
 
 class TestSampleCov:
@@ -304,13 +304,13 @@ class TestShrunkEigenvalues:
         got = shrunk_eigenvalues("archetype-1", [2.0], 0.25, psi=2.0)
         npt.assert_allclose(got, [0.75 * 2.0 + 0.25 / 2.0], rtol=1e-15)
 
-    def test_matches_full_matrix_fit(self, rng):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_full_matrix_fit(self, rng, kind):
         d = np.sort(rng.uniform(0.0, 5.0, size=4))[::-1]
-        S = np.diag(d)
         lam, psi = 0.8, 1.3
-        cov = shrunk_eigenvalues("alt-1", d, lam, psi=psi)
-        est = alt_ridge1(S, Target.scalar(psi), lam)
-        npt.assert_allclose(np.sort(np.diag(est.sigma)), np.sort(cov), rtol=1e-12)
+        cov = shrunk_eigenvalues(kind, d, lam, psi=psi)
+        est = fit(kind, np.diag(d), lam, Target.scalar(psi))
+        npt.assert_allclose(np.linalg.eigvalsh(est.sigma), np.sort(cov), rtol=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(InvalidPenaltyError):

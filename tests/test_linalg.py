@@ -8,13 +8,11 @@ from ridgeprec.linalg import (
     check_symmetric,
     eig_sym,
     inv_pd,
-    is_pd,
-    mat_sqrt_pd,
     pd_tolerance,
     symmetrize,
 )
 
-from oracles import jacobi_eigenvalues
+from oracles import canonical_signs_loop, is_pd, jacobi_eigenvalues
 
 
 class TestEigSym:
@@ -46,29 +44,12 @@ class TestEigSym:
         d2 = eig_sym(A.copy())
         npt.assert_array_equal(d1.values, d2.values)
         npt.assert_array_equal(d1.vectors, d2.vectors)
+        _, vecs = np.linalg.eigh(A)
+        npt.assert_array_equal(d1.vectors, canonical_signs_loop(vecs[:, ::-1]))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidMatrixError):
             eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-class TestMatSqrtPD:
-    def test_identity(self):
-        npt.assert_allclose(mat_sqrt_pd(np.eye(4)), np.eye(4), atol=1e-14)
-
-    def test_diagonal(self):
-        npt.assert_allclose(mat_sqrt_pd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-13)
-
-    def test_square_reconstructs(self, rng):
-        B = rng.standard_normal((7, 7))
-        A = symmetrize(B @ B.T + np.eye(7))
-        R = mat_sqrt_pd(A)
-        assert np.linalg.norm(R @ R - A) <= 1e-9 * (1.0 + np.linalg.norm(A))
-        npt.assert_array_equal(R, R.T)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            mat_sqrt_pd(np.diag([1.0, -1.0]))
 
 
 class TestInvPD:

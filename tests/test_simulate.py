@@ -8,7 +8,7 @@ from ridgeprec.errors import (
     NotPositiveDefiniteError,
 )
 from ridgeprec.estimators import Target, penalty_map_1, sample_cov
-from ridgeprec.linalg import inv_pd, is_pd
+from ridgeprec.linalg import inv_pd
 from ridgeprec.simulate import (
     PopulationSpec,
     RiskConfig,
@@ -24,7 +24,7 @@ from ridgeprec.simulate import (
     sample_mvn,
 )
 
-from oracles import loss_frobenius_loop, loss_quadratic_loop
+from oracles import is_pd, loss_frobenius_loop, loss_quadratic_loop
 
 
 class TestPopulationPrecision:
