@@ -181,7 +181,7 @@ def cmd_ggm(args) -> int:
         threads=args.threads,
     )
     edge_lines = ["i,j,partial_corr,one_minus_lfdr,selected"]
-    for (i, j), prob in res.probabilities.items():
+    for i, j, prob in zip(*np.triu_indices(res.partials.shape[0], k=1), res.probabilities):
         sel = 1 if (i, j) in res.selected else 0
         edge_lines.append(f"{i},{j},{fmt(res.partials[i, j])},{fmt(prob)},{sel}")
     edges_csv = "\n".join(edge_lines) + "\n"

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import estimators
 from .errors import InvalidFoldsError, InvalidParameterError
-from .estimators import loglik, prepare_data, sample_cov
+from .estimators import loglik_unchecked, prepare_data, sample_cov
 
 SCHEMES = ("kfold", "loocv", "aloocv")
 
@@ -106,7 +106,7 @@ def _score_with_folds(Y, lam, config, folds) -> float:
         S_in = sample_cov(Y[mask])
         S_out = sample_cov(Y[held_out])
         est = estimators.fit(config.estimator, S_in, lam, config.target)
-        score += held_out.size * (-loglik(est.omega, S_out))
+        score += held_out.size * (-loglik_unchecked(est.omega, S_out))
     return float(score)
 
 
@@ -121,7 +121,7 @@ def _approx_loocv(Y, S, lam, config) -> float:
     v2 = np.einsum("ij,ij->i", Y @ W, Y)
     q = np.einsum("ij,ij->i", Z, Y)
     gamma = t0 - v1 - v2 + q * q
-    return float(-0.5 * loglik(omega, S) + gamma.sum() / (2.0 * n * (n - 1.0)))
+    return float(-0.5 * loglik_unchecked(omega, S) + gamma.sum() / (2.0 * n * (n - 1.0)))
 
 
 def kfold_cv_score(Y, lam: float, config: CVConfig) -> float:

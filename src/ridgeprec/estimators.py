@@ -116,15 +116,11 @@ class Target:
         """Covariance-side target ``G = T^-1`` used by archetype-1."""
         if self.is_zero:
             raise InvalidTargetError("archetype-1 requires a p.d. target, got zero")
-        if self.kind == "scalar":
-            return (1.0 / self.psi) * np.eye(p)
-        if self.kind == "diagonal":
-            if self.values.size != p:
-                raise InvalidTargetError(
-                    f"diagonal target has {self.values.size} entries, expected {p}"
-                )
-            return np.diag(1.0 / self.values)
-        return inv_pd(self.matrix(p))
+        if self.kind == "full":
+            # Target.full validated the matrix (symmetric, p.d.) already.
+            vals, vecs = eig_sym_unchecked(self.matrix(p))
+            return symmetrize((vecs / vals) @ vecs.T)
+        return np.diag(1.0 / np.diag(self.matrix(p)))
 
     def label(self) -> str:
         """Short human-readable tag used in CLI/CSV output."""
@@ -397,8 +393,11 @@ def loglik(omega, S) -> float:
 
     ``omega`` must be p.d. (checked via Cholesky).
     """
-    omega = check_symmetric(omega, "omega")
-    S = check_symmetric(S, "S")
+    return loglik_unchecked(check_symmetric(omega, "omega"), check_symmetric(S, "S"))
+
+
+def loglik_unchecked(omega, S) -> float:
+    """:func:`loglik` without validation, for finite, exactly symmetric arrays."""
     try:
         L = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError as exc:

@@ -216,23 +216,21 @@ def lfdr_values(values, fit: LfdrFit) -> np.ndarray:
     return np.minimum(1.0, fit.eta0 * np.asarray(f0) / f)
 
 
-def edge_probabilities(P, fit: LfdrFit) -> dict:
-    """Posterior presence probability ``1 - lFDR`` for every pair j < j'."""
-    P = np.asarray(P, dtype=float)
-    iu = np.triu_indices(P.shape[0], k=1)
-    lf = lfdr_values(P[iu], fit)
-    return {
-        (int(i), int(j)): float(1.0 - v) for i, j, v in zip(iu[0], iu[1], lf)
-    }
+def edge_probabilities(P, fit: LfdrFit) -> np.ndarray:
+    """Presence probability ``1 - lFDR`` per pair j < j', in ``np.triu_indices`` order."""
+    return 1.0 - lfdr_values(offdiagonal_values(P), fit)
 
 
-def select_edges(P, fit: LfdrFit, threshold: float = 0.99) -> set:
-    """Edges whose posterior presence probability reaches ``threshold``."""
+def select_edges(probs, p: int, threshold: float = 0.99) -> set:
+    """Pairs whose :func:`edge_probabilities` entry reaches ``threshold``."""
     threshold = float(threshold)
     if not 0.0 <= threshold <= 1.0:
         raise InvalidParameterError(f"threshold must be in [0, 1], got {threshold}")
-    probs = edge_probabilities(P, fit)
-    return {e for e, pr in probs.items() if pr >= threshold}
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (p * (p - 1) // 2,):
+        raise InvalidParameterError(f"need {p * (p - 1) // 2} probabilities for p={p}")
+    pairs = np.transpose(np.triu_indices(p, k=1))
+    return {(i, j) for i, j in pairs[probs >= threshold].tolist()}
 
 
 def sparsify(omega, edges):
@@ -303,7 +301,7 @@ class GgmResult:
     omega: np.ndarray
     partials: np.ndarray
     fit: LfdrFit
-    probabilities: dict
+    probabilities: np.ndarray
     selected: set
     sparsified: np.ndarray
     min_eigenvalue: float
@@ -341,7 +339,7 @@ def extract_network(
                 raise InvalidParameterError("give either lam or auto_lambda, not both")
             if grid is None:
                 grid = cv.default_grid(S, kind=estimator)
-            config = cv.CVConfig(grid=grid, scheme="aloocv", estimator=estimator, target=target)
+            config = cv.CVConfig(grid, "aloocv", estimator=estimator, target=target, center=center)
             cv_result = cv.select_lambda(Y, config, threads=threads)
             lam = cv_result.lambda_star
         if lam is None:
@@ -354,7 +352,7 @@ def extract_network(
     P = partial_correlations(omega)
     fit = fit_lfdr(offdiagonal_values(P))
     probs = edge_probabilities(P, fit)
-    selected = select_edges(P, fit, threshold)
+    selected = select_edges(probs, P.shape[0], threshold)
     sparsified, min_eig = sparsify(omega, selected)
     return GgmResult(
         omega=omega,

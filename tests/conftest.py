@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import ridgeprec.estimators as estimators
+import ridgeprec.linalg as linalg
+
 
 @pytest.fixture
 def rng():
@@ -17,3 +20,18 @@ def make_spd():
         return 0.5 * (A + A.T)
 
     return build
+
+
+@pytest.fixture
+def symmetry_checks(monkeypatch):
+    """Names passed to ``check_symmetric`` by linalg and estimators, in call order."""
+    calls = []
+    check = linalg.check_symmetric
+
+    def counting(a, name="matrix"):
+        calls.append(name)
+        return check(a, name)
+
+    for module in (linalg, estimators):
+        monkeypatch.setattr(module, "check_symmetric", counting)
+    return calls

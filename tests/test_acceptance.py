@@ -363,8 +363,8 @@ def test_criterion_11_ggm_pipeline():
         m = ggm.support_metrics(res.selected, truth, 20)
         sens.append(m.sensitivity)
         spec.append(m.specificity)
-        loose = ggm.select_edges(res.partials, res.fit, threshold=0.5)
-        mid = ggm.select_edges(res.partials, res.fit, threshold=0.9)
+        loose = ggm.select_edges(res.probabilities, 20, threshold=0.5)
+        mid = ggm.select_edges(res.probabilities, 20, threshold=0.9)
         antitone_ok &= res.selected <= mid <= loose
     med_sens = float(np.median(sens))
     med_spec = float(np.median(spec))

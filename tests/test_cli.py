@@ -229,6 +229,19 @@ class TestGgm:
         report = dict(line.split(",") for line in out.split("# report\n", 1)[1].splitlines())
         assert report["lambda"] in grid
 
+    def test_center_auto_lambda_matches_centered_cv(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        Y = rng.standard_normal((30, 8)) + 3 * rng.standard_normal(8)
+        path = tmp_path / "shifted.csv"
+        np.savetxt(path, Y, delimiter=",", fmt="%.17g")
+        assert main(["cv", "--data", str(path), "--scheme", "aloocv", "--center"]) == 0
+        cv_out, _ = capsys.readouterr()
+        lambda_star = cv_out.splitlines()[-1].split(",")[1]
+        assert main(["ggm", "--data", str(path), "--center", "--auto-lambda"]) == 0
+        out, _ = capsys.readouterr()
+        report = dict(line.split(",") for line in out.split("# report\n", 1)[1].splitlines())
+        assert report["lambda"] == lambda_star
+
     def test_edges_out_moves_block(self, data_file, tmp_path, capsys):
         path, _ = data_file
         edges_path = tmp_path / "edges.csv"

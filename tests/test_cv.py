@@ -245,6 +245,12 @@ class TestScoreGrid:
         want = [kfold_cv_score(Y, lam, cfg) for lam in grid]
         npt.assert_allclose(scores, want, rtol=1e-13)
 
+    @pytest.mark.parametrize("scheme, fits", [("kfold", 9), ("aloocv", 3)])
+    def test_one_symmetry_check_per_fit(self, scheme, fits, symmetry_checks):
+        Y = chain_data(12, p=3, seed=13)
+        score_grid(Y, CVConfig(grid=[0.1, 1.0, 10.0], scheme=scheme, k=3))
+        assert symmetry_checks == ["S"] * fits
+
     def test_threads_do_not_change_result(self):
         Y = chain_data(15, p=4, seed=21)
         cfg = CVConfig(grid=default_grid(sample_cov(Y), 8), scheme="aloocv")

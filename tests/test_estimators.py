@@ -96,6 +96,22 @@ class TestTarget:
         with pytest.raises(InvalidTargetError):
             Target.zero().gamma(2)
 
+    def test_gamma_rejects_wrong_size(self):
+        with pytest.raises(InvalidTargetError):
+            Target.diagonal([2.0, 4.0]).gamma(3)
+        with pytest.raises(InvalidTargetError):
+            Target.full(np.eye(2)).gamma(3)
+
+    def test_full_gamma_is_inv_pd(self, rng, make_spd):
+        M = make_spd(5, rng)
+        npt.assert_array_equal(Target.full(M).gamma(5), inv_pd(M))
+
+    def test_full_target_fit_validates_once(self, rng, make_spd, symmetry_checks):
+        S, target = make_spd(4, rng), Target.full(make_spd(4, rng))
+        symmetry_checks.clear()
+        fit("archetype-1", S, 0.3, target)
+        assert symmetry_checks == ["S"]
+
     def test_labels(self):
         assert Target.identity().label() == "identity"
         assert Target.zero().label() == "zero"

@@ -200,32 +200,41 @@ class TestEdgeSelection:
         P = np.triu(P) + np.triu(P, k=1).T
         return P, fit_lfdr(vals)
 
-    def test_probabilities_keyed_by_pairs(self):
+    def test_probabilities_in_triangle_order(self):
         P, f = self.planted_matrix_and_fit()
         probs = edge_probabilities(P, f)
-        assert set(probs) == {(i, j) for i in range(10) for j in range(i + 1, 10)}
-        lf = lfdr_values(offdiagonal_values(P), f)
-        npt.assert_allclose(sorted(probs.values()), sorted(1.0 - lf), rtol=1e-12)
+        assert probs.shape == (45,)
+        npt.assert_array_equal(probs, 1.0 - lfdr_values(offdiagonal_values(P), f))
 
     def test_pure_null_fit_selects_nothing(self):
         P, _ = self.planted_matrix_and_fit()
         null_fit = LfdrFit(1.0, 10.0, offdiagonal_values(P), 0.1, 0.75)
-        assert select_edges(P, null_fit, threshold=0.5) == set()
+        assert select_edges(edge_probabilities(P, null_fit), 10, threshold=0.5) == set()
 
     def test_threshold_nesting(self):
         P, f = self.planted_matrix_and_fit()
-        loose = select_edges(P, f, threshold=0.5)
-        mid = select_edges(P, f, threshold=0.9)
-        tight = select_edges(P, f, threshold=0.99)
+        probs = edge_probabilities(P, f)
+        loose = select_edges(probs, 10, threshold=0.5)
+        mid = select_edges(probs, 10, threshold=0.9)
+        tight = select_edges(probs, 10, threshold=0.99)
         assert tight <= mid <= loose
         assert loose  # the spikes are found at the loose threshold
 
     def test_threshold_domain(self):
         P, f = self.planted_matrix_and_fit()
+        probs = edge_probabilities(P, f)
         with pytest.raises(InvalidParameterError):
-            select_edges(P, f, threshold=1.5)
+            select_edges(probs, 10, threshold=1.5)
         with pytest.raises(InvalidParameterError):
-            select_edges(P, f, threshold=-0.1)
+            select_edges(probs, 10, threshold=-0.1)
+
+    def test_selects_pairs_at_or_above_threshold(self):
+        probs = np.array([0.5, 0.99, 0.98, 1.0, 0.0, 0.99])
+        assert select_edges(probs, 4, threshold=0.99) == {(0, 2), (1, 2), (2, 3)}
+
+    def test_rejects_probabilities_of_wrong_length(self):
+        with pytest.raises(InvalidParameterError):
+            select_edges(np.ones(5), 4)
 
 
 class TestSparsify:
@@ -345,7 +354,7 @@ class TestExtractNetwork:
         b = extract_network(Y=Y, lam=0.05)
         assert a.selected == b.selected
         npt.assert_array_equal(a.sparsified, b.sparsified)
-        assert a.probabilities == b.probabilities
+        npt.assert_array_equal(a.probabilities, b.probabilities)
 
     def test_data_path_matches_omega_path(self):
         Y, _ = self.chain_draw(2, n=100, p=8)
@@ -359,12 +368,28 @@ class TestExtractNetwork:
         res = extract_network(Y=Y, estimator="alt-1", auto_lambda=True)
         assert isinstance(res, GgmResult)
         assert res.lambda_used == res.cv_result.lambda_star
-        assert set(res.selected) <= set(res.probabilities)
+        iu = np.triu_indices(10, k=1)
+        above = {(int(i), int(j)) for i, j, pr in zip(*iu, res.probabilities) if pr >= 0.99}
+        assert res.selected == above
         kept = {(i, j) for i in range(10) for j in range(10) if res.sparsified[i, j] != 0 and i < j}
         assert kept == res.selected
         npt.assert_allclose(
             res.min_eigenvalue, np.linalg.eigvalsh(res.sparsified)[0], rtol=1e-12
         )
+
+    def test_kde_evaluated_once_over_the_edges(self, monkeypatch):
+        sizes = []
+        density = LfdrFit.mixture_density
+
+        def counting(fit, r):
+            sizes.append(np.size(r))
+            return density(fit, r)
+
+        monkeypatch.setattr(LfdrFit, "mixture_density", counting)
+        Y, _ = self.chain_draw(1, n=150, p=10)
+        res = extract_network(Y=Y, lam=0.05)
+        assert 0.0 < res.fit.eta0 < 1.0  # eta0 = 1 would skip the KDE
+        assert sorted(sizes) == [1, 45]  # eta0 at r = 0, then every pair once
 
     def test_exact_zero_offdiagonals_degenerate(self):
         Omega = population_precision(PopulationSpec("chain", 20))
