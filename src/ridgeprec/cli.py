@@ -88,6 +88,17 @@ def _grid_from_flags(args, S=None, Omega=None, kind=None) -> np.ndarray:
     return simulate.default_risk_grid(Omega, num=args.grid_n)
 
 
+def _warn_on_grid_edge(result) -> None:
+    """One stderr line when the chosen penalty is the first or last grid point."""
+    grid = result.grid
+    if result.lambda_star in (grid[0], grid[-1]):
+        print(
+            f"warning: lambda_star {fmt(result.lambda_star)} is at the edge of the "
+            f"penalty grid [{fmt(grid[0])}, {fmt(grid[-1])}]; the optimum may lie outside it",
+            file=sys.stderr,
+        )
+
+
 def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
@@ -118,7 +129,9 @@ def cmd_estimate(args) -> int:
             target=target,
             center=args.center,
         )
-        lam = cv.select_lambda(Y, config, threads=args.threads).lambda_star
+        selection = cv.select_lambda(Y, config, threads=args.threads)
+        _warn_on_grid_edge(selection)
+        lam = selection.lambda_star
     if lam is None:
         raise UsageError("a penalty is required: --lambda or --auto-lambda")
     est = estimators.fit(args.estimator, S, lam, target)
@@ -144,6 +157,7 @@ def cmd_cv(args) -> int:
         center=args.center,
     )
     result = cv.select_lambda(Y, config, threads=args.threads)
+    _warn_on_grid_edge(result)
     lines = ["lambda,score"]
     lines += [f"{fmt(la)},{fmt(sc)}" for la, sc in zip(result.grid, result.scores)]
     lines.append(f"lambda_star,{fmt(result.lambda_star)}")
@@ -180,6 +194,8 @@ def cmd_ggm(args) -> int:
         center=args.center,
         threads=args.threads,
     )
+    if res.cv_result is not None:
+        _warn_on_grid_edge(res.cv_result)
     edge_lines = ["i,j,partial_corr,one_minus_lfdr,selected"]
     for i, j, prob in zip(*np.triu_indices(res.partials.shape[0], k=1), res.probabilities):
         sel = 1 if (i, j) in res.selected else 0

@@ -20,7 +20,14 @@ recipe is pinned:
 * eta0: central matching, the ratio of the mixture density to the fitted
   null density at r = 0, clamped to [0, 1];
 * mixture density: Gaussian kernel density estimate with Silverman's
-  bandwidth, reflected at both -1 and +1.
+  bandwidth h, reflected at both -1 and +1. It is linearly binned on a
+  grid over [-1, 1] of spacing h/200 (at most 2**20 intervals, which bounds
+  memory when h is tiny), convolved by one real FFT and read off the nodes
+  by linear interpolation: O(m + B log B) for m values and B nodes instead
+  of the exact sum's O(m^2). Against the exact reflected kernel sum the
+  relative error at the values is below 1e-4 and the error anywhere on
+  [-1, 1] below 1e-5 of the peak (at most 1.3e-5 and 5.1e-6 on the test
+  fixtures; a spacing of h/100 gives 5.3e-5 and 2.0e-5).
 
 Edge (j, j') is selected when ``1 - lFDR >= threshold`` with
 ``lFDR = min(1, eta0 f0 / f)`` (equal to the two-component posterior null
@@ -33,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, special
 
 from . import cv, estimators
 from .errors import (
@@ -50,6 +56,12 @@ CENTRAL_FRACTION = 0.75
 #: Hard cap on the central cutoff: values with |r| beyond it are never
 #: attributed to the null component, however heavy their share.
 CENTRAL_CAP = 0.75
+#: Grid nodes per bandwidth of the binned mixture density.
+KDE_NODES_PER_BANDWIDTH = 200
+#: Cap on the grid intervals over [-1, 1]; it bounds the FFT at 2**22 points.
+KDE_MAX_INTERVALS = 2**20
+#: Kernel truncation in bandwidths; exp(-40**2 / 2) underflows to zero.
+KDE_KERNEL_REACH = 40
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +113,8 @@ def null_density(r, kappa: float):
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(np.abs(arr) > 1.0):
         raise InvalidParameterError("null density domain is [-1, 1]")
+    from scipy import special
+
     expo = 0.5 * (kappa - 3.0)
     lognorm = special.betaln(0.5, 0.5 * (kappa - 1.0))
     with np.errstate(divide="ignore"):
@@ -109,6 +123,8 @@ def null_density(r, kappa: float):
 
 
 def _null_loglik_terms(values: np.ndarray, kappa: float) -> float:
+    from scipy import special
+
     expo = 0.5 * (kappa - 3.0)
     lognorm = special.betaln(0.5, 0.5 * (kappa - 1.0))
     return float(np.sum(expo * np.log1p(-values * values) - lognorm))
@@ -121,6 +137,8 @@ def _fit_kappa(values: np.ndarray, cutoff: float) -> float:
     central region subtracts ``m * ln P0(|r| <= cutoff; kappa)``, so the
     estimate stays consistent under truncation.
     """
+    from scipy import optimize, special
+
     kept = values[np.abs(values) <= cutoff]
     m = kept.size
 
@@ -151,19 +169,48 @@ class LfdrFit:
     cutoff: float
 
     def mixture_density(self, r):
-        """Reflected-KDE mixture density, evaluable anywhere on [-1, 1]."""
+        """Reflected-KDE mixture density, evaluable anywhere on [-1, 1].
+
+        The values are linearly binned onto :func:`kde_nodes`; their
+        reflections ``2 - v`` and ``-2 - v`` land on the mirrored nodes of
+        [-3, 3]. One real FFT convolves the counts with the Gaussian kernel,
+        truncated at 40 bandwidths and scaled to unit mass on the grid (so
+        the density still integrates to one when the node cap makes the
+        spacing wider than the bandwidth). FFT round-off below zero is
+        clipped, and the density at ``r`` is read off the nodes by linear
+        interpolation.
+        """
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        v = self.values
-        h = self.bandwidth
-        aug = np.concatenate([v, 2.0 - v, -2.0 - v])
-        norm = v.size * h * math.sqrt(2.0 * math.pi)
-        out = np.empty_like(arr)
-        step = max(1, int(2**22 / max(aug.size, 1)))
-        for start in range(0, arr.size, step):
-            block = arr[start : start + step, None]
-            z = (block - aug[None, :]) / h
-            out[start : start + step] = np.exp(-0.5 * z * z).sum(axis=1) / norm
+        nodes = kde_nodes(self.bandwidth)
+        n = nodes.size - 1
+        delta = 2.0 / n
+        pos = (self.values + 1.0) / delta
+        left = np.clip(np.floor(pos).astype(np.intp), 0, n - 1)
+        frac = pos - left
+        counts = np.bincount(left, 1.0 - frac, n + 1) + np.bincount(left + 1, frac, n + 1)
+        extended = np.zeros(3 * n + 1)
+        extended[: n + 1] += counts[::-1]
+        extended[n : 2 * n + 1] += counts
+        extended[2 * n :] += counts[::-1]
+        reach = math.ceil(KDE_KERNEL_REACH * self.bandwidth / delta)
+        z = np.arange(-reach, reach + 1) * (delta / self.bandwidth)
+        kernel = np.exp(-0.5 * z * z)
+        kernel /= kernel.sum() * delta * self.values.size
+        size = 1 << (extended.size + kernel.size - 2).bit_length()
+        conv = np.fft.irfft(np.fft.rfft(extended, size) * np.fft.rfft(kernel, size), size)
+        density = np.maximum(conv[n + reach : 2 * n + reach + 1], 0.0)
+        out = np.interp(arr, nodes, density)
         return out if np.ndim(r) else float(out[0])
+
+
+def kde_nodes(bandwidth: float) -> np.ndarray:
+    """Nodes of the binned mixture density: [-1, 1] at spacing <= bandwidth/200.
+
+    The interval count is capped at ``KDE_MAX_INTERVALS``, which bounds the
+    memory a tiny bandwidth can ask for; the spacing is then coarser.
+    """
+    intervals = min(2.0 * KDE_NODES_PER_BANDWIDTH / bandwidth, KDE_MAX_INTERVALS)
+    return np.linspace(-1.0, 1.0, math.ceil(intervals) + 1)
 
 
 def fit_lfdr(values) -> LfdrFit:

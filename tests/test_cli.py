@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ridgeprec import estimators, matio, moments
+from ridgeprec import cv, estimators, matio, moments
 from ridgeprec.cli import main, parse_target
 from ridgeprec.estimators import Target
 from ridgeprec.simulate import PopulationSpec, population_precision, sample_mvn
@@ -171,6 +171,63 @@ class TestCV:
         assert main(["cv", "--data", path, "--grid-min", "1.0"]) == 1
         assert main(["cv", "--data", path, "--grid-min", "5", "--grid-max", "1"]) == 1
         capsys.readouterr()
+
+
+@pytest.fixture()
+def wide_file(tmp_path):
+    """n=40, p=80 chain data, where ALOOCV picks the smallest default-grid penalty."""
+    Omega = population_precision(PopulationSpec("chain", 80))
+    Y = sample_mvn(np.linalg.inv(Omega), 40, seed=7)
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, Y, delimiter=",", fmt="%.17g")
+    return str(path), Y
+
+
+def _edge_warnings(err: str) -> list[str]:
+    return [line for line in err.splitlines() if "edge of the penalty grid" in line]
+
+
+class TestGridEdgeWarning:
+    def test_cv_warns_on_stderr_only(self, wide_file, capsys):
+        path, Y = wide_file
+        assert main(["cv", "--data", path]) == 0
+        out, err = capsys.readouterr()
+        S = estimators.sample_cov(Y)
+        res = cv.select_lambda(Y, cv.CVConfig(cv.default_grid(S, kind="alt-1"), "aloocv"))
+        assert res.lambda_star == res.grid[0]
+        want = ["lambda,score"] + [f"{matio.fmt(a)},{matio.fmt(b)}" for a, b in zip(res.grid, res.scores)]
+        assert out == "\n".join(want + [f"lambda_star,{matio.fmt(res.lambda_star)}"]) + "\n"
+        assert len(_edge_warnings(err)) == 1
+        assert matio.fmt(res.lambda_star) in _edge_warnings(err)[0]
+
+    def test_estimate_and_ggm_auto_lambda_warn(self, wide_file, capsys):
+        path, Y = wide_file
+        assert main(["cv", "--data", path]) == 0
+        lam = capsys.readouterr()[0].splitlines()[-1].split(",")[1]
+        for cmd in ("estimate", "ggm"):
+            assert main([cmd, "--data", path, "--auto-lambda"]) == 0
+            auto_out, auto_err = capsys.readouterr()
+            assert main([cmd, "--data", path, "--lambda", lam]) == 0
+            manual_out, manual_err = capsys.readouterr()
+            assert auto_out == manual_out
+            assert len(_edge_warnings(auto_err)) == 1
+            assert _edge_warnings(manual_err) == []
+
+    def test_last_grid_point_warns(self, data_file, capsys):
+        path, _ = data_file
+        flags = ["--grid-min", "1e-8", "--grid-max", "1e-6", "--grid-n", "5"]
+        assert main(["cv", "--data", path] + flags) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == f"lambda_star,{matio.fmt(1e-6)}"
+        assert len(_edge_warnings(err)) == 1
+
+    def test_interior_optimum_is_silent(self, wide_file, capsys):
+        path, _ = wide_file
+        assert main(["cv", "--data", path, "--scheme", "kfold", "--grid-n", "30"]) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[-1].split(",")[1] not in (lines[1].split(",")[0], lines[-2].split(",")[0])
+        assert _edge_warnings(err) == []
 
 
 class TestConfigFile:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy import integrate, special
 
+import ridgeprec
 from ridgeprec.errors import (
     DegenerateFitError,
     InsufficientDataError,
@@ -15,6 +21,7 @@ from ridgeprec.ggm import (
     edge_probabilities,
     extract_network,
     fit_lfdr,
+    kde_nodes,
     lfdr_values,
     null_density,
     offdiagonal_values,
@@ -24,9 +31,10 @@ from ridgeprec.ggm import (
     stable_edges,
     support_metrics,
 )
+from ridgeprec.linalg import inv_pd
 from ridgeprec.simulate import PopulationSpec, population_precision, sample_mvn
 
-from oracles import null_partial_corr_draws
+from oracles import null_partial_corr_draws, reflected_kde_exact
 
 
 def planted_values(seed, n_null=250, n_alt=250):
@@ -39,6 +47,35 @@ def planted_values(seed, n_null=250, n_alt=250):
         0.99,
     )
     return np.concatenate([null, spikes])
+
+
+def piled_values(seed, n_pile=100, n_null=200):
+    """Values piled within 0.05 of -1 and of +1 around a null bulk."""
+    rng = np.random.default_rng([22, seed])
+    near_one = 1.0 - 0.05 * (1.0 - rng.random((2, n_pile)))  # in [0.95, 1)
+    return np.concatenate([near_one[0], -near_one[1], null_partial_corr_draws(rng, 20.0, n_null)])
+
+
+def oracle_eta0(fit):
+    """``eta0`` by the fit's recipe, with the exact reflected KDE."""
+    f = reflected_kde_exact(fit.values, fit.bandwidth, 0.0)
+    return float(np.clip(f / null_density(0.0, fit.kappa), 0.0, 1.0))
+
+
+def oracle_probabilities(values, fit):
+    """``1 - lFDR`` at ``values`` with the exact reflected KDE."""
+    eta0 = oracle_eta0(fit)
+    if eta0 >= 1.0:
+        return np.zeros_like(values)
+    f = reflected_kde_exact(fit.values, fit.bandwidth, values)
+    return 1.0 - np.minimum(1.0, eta0 * null_density(values, fit.kappa) / f)
+
+
+DENSITY_FIXTURES = {
+    "planted": lambda: planted_values(0),
+    "m45": lambda: planted_values(0, n_null=40, n_alt=5),
+    "piled": lambda: piled_values(0),
+}
 
 
 class TestPartialCorrelations:
@@ -169,6 +206,72 @@ class TestFitLfdr:
             lambda r: f.mixture_density(float(r)), -1.0, 1.0, limit=200
         )
         npt.assert_allclose(total, 1.0, atol=1e-3)
+
+
+class TestBinnedMixtureDensity:
+    """The binned KDE against the exact reflected kernel sum."""
+
+    @pytest.mark.parametrize("name", sorted(DENSITY_FIXTURES))
+    def test_matches_exact_kde_at_the_values(self, name):
+        values = DENSITY_FIXTURES[name]()
+        f = fit_lfdr(values)
+        exact = reflected_kde_exact(values, f.bandwidth, values)
+        npt.assert_allclose(f.mixture_density(values), exact, rtol=1e-4, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(DENSITY_FIXTURES))
+    def test_matches_exact_kde_on_a_grid(self, name):
+        f = fit_lfdr(DENSITY_FIXTURES[name]())
+        r = np.linspace(-1.0, 1.0, 201)
+        exact = reflected_kde_exact(f.values, f.bandwidth, r)
+        assert np.max(np.abs(f.mixture_density(r) - exact)) <= 1e-5 * exact.max()
+
+    @pytest.mark.parametrize("name", sorted(DENSITY_FIXTURES))
+    def test_eta0_matches_exact_kde(self, name):
+        f = fit_lfdr(DENSITY_FIXTURES[name]())
+        assert f.eta0 == pytest.approx(oracle_eta0(f), abs=1e-5)
+
+    def test_selection_matches_exact_kde_on_criterion_11_seeds(self):
+        Sigma = inv_pd(population_precision(PopulationSpec("chain", 20)))
+        for s in range(20):
+            res = extract_network(
+                Y=sample_mvn(Sigma, 200, s), estimator="alt-1", auto_lambda=True, threshold=0.99
+            )
+            exact = oracle_probabilities(offdiagonal_values(res.partials), res.fit)
+            for threshold in (0.5, 0.9, 0.99):
+                assert select_edges(res.probabilities, 20, threshold) == select_edges(
+                    exact, 20, threshold
+                ), (s, threshold)
+
+    def test_tiny_bandwidth_hits_the_node_cap(self):
+        # The interquartile range is 5e-8, so the bandwidth is about 1e-8
+        # and an uncapped grid at bandwidth/200 would need ~3e10 nodes.
+        values = np.concatenate([0.2 + 1e-9 * np.arange(80), np.linspace(-0.9, 0.9, 20)])
+        f = fit_lfdr(values)
+        nodes = kde_nodes(f.bandwidth)
+        assert f.bandwidth < 1e-7 and nodes.size == 2**20 + 1
+        density = f.mixture_density(nodes)
+        assert np.all(np.isfinite(density)) and np.all(density >= 0.0)
+        # Piecewise linear on the nodes, so the trapezoid rule is exact.
+        npt.assert_allclose(integrate.trapezoid(density, nodes), 1.0, atol=1e-3)
+        assert np.all(np.isfinite(f.mixture_density(values)))
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "loaded = lambda: any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "import ridgeprec\n"
+        "print(loaded())\n"
+        "import ridgeprec.cli\n"
+        "print(loaded())\n"
+    )
+    src = str(Path(ridgeprec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "False"]
 
 
 class TestLfdrValues:
@@ -390,6 +493,15 @@ class TestExtractNetwork:
         res = extract_network(Y=Y, lam=0.05)
         assert 0.0 < res.fit.eta0 < 1.0  # eta0 = 1 would skip the KDE
         assert sorted(sizes) == [1, 45]  # eta0 at r = 0, then every pair once
+
+    def test_thousand_variables(self):
+        Omega = population_precision(PopulationSpec("clique", 1000, blocks=50, offdiag=0.5))
+        Y = sample_mvn(inv_pd(Omega), 500, 1000)
+        res = extract_network(Y=Y, lam=0.05)
+        assert res.probabilities.shape == (499500,)
+        assert np.all((res.probabilities >= 0.0) & (res.probabilities <= 1.0))
+        assert res.fit.eta0 < 1.0  # eta0 = 1 would skip the KDE
+        assert np.linalg.eigvalsh(res.omega)[0] > 0.0
 
     def test_exact_zero_offdiagonals_degenerate(self):
         Omega = population_precision(PopulationSpec("chain", 20))
