@@ -76,6 +76,8 @@ def _positive_lambda(args) -> float | None:
 
 
 def _grid_from_flags(args, S=None, Omega=None, kind=None) -> np.ndarray:
+    if args.grid_n < 1:
+        raise UsageError(f"--grid-n must be a positive integer, got {args.grid_n}")
     given = (args.grid_min is not None, args.grid_max is not None)
     if any(given) and not all(given):
         raise UsageError("--grid-min and --grid-max must be given together")

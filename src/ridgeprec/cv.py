@@ -13,7 +13,7 @@ import numpy as np
 
 from . import estimators
 from .errors import InvalidFoldsError, InvalidParameterError
-from .estimators import loglik_unchecked, prepare_data, sample_cov
+from .estimators import prepare_data, sample_cov
 
 SCHEMES = ("kfold", "loocv", "aloocv")
 
@@ -103,25 +103,20 @@ def _score_with_folds(Y, lam, config, folds) -> float:
     for held_out in folds:
         mask = np.ones(n, dtype=bool)
         mask[held_out] = False
-        S_in = sample_cov(Y[mask])
-        S_out = sample_cov(Y[held_out])
-        est = estimators.fit(config.estimator, S_in, lam, config.target)
-        score += held_out.size * (-loglik_unchecked(est.omega, S_out))
+        est = estimators.fit(config.estimator, sample_cov(Y[mask]), lam, config.target)
+        U = Y[held_out] @ est.vectors
+        score += held_out.size * -np.sum(np.log(est.prec)) + np.sum(U * U * est.prec)
     return float(score)
 
 
 def _approx_loocv(Y, S, lam, config) -> float:
-    n = Y.shape[0]
+    n, p = Y.shape
     est = estimators.fit(config.estimator, S, lam, config.target)
-    omega, sigma = est.omega, est.sigma
-    W = omega @ S @ omega
-    Z = Y @ omega
-    t0 = float(np.einsum("ij,ij->", sigma, W))
-    v1 = np.einsum("ij,ij->i", Z @ sigma, Z)
-    v2 = np.einsum("ij,ij->i", Y @ W, Y)
-    q = np.einsum("ij,ij->i", Z, Y)
-    gamma = t0 - v1 - v2 + q * q
-    return float(-0.5 * loglik_unchecked(omega, S) + gamma.sum() / (2.0 * n * (n - 1.0)))
+    B = (Y @ est.vectors) * np.sqrt(est.prec)
+    q = np.einsum("ij,ij->i", B, B)
+    G = B @ B.T if n <= p else B.T @ B
+    correction = (q @ q - np.sum(G * G) / n) / (2.0 * n * (n - 1.0))
+    return float(-0.5 * (np.sum(np.log(est.prec)) - q.sum() / n) + correction)
 
 
 def kfold_cv_score(Y, lam: float, config: CVConfig) -> float:
@@ -151,7 +146,12 @@ def approx_loocv_score(Y, lam: float, config: CVConfig) -> float:
     per-observation half-log-likelihood scale that the expansion of the
     leave-one-out score produces; dropping it lets the correction dominate
     and drags the argmin. Exactly one estimator fit (and no matrix
-    inversion) per call.
+    inversion) per call, evaluated from its eigenpairs ``(V, prec)`` with
+    no product of the dense ``omega``, ``sigma`` and ``S``: with the n x n
+    Gram ``G = B B' = Y omega Y'`` of ``B = Y V diag(prec)^(1/2)`` and
+    ``q = diag(G)``, ``sigma omega = I`` gives ``-(1/2)(sum ln prec -
+    sum(q)/n) + (sum(q^2) - sum(G^2)/n) / (2n(n-1))``. When n > p the
+    same ``sum(G^2)`` is read from the smaller ``B'B``.
     """
     return _scorer(Y, config, "aloocv")(lam)
 

@@ -16,11 +16,12 @@ definite for every symmetric ``S``, every penalty ``lam > 0``, and every
 symmetric ``T`` — including singular ``S`` from fewer observations than
 variables. The covariance-side estimate obeys the exact identity
 ``sigma - lam*omega = S - lam*T``, so ``omega`` never requires an explicit
-inversion; both matrices are built from one eigendecomposition of
-``S - lam*T`` with cancellation-free per-eigenvalue formulas.
+inversion: a fit is one eigendecomposition of ``S - lam*T`` with
+cancellation-free per-eigenvalue maps; dense matrices are built on demand.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -165,23 +166,32 @@ def resolve_target(target, S) -> Target:
 
 @dataclass(frozen=True)
 class RidgeEstimate:
-    """A fitted precision/covariance pair.
+    """A fitted precision/covariance pair, held as its eigendecomposition.
 
-    ``omega`` is the precision estimate, ``sigma`` its inverse (the
-    covariance-side estimate); both are exactly symmetric and mutually
-    inverse up to roundoff. ``kind`` is one of :data:`KINDS` and ``lam`` the
-    penalty in that estimator's own scale.
+    ``vectors`` (columns) are orthonormal; ``prec`` and ``cov`` are the
+    precision- and covariance-side eigenvalues. The exactly symmetric
+    ``omega`` and its inverse ``sigma`` are built on first access and
+    cached. ``kind`` is one of :data:`KINDS`, ``lam`` its own-scale penalty.
     """
 
-    omega: np.ndarray
-    sigma: np.ndarray
+    vectors: np.ndarray
+    prec: np.ndarray
+    cov: np.ndarray
     kind: str
     lam: float
     target: Target | None
 
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return symmetrize((self.vectors * self.prec) @ self.vectors.T)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return symmetrize((self.vectors * self.cov) @ self.vectors.T)
+
     @property
     def p(self) -> int:
-        return self.omega.shape[0]
+        return self.vectors.shape[0]
 
 
 def _check_penalty(lam, upper: float = np.inf) -> float:
@@ -299,8 +309,8 @@ def fit(kind: str, S, lam: float, target=None) -> RidgeEstimate:
 
     Every kind runs the same steps: validate ``S``, the penalty (in the
     kind's own domain) and the target once; decompose ``S``, ``S - lam*T``
-    or ``(1-lam)S + lam*G`` once; map its eigenvalues by the kind's rule;
-    and rebuild ``omega`` and ``sigma`` from the one set of eigenvectors.
+    or ``(1-lam)S + lam*G`` once; and map its eigenvalues by the kind's
+    rule. The estimate keeps the eigenvectors and both mapped spectra.
     """
     if kind not in KINDS:
         raise InvalidPenaltyError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
@@ -329,10 +339,9 @@ def fit(kind: str, S, lam: float, target=None) -> RidgeEstimate:
             f"S + lam*I not p.d. (min eigenvalue {vals[-1] + lam:.3e})"
         )
     cov, prec = _eigen_map(kind, vals, lam)
-    omega, sigma = (symmetrize((vecs * x) @ vecs.T) for x in (prec, cov))
     if kind == "alt-2":
         target = Target.zero()
-    return RidgeEstimate(omega, sigma, kind, lam, target)
+    return RidgeEstimate(vecs, prec, cov, kind, lam, target)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +402,7 @@ def loglik(omega, S) -> float:
 
     ``omega`` must be p.d. (checked via Cholesky).
     """
-    return loglik_unchecked(check_symmetric(omega, "omega"), check_symmetric(S, "S"))
-
-
-def loglik_unchecked(omega, S) -> float:
-    """:func:`loglik` without validation, for finite, exactly symmetric arrays."""
+    omega, S = check_symmetric(omega, "omega"), check_symmetric(S, "S")
     try:
         L = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError as exc:

@@ -113,21 +113,18 @@ def null_density(r, kappa: float):
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(np.abs(arr) > 1.0):
         raise InvalidParameterError("null density domain is [-1, 1]")
+    out = np.exp(_log_null_density(arr, kappa))
+    return out if np.ndim(r) else float(out[0])
+
+
+def _log_null_density(r: np.ndarray, kappa: float) -> np.ndarray:
+    """``ln f0(r; kappa)`` for an array ``r`` in [-1, 1], unvalidated."""
     from scipy import special
 
     expo = 0.5 * (kappa - 3.0)
     lognorm = special.betaln(0.5, 0.5 * (kappa - 1.0))
     with np.errstate(divide="ignore"):
-        out = np.exp(expo * np.log1p(-arr * arr) - lognorm)
-    return out if np.ndim(r) else float(out[0])
-
-
-def _null_loglik_terms(values: np.ndarray, kappa: float) -> float:
-    from scipy import special
-
-    expo = 0.5 * (kappa - 3.0)
-    lognorm = special.betaln(0.5, 0.5 * (kappa - 1.0))
-    return float(np.sum(expo * np.log1p(-values * values) - lognorm))
+        return expo * np.log1p(-r * r) - lognorm
 
 
 def _fit_kappa(values: np.ndarray, cutoff: float) -> float:
@@ -147,7 +144,7 @@ def _fit_kappa(values: np.ndarray, cutoff: float) -> float:
         mass = special.betainc(0.5, 0.5 * (kappa - 1.0), cutoff * cutoff)
         if mass <= 0.0:
             return np.inf
-        return -_null_loglik_terms(kept, kappa) + m * math.log(mass)
+        return -float(np.sum(_log_null_density(kept, kappa))) + m * math.log(mass)
 
     res = optimize.minimize_scalar(
         nll,

@@ -134,11 +134,16 @@ class RiskConfig:
                 raise InvalidParameterError(f"unknown estimator kind {kind!r}")
         if int(self.reps) != self.reps or self.reps < 1:
             raise InvalidParameterError(f"reps must be a positive integer, got {self.reps}")
+        sizes = tuple(self.sample_sizes)
+        if not sizes or any(int(n) != n or n < 1 for n in sizes):
+            raise InvalidParameterError(
+                f"sample sizes must be a nonempty list of positive integers, got {sizes}"
+            )
         grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
         if grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(grid <= 0):
             raise InvalidParameterError("grid values must be finite and positive")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sizes))
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
 
@@ -176,6 +181,8 @@ def penalty_in_kind_scale(kind: str, lam_a: float) -> float:
 
 def default_risk_grid(Omega, num: int = 50) -> np.ndarray:
     """Default alternative-scale grid anchored at g = tr(Omega^-1)/p."""
+    if int(num) != num or num < 1:
+        raise InvalidParameterError(f"grid size must be a positive integer, got {num}")
     Sigma = inv_pd(Omega)
     g = float(np.trace(Sigma)) / Sigma.shape[0]
     return np.logspace(np.log10(1e-4 * g), np.log10(1e4 * g), int(num))

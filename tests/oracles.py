@@ -179,6 +179,35 @@ def kfold_score_oracle(Y, lam: float, kind: str, target, k: int, seed: int) -> f
     return total
 
 
+def aloocv_score_dense(Y, lam: float, kind: str, target) -> float:
+    """Approximate leave-one-out score from its dense definition.
+
+    Builds the p x p matrices ``omega``, ``sigma``, ``W = omega S omega``
+    and ``Z = Y omega``, then ``t0 = <sigma, W>``, ``v1_i = z_i' sigma z_i``,
+    ``v2_i = y_i' W y_i``, ``q_i = z_i' y_i`` and
+    ``gamma_i = t0 - v1_i - v2_i + q_i^2``; the log-likelihood
+    ``ln|omega| - tr(S omega)`` goes through a Cholesky factor. The package
+    evaluates the same score in the fit's eigenbasis instead.
+    """
+    from ridgeprec import estimators
+
+    Y = np.asarray(Y, dtype=float)
+    n = Y.shape[0]
+    S = estimators.sample_cov(Y)
+    est = estimators.fit(kind, S, lam, target)
+    omega, sigma = est.omega, est.sigma
+    W = omega @ S @ omega
+    Z = Y @ omega
+    t0 = float(np.einsum("ij,ij->", sigma, W))
+    v1 = np.einsum("ij,ij->i", Z @ sigma, Z)
+    v2 = np.einsum("ij,ij->i", Y @ W, Y)
+    q = np.einsum("ij,ij->i", Z, Y)
+    gamma = t0 - v1 - v2 + q * q
+    L = np.linalg.cholesky(omega)
+    loglik = 2.0 * float(np.sum(np.log(np.diag(L)))) - float(np.einsum("ij,ij->", S, omega))
+    return float(-0.5 * loglik + gamma.sum() / (2.0 * n * (n - 1.0)))
+
+
 def null_partial_corr_draws(rng, kappa: float, size: int) -> np.ndarray:
     """Draws from the null partial-correlation density with ``kappa`` dof.
 

@@ -170,6 +170,12 @@ class TestCV:
         path, _ = data_file
         assert main(["cv", "--data", path, "--grid-min", "1.0"]) == 1
         assert main(["cv", "--data", path, "--grid-min", "5", "--grid-max", "1"]) == 1
+        bounds = ["--grid-min", "0.1", "--grid-max", "1"]
+        for n in ("-1", "0"):
+            for cmd in (["cv"], ["estimate", "--auto-lambda"], ["ggm", "--auto-lambda"]):
+                assert main(cmd + ["--data", path, "--grid-n", n] + bounds) == 1
+        assert main(["cv", "--data", path, "--grid-n", "-1"]) == 1
+        assert main(["simulate", "--p", "4", "--reps", "2", "--grid-n", "-1"]) == 1
         capsys.readouterr()
 
 
@@ -400,6 +406,11 @@ class TestSimulate:
     def test_unknown_estimator(self, capsys):
         assert main(["simulate", "--estimators", "lasso"]) == 1
         capsys.readouterr()
+
+    def test_negative_sample_size_is_data_error(self, capsys):
+        assert main(["simulate", "--p", "4", "--reps", "2", "--n", "-5"]) == 2
+        _, err = capsys.readouterr()
+        assert any(line.startswith("ridgeprec simulate: error:") for line in err.splitlines())
 
 
 class TestMoments:

@@ -7,6 +7,7 @@ import pytest
 import ridgeprec.cv as cv
 import ridgeprec.estimators as estimators
 from ridgeprec.cv import (
+    SCHEMES,
     CVConfig,
     approx_loocv_score,
     default_grid,
@@ -20,7 +21,7 @@ from ridgeprec.errors import InvalidFoldsError, InvalidParameterError
 from ridgeprec.estimators import Target, loglik, penalty_map_1, sample_cov
 from ridgeprec.simulate import PopulationSpec, population_precision, sample_mvn
 
-from oracles import kfold_score_oracle
+from oracles import aloocv_score_dense, kfold_score_oracle
 
 
 def chain_data(n, p=5, seed=3):
@@ -169,6 +170,33 @@ class TestApproxLOOCV:
         assert abs(i_exact - i_approx) <= 1
 
 
+class TestSpectralScoresMatchOracles:
+    """Eigenpair scores against the dense K-fold and ALOOCV definitions.
+
+    The data sit on a grid of 2**-10, so every sample covariance is exact
+    in floating point and the package and the oracles' loop-built ones
+    agree bit for bit. At n < p the smallest archetype-2 penalty amplifies
+    a one-ulp difference in the held-in covariance by about 1e4.
+    """
+
+    SHAPES = {"n<p": (20, 40), "n>p": (60, 15)}
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("kind", estimators.KINDS)
+    def test_scores_match_dense_oracles(self, kind, shape, scheme):
+        n, p = self.SHAPES[shape]
+        Y = np.round(chain_data(n, p=p, seed=n + p) * 1024.0) / 1024.0
+        grid = default_grid(sample_cov(Y), 5, kind=kind)
+        cfg = CVConfig(grid=grid, scheme=scheme, k=5, fold_seed=3, estimator=kind)
+        if scheme == "aloocv":
+            want = [aloocv_score_dense(Y, lam, kind, "ddiag") for lam in grid]
+        else:
+            k = n if scheme == "loocv" else 5
+            want = [kfold_score_oracle(Y, lam, kind, "ddiag", k, 3) for lam in grid]
+        npt.assert_allclose(score_grid(Y, cfg), want, rtol=1e-12)
+
+
 class TestSelectLambda:
     def test_single_point_grid(self):
         Y = chain_data(10, p=3, seed=1)
@@ -250,6 +278,20 @@ class TestScoreGrid:
         Y = chain_data(12, p=3, seed=13)
         score_grid(Y, CVConfig(grid=[0.1, 1.0, 10.0], scheme=scheme, k=3))
         assert symmetry_checks == ["S"] * fits
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_scores_build_no_dense_matrices(self, scheme, monkeypatch):
+        fits = []
+        real_fit = estimators.fit
+
+        def recording_fit(*args, **kwargs):
+            fits.append(real_fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(estimators, "fit", recording_fit)
+        score_grid(chain_data(12, p=3, seed=13), CVConfig(grid=[0.1, 1.0], scheme=scheme, k=3))
+        assert len(fits) == {"kfold": 6, "loocv": 24, "aloocv": 2}[scheme]
+        assert not any({"omega", "sigma"} & est.__dict__.keys() for est in fits)
 
     def test_threads_do_not_change_result(self):
         Y = chain_data(15, p=4, seed=21)

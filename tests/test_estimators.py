@@ -29,7 +29,7 @@ from ridgeprec.estimators import (
     shrunk_eigenvalues,
     stationarity_residual,
 )
-from ridgeprec.linalg import inv_pd
+from ridgeprec.linalg import inv_pd, symmetrize
 
 from oracles import fd_gradient_max_abs, is_pd, newton_max_penalized, sample_cov_loop
 
@@ -437,6 +437,16 @@ class TestFitDispatch:
     def test_unknown_kind(self):
         with pytest.raises(InvalidPenaltyError):
             fit("lasso", np.eye(2), 0.5)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dense_matrices_built_on_first_access(self, kind, rng, make_spd):
+        est = fit(kind, make_spd(5, rng), 0.5, "ddiag")
+        assert "omega" not in est.__dict__ and "sigma" not in est.__dict__
+        V = est.vectors
+        npt.assert_array_equal(est.omega, symmetrize((V * est.prec) @ V.T))
+        npt.assert_array_equal(est.sigma, symmetrize((V * est.cov) @ V.T))
+        assert est.omega is est.omega and est.sigma is est.sigma
+        assert est.p == 5
 
 
 class TestGradientAtOptimum:

@@ -218,6 +218,9 @@ class TestRiskCurve:
             RiskConfig(pop, (5,), [0.1], reps=0)
         with pytest.raises(InvalidParameterError):
             RiskConfig(pop, (5,), [-0.1])
+        for sizes in ((), (0,), (-5,), (2.5,)):
+            with pytest.raises(InvalidParameterError):
+                RiskConfig(pop, sizes, [0.1])
 
 
 class TestFigure1:
