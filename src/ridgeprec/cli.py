@@ -257,7 +257,7 @@ def cmd_simulate(args) -> int:
         loss=args.loss,
         base_seed=args.seed,
     )
-    curve = simulate.risk_curve(config, threads=args.threads)
+    curve = simulate.risk_curve(config)
     lines = ["estimator,target,n,lambda,median_loss"]
     for kind in kinds:
         label = "none" if kind in ("alt-2", "archetype-2") else curve.target_label
@@ -295,10 +295,18 @@ def cmd_moments(args) -> int:
 # Parser assembly
 
 
+def _threads(value: str) -> int:
+    if not value.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _add_common(sp) -> None:
     sp.add_argument("--seed", type=int, default=0, help="base RNG seed (64-bit)")
     sp.add_argument(
-        "--threads", type=int, default=1, help="worker threads; 0 means one per CPU"
+        "--threads", type=_threads, default=1,
+        help="CV scoring threads, 0 means one per CPU; faster only with BLAS pinned to "
+        "one thread; simulate and moments ignore it",
     )
     sp.add_argument("--config", help="JSON file mirroring the flags; flags override it")
     sp.add_argument("--header", action="store_true", help="input CSV has a header row")

@@ -156,25 +156,18 @@ def approx_loocv_score(Y, lam: float, config: CVConfig) -> float:
     return _scorer(Y, config, "aloocv")(lam)
 
 
-def map_maybe_threaded(fn, items, threads: int = 1) -> list:
-    """Order-preserving map, optionally across a thread pool.
-
-    ``threads=0`` means one worker per CPU; 1 runs inline. Results are
-    deterministic either way because inputs carry their own seeds/indices.
-    """
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
-    """Evaluate the configured scheme's score at every grid value."""
+    """Evaluate the configured scheme's score at every grid value.
+
+    ``threads=0`` means one worker per CPU and ``threads <= 1`` runs inline;
+    otherwise an order-preserving thread pool scores the grid points.
+    """
     scorer = _scorer(Y, config, config.scheme)
-    scores = map_maybe_threaded(scorer, list(config.grid), threads)
-    return np.asarray(scores, dtype=float)
+    threads = threads or os.cpu_count() or 1
+    if threads <= 1 or config.grid.size <= 1:
+        return np.array([scorer(lam) for lam in config.grid])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.array(list(pool.map(scorer, config.grid)))
 
 
 def select_lambda(Y, config: CVConfig, threads: int = 1) -> CVResult:

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators as _est
-from .cv import map_maybe_threaded
 from .errors import (
     ConstructionFailedError,
     InvalidParameterError,
@@ -188,11 +187,12 @@ def default_risk_grid(Omega, num: int = 50) -> np.ndarray:
     return np.logspace(np.log10(1e-4 * g), np.log10(1e4 * g), int(num))
 
 
-def risk_curve(config: RiskConfig, threads: int = 1, keep_losses: bool = False) -> RiskCurve:
+def risk_curve(config: RiskConfig, keep_losses: bool = False) -> RiskCurve:
     """Median loss per (estimator, sample size, grid penalty) over replicates.
 
     Replicate r at sample size n uses the RNG stream seeded by
-    ``[base_seed, n, r]``, so curves are reproducible and thread-safe.
+    ``[base_seed, n, r]``, so curves are reproducible, and a study split
+    into one run per sample size gives the same rows as a single run.
     """
     Omega = population_precision(config.population)
     Sigma = inv_pd(Omega)
@@ -201,26 +201,22 @@ def risk_curve(config: RiskConfig, threads: int = 1, keep_losses: bool = False) 
     kinds = config.estimators
     grid = config.grid
     lam_table = {k: [penalty_in_kind_scale(k, la) for la in grid] for k in kinds}
-
-    def one_rep(args):
-        n, r = args
-        rng = np.random.default_rng([int(config.base_seed), int(n), int(r)])
-        S = sample_cov(rng.standard_normal((n, p)) @ L.T)
-        out = np.empty((len(kinds), grid.size))
-        for ki, kind in enumerate(kinds):
-            for gi, lam in enumerate(lam_table[kind]):
-                est = _est.fit(kind, S, lam, config.target)
-                if config.loss == "frobenius":
-                    out[ki, gi] = loss_frobenius(est.omega, Omega)
-                else:
-                    out[ki, gi] = _quadratic_given_sigma(est.omega, Sigma)
-        return out
+    if config.loss == "frobenius":
+        loss_fn, reference = loss_frobenius, Omega
+    else:
+        loss_fn, reference = _quadratic_given_sigma, Sigma
 
     medians = {}
     losses = {} if keep_losses else None
     for n in config.sample_sizes:
-        reps = [(n, r) for r in range(config.reps)]
-        stacked = np.stack(map_maybe_threaded(one_rep, reps, threads))
+        stacked = np.empty((config.reps, len(kinds), grid.size))
+        for r in range(config.reps):
+            rng = np.random.default_rng([int(config.base_seed), n, r])
+            S = sample_cov(rng.standard_normal((n, p)) @ L.T)
+            for ki, kind in enumerate(kinds):
+                for gi, lam in enumerate(lam_table[kind]):
+                    est = _est.fit(kind, S, lam, config.target)
+                    stacked[r, ki, gi] = loss_fn(est.omega, reference)
         med = np.median(stacked, axis=0)
         for ki, kind in enumerate(kinds):
             medians[(kind, n)] = med[ki]
@@ -249,11 +245,7 @@ def figure1_inverse() -> np.ndarray:
 
 def figure1_matrix() -> np.ndarray:
     """The 5x5 worked-example covariance (inverse of :func:`figure1_inverse`)."""
-    Sinv = figure1_inverse()
-    vals = np.linalg.eigvalsh(Sinv)
-    if vals[0] <= pd_tolerance(vals):
-        raise ConstructionFailedError("worked-example precision is not p.d.")
-    return inv_pd(Sinv)
+    return inv_pd(figure1_inverse())
 
 
 def coefficient_paths(S, grid, kinds=("alt-1",), target=_est.DDIAG):

@@ -279,7 +279,7 @@ def test_criterion_09_risk_curves_desk_scale():
         loss="quadratic",
         base_seed=0,
     )
-    curve = simulate.risk_curve(config, threads=4)
+    curve = simulate.risk_curve(config)
     half = grid.size // 2
 
     def at_optimum(alt, arch):

@@ -403,6 +403,24 @@ class TestSimulate:
         b, _ = capsys.readouterr()
         assert a == b
 
+    def test_threads_flag_does_not_change_output(self, capsys):
+        assert main(self.ARGS + ["--threads", "1"]) == 0
+        one, _ = capsys.readouterr()
+        assert main(self.ARGS + ["--threads", "2"]) == 0
+        two, _ = capsys.readouterr()
+        assert one == two
+
+    def test_sample_sizes_split_across_runs(self, capsys):
+        """One run per sample size gives the rows of the joint run."""
+        base = ["simulate", "--p", "4", "--reps", "3", "--grid-n", "4", "--seed", "5"]
+        rows = {}
+        for sizes in ("5,10", "5", "10"):
+            assert main(base + ["--n", sizes]) == 0
+            out, _ = capsys.readouterr()
+            rows[sizes] = out.splitlines()[1:]
+        assert len(rows["5,10"]) == 2 * 2 * 4  # kinds * sizes * grid
+        assert set(rows["5,10"]) == set(rows["5"]) | set(rows["10"])
+
     def test_unknown_estimator(self, capsys):
         assert main(["simulate", "--estimators", "lasso"]) == 1
         capsys.readouterr()
@@ -443,6 +461,24 @@ class TestMoments:
 
 
 class TestHelpAndDispatch:
+    def test_negative_threads_is_usage_error(self, data_file, sigma_file, tmp_path, capsys):
+        data, sigma = data_file[0], sigma_file[0]
+        commands = [
+            ["cv", "--data", data],
+            ["estimate", "--data", data, "--auto-lambda"],
+            ["ggm", "--data", data, "--auto-lambda"],
+            ["simulate", "--p", "4", "--reps", "2"],
+            ["moments", "--sigma", sigma, "--lambda", "1"],
+        ]
+        for cmd in commands:
+            assert main(cmd + ["--threads", "-2"]) == 1
+            _, err = capsys.readouterr()
+            assert "argument --threads: must be a non-negative integer" in err
+        config = tmp_path / "threads.json"
+        config.write_text(json.dumps({"threads": -1}))
+        assert main(["cv", "--data", data, "--config", str(config)]) == 1
+        capsys.readouterr()
+
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
         capsys.readouterr()

@@ -184,7 +184,7 @@ class TestRiskCurve:
         )
         assert risk_curve(cfg).medians[("alt-1", 10)][0] <= 1e-10
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         cfg = RiskConfig(
             PopulationSpec("chain", 4),
             (12,),
@@ -194,7 +194,7 @@ class TestRiskCurve:
             base_seed=2,
         )
         a = risk_curve(cfg)
-        b = risk_curve(cfg, threads=2)
+        b = risk_curve(cfg)
         for key in a.medians:
             npt.assert_array_equal(a.medians[key], b.medians[key])
 
