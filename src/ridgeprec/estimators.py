@@ -18,6 +18,13 @@ variables. The covariance-side estimate obeys the exact identity
 ``sigma - lam*omega = S - lam*T``, so ``omega`` never requires an explicit
 inversion: a fit is one eigendecomposition of ``S - lam*T`` with
 cancellation-free per-eigenvalue maps; dense matrices are built on demand.
+
+:func:`fit` broadcasts: ``lam`` may be a 1-D grid and ``S`` a stack
+``(..., p, p)``, and every matrix the call needs is decomposed in one
+stacked ``eigh``. alt-2 and archetype-2 decompose ``S`` once for the whole
+grid. Each slice is bit-identical to the fit of that ``S`` at that penalty
+alone. Callers that stack many fits keep each stack within
+:data:`STACK_BYTES` through :func:`stack_slices`.
 """
 
 from dataclasses import dataclass, field
@@ -40,6 +47,15 @@ KINDS = ("archetype-1", "archetype-2", "alt-1", "alt-2")
 #: Sentinel for the data-driven diagonal target, resolved per fit from S.
 DDIAG = "ddiag"
 
+#: Byte budget for one stack of p x p float matrices handed to :func:`fit`.
+STACK_BYTES = 2**18
+
+
+def stack_slices(count: int, p: int) -> list:
+    """Split ``count`` stacked p x p fits into blocks within :data:`STACK_BYTES`."""
+    step = max(1, STACK_BYTES // (8 * p * p))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
 
 # ---------------------------------------------------------------------------
 # Targets
@@ -50,9 +66,10 @@ class Target:
     """Precision-side shrinkage target.
 
     One of four variants: ``zero``, ``scalar`` (psi * I, psi >= 0; psi = 0
-    coincides with zero), ``diagonal`` (positive entries), or ``full``
-    (symmetric positive definite). Use the factory classmethods; the raw
-    constructor performs no validation.
+    coincides with zero), ``diagonal`` (positive entries; a stack
+    ``(..., p)`` holds one diagonal per matrix of a stacked fit), or
+    ``full`` (symmetric positive definite). Use the factory classmethods;
+    the raw constructor performs no validation.
     """
 
     kind: str
@@ -76,7 +93,7 @@ class Target:
 
     @classmethod
     def diagonal(cls, values) -> "Target":
-        v = np.asarray(values, dtype=float).ravel()
+        v = np.atleast_1d(np.asarray(values, dtype=float))
         if v.size == 0 or not np.all(np.isfinite(v)) or np.any(v <= 0):
             raise InvalidTargetError("diagonal target needs finite positive entries")
         return cls("diagonal", values=v)
@@ -95,18 +112,22 @@ class Target:
     def is_zero(self) -> bool:
         return self.kind == "zero" or (self.kind == "scalar" and self.psi == 0.0)
 
+    def diagonal_entries(self, p: int) -> np.ndarray:
+        """The (p,) diagonal of a zero, scalar or diagonal target."""
+        if self.kind == "full":
+            raise InvalidTargetError("a full target is not diagonal")
+        if self.kind == "diagonal":
+            if self.values.shape[-1] != p:
+                raise InvalidTargetError(
+                    f"diagonal target has {self.values.shape[-1]} entries, expected {p}"
+                )
+            return self.values
+        return np.full(p, self.psi)
+
     def matrix(self, p: int) -> np.ndarray:
         """The target as a dense (p, p) array."""
-        if self.kind == "zero":
-            return np.zeros((p, p))
-        if self.kind == "scalar":
-            return self.psi * np.eye(p)
-        if self.kind == "diagonal":
-            if self.values.size != p:
-                raise InvalidTargetError(
-                    f"diagonal target has {self.values.size} entries, expected {p}"
-                )
-            return np.diag(self.values)
+        if self.kind != "full":
+            return self.diagonal_entries(p)[..., None] * np.eye(p)
         if self.values.shape[0] != p:
             raise InvalidTargetError(
                 f"full target is {self.values.shape[0]}x{self.values.shape[0]}, expected {p}"
@@ -121,7 +142,7 @@ class Target:
             # Target.full validated the matrix (symmetric, p.d.) already.
             vals, vecs = eig_sym_unchecked(self.matrix(p))
             return symmetrize((vecs / vals) @ vecs.T)
-        return np.diag(1.0 / np.diag(self.matrix(p)))
+        return (1.0 / self.diagonal_entries(p))[..., None] * np.eye(p)
 
     def label(self) -> str:
         """Short human-readable tag used in CLI/CSV output."""
@@ -148,12 +169,13 @@ def resolve_target(target, S) -> Target:
     """Resolve a target spec (Target instance or the ``"ddiag"`` sentinel).
 
     ``S`` is read, not validated: pass the output of
-    :func:`~ridgeprec.linalg.check_symmetric`.
+    :func:`~ridgeprec.linalg.check_symmetric`. A stack of ``S`` resolves
+    ``"ddiag"`` to a stack of diagonals.
     """
     if isinstance(target, Target):
         return target
     if target == DDIAG:
-        d = np.diag(S)
+        d = np.diagonal(S, axis1=-2, axis2=-1)
         if np.any(d <= 0):
             raise InvalidTargetError("default diagonal target needs diag(S) > 0")
         return Target.diagonal(1.0 / d)
@@ -172,34 +194,43 @@ class RidgeEstimate:
     precision- and covariance-side eigenvalues. The exactly symmetric
     ``omega`` and its inverse ``sigma`` are built on first access and
     cached. ``kind`` is one of :data:`KINDS`, ``lam`` its own-scale penalty.
+    A broadcast fit carries leading axes: ``vectors`` is ``(..., p, p)``,
+    ``prec`` and ``cov`` are ``(..., p)`` and ``lam`` is the grid.
     """
 
     vectors: np.ndarray
     prec: np.ndarray
     cov: np.ndarray
     kind: str
-    lam: float
+    lam: float | np.ndarray
     target: Target | None
 
     @cached_property
     def omega(self) -> np.ndarray:
-        return symmetrize((self.vectors * self.prec) @ self.vectors.T)
+        return symmetrize((self.vectors * self.prec[..., None, :]) @ self.vectors.swapaxes(-1, -2))
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        return symmetrize((self.vectors * self.cov) @ self.vectors.T)
+        return symmetrize((self.vectors * self.cov[..., None, :]) @ self.vectors.swapaxes(-1, -2))
 
     @property
     def p(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-1]
 
 
-def _check_penalty(lam, upper: float = np.inf) -> float:
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0 or lam > upper:
+def _check_penalty(lam, upper: float = np.inf):
+    """A penalty, or a 1-D grid of them, each in ``(0, upper]``.
+
+    Returns a float for a scalar and a float array for a grid.
+    """
+    grid = np.asarray(lam, dtype=float)
+    if grid.ndim > 1 or grid.size == 0:
+        raise InvalidPenaltyError(f"penalty must be a scalar or a 1-D grid, got shape {grid.shape}")
+    bad = ~(np.isfinite(grid) & (grid > 0) & (grid <= upper))
+    if np.any(bad):
         bound = f"(0.0, {upper}]" if np.isfinite(upper) else "(0.0, inf)"
-        raise InvalidPenaltyError(f"penalty must be in {bound}, got {lam}")
-    return lam
+        raise InvalidPenaltyError(f"penalty must be in {bound}, got {grid[bad].flat[0]}")
+    return float(grid) if grid.ndim == 0 else grid
 
 
 def prepare_data(Y, center: bool = False) -> np.ndarray:
@@ -231,7 +262,7 @@ def sample_cov(Y, center: bool = False) -> np.ndarray:
     return symmetrize(Y.T @ Y / Y.shape[0])
 
 
-def _eigen_map(kind: str, m: np.ndarray, lam: float):
+def _eigen_map(kind: str, m: np.ndarray, lam):
     """Covariance- and precision-side eigenvalues of a fit.
 
     ``m`` is the spectrum of the matrix the kind decomposes: ``S - lam*T``
@@ -239,22 +270,25 @@ def _eigen_map(kind: str, m: np.ndarray, lam: float):
     for archetype-1 and ``S`` for archetype-2. The alternative covariance
     value is ``sqrt(lam + m^2/4) + m/2`` and the precision value its
     reciprocal; each is evaluated on the cancellation-free side of the
-    identity ``(R + m/2)(R - m/2) = lam``.
+    identity ``(R + m/2)(R - m/2) = lam``. ``m`` and ``lam`` broadcast.
     """
     if kind == "archetype-1":
         return m, 1.0 / m
     if kind == "archetype-2":
-        return m + lam, 1.0 / (m + lam)
+        cov = m + lam
+        return cov, 1.0 / cov
     root = np.sqrt(lam + 0.25 * m * m)
-    cov = np.empty_like(m)
-    prec = np.empty_like(m)
+    m = np.broadcast_to(m, root.shape)
+    lam = np.broadcast_to(lam, root.shape)
+    cov = np.empty(root.shape)
+    prec = np.empty(root.shape)
     pos = m >= 0
     cov[pos] = root[pos] + 0.5 * m[pos]
     prec[pos] = 1.0 / cov[pos]
     neg = ~pos
     other = root[neg] - 0.5 * m[neg]
-    cov[neg] = lam / other
-    prec[neg] = other / lam
+    cov[neg] = lam[neg] / other
+    prec[neg] = other / lam[neg]
     return cov, prec
 
 
@@ -301,44 +335,81 @@ def archetype2(S, lam: float) -> RidgeEstimate:
     return fit("archetype-2", S, lam)
 
 
-def fit(kind: str, S, lam: float, target=None) -> RidgeEstimate:
-    """Fit any estimator by kind name.
+def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
+    """Fit any estimator by kind name, over a penalty grid or a stack of ``S``.
 
     ``target`` is required for "archetype-1" and "alt-1" (a
     :class:`Target` or ``"ddiag"``) and ignored by the other two kinds.
 
-    Every kind runs the same steps: validate ``S``, the penalty (in the
-    kind's own domain) and the target once; decompose ``S``, ``S - lam*T``
-    or ``(1-lam)S + lam*G`` once; and map its eigenvalues by the kind's
-    rule. The estimate keeps the eigenvectors and both mapped spectra.
+    ``lam`` is a penalty or a 1-D grid, and ``S`` a matrix or a stack
+    ``(..., p, p)``. The estimate's leading axes are ``S``'s stack axes
+    followed by the grid axis; a scalar ``lam`` with a 2-D ``S`` gives a
+    plain 2-D fit. Every slice equals, bit for bit, the fit of that ``S``
+    at that penalty alone.
+
+    Every kind runs the same steps: validate ``S``, every penalty (in the
+    kind's own domain) and the target once; build the stack of ``S``,
+    ``S - lam*T`` or ``(1-lam)S + lam*G``, with a diagonal target applied
+    to the diagonal only; decompose it in one ``eigh`` call (alt-2 and
+    archetype-2 decompose ``S`` once for the whole grid); and map its
+    eigenvalues by the kind's rule. The estimate keeps the eigenvectors and
+    both mapped spectra.
     """
     if kind not in KINDS:
         raise InvalidPenaltyError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
     targeted = kind in ("alt-1", "archetype-1")
     if targeted and target is None:
         raise InvalidTargetError(f"{kind} requires a target")
-    S = check_symmetric(S, "S")
+    S = check_symmetric(S, "S", stack=True)
     lam = _check_penalty(lam, upper=1.0 if kind == "archetype-1" else np.inf)
     target = resolve_target(target, S) if targeted else None
     if kind == "alt-1" and target.is_zero:
         kind = "alt-2"
-    p = S.shape[0]
-    if kind == "alt-1":
-        M = S - lam * target.matrix(p)
-    elif kind == "archetype-1":
-        M = (1.0 - lam) * S + lam * target.gamma(p)
+    if kind == "archetype-1" and target.is_zero:
+        raise InvalidTargetError("archetype-1 requires a p.d. target, got zero")
+    p = S.shape[-1]
+    grid = np.ndim(lam) == 1
+    if grid:  # the grid axis follows S's stack axes
+        S = S[..., None, :, :]
+    lam_v = np.asarray(lam)[..., None]  # against a spectrum (..., p)
+    lam_m = lam_v[..., None]  # against a stack (..., p, p)
+    if kind in ("alt-2", "archetype-2"):
+        vals, vecs = eig_sym_unchecked(S)
+        if grid:
+            vecs = np.broadcast_to(vecs, vecs.shape[:-3] + lam.shape + (p, p))
     else:
-        M = S
-    vals, vecs = eig_sym_unchecked(M)
-    if kind == "archetype-1" and vals[-1] <= pd_tolerance(vals):
-        raise NotPositiveDefiniteError(
-            f"combined matrix not p.d. (min eigenvalue {vals[-1]:.3e})"
-        )
-    if kind == "archetype-2" and vals[-1] + lam <= 0:
-        raise NotPositiveDefiniteError(
-            f"S + lam*I not p.d. (min eigenvalue {vals[-1] + lam:.3e})"
-        )
-    cov, prec = _eigen_map(kind, vals, lam)
+        if target.kind == "full":
+            if kind == "alt-1":
+                M = S - lam_m * target.matrix(p)
+            else:
+                M = (1.0 - lam_m) * S + lam_m * target.gamma(p)
+        else:
+            t = target.diagonal_entries(p)
+            if grid:
+                t = t[..., None, :]
+            idx = np.arange(p)
+            if kind == "alt-1":
+                M = np.array(np.broadcast_to(S, np.broadcast_shapes(S.shape, lam_m.shape)))
+                M[..., idx, idx] -= lam_v * t
+            else:
+                # lam*G is +0.0 off the diagonal; adding it turns -0.0 into +0.0.
+                M = (1.0 - lam_m) * S + 0.0
+                M[..., idx, idx] += lam_v * (1.0 / t)
+        vals, vecs = eig_sym_unchecked(M)
+    low = vals[..., -1]
+    if kind == "archetype-1":
+        bad = low <= pd_tolerance(vals)
+        if np.any(bad):
+            raise NotPositiveDefiniteError(
+                f"combined matrix not p.d. (min eigenvalue {np.extract(bad, low)[0]:.3e})"
+            )
+    if kind == "archetype-2":
+        low = low + lam_v[..., 0]
+        if np.any(low <= 0):
+            raise NotPositiveDefiniteError(
+                f"S + lam*I not p.d. (min eigenvalue {np.extract(low <= 0, low)[0]:.3e})"
+            )
+    cov, prec = _eigen_map(kind, vals, lam_v)
     if kind == "alt-2":
         target = Target.zero()
     return RidgeEstimate(vecs, prec, cov, kind, lam, target)

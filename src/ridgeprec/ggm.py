@@ -68,14 +68,16 @@ KDE_KERNEL_REACH = 40
 # Partial correlations
 
 
-def partial_correlations(omega) -> np.ndarray:
+def partial_correlations(omega, spectrum=None) -> np.ndarray:
     """Standardize a p.d. precision matrix to partial correlations.
 
     ``P[j, j'] = -omega[j, j'] / sqrt(omega[j, j] omega[j', j'])`` with unit
-    diagonal. Off-diagonal entries lie in (-1, 1) for p.d. input.
+    diagonal. Off-diagonal entries lie in (-1, 1) for p.d. input. The p.d.
+    check reads ``spectrum``, the eigenvalues of ``omega`` when they are
+    known already (a fit's ``prec``), and runs ``eigvalsh`` otherwise.
     """
     omega = check_symmetric(omega, "omega")
-    vals = np.linalg.eigvalsh(omega)
+    vals = np.sort(spectrum) if spectrum is not None else np.linalg.eigvalsh(omega)
     if vals[0] <= pd_tolerance(vals):
         raise NotPositiveDefiniteError(
             f"partial correlations require a p.d. precision (min eigenvalue {vals[0]:.3e})"
@@ -285,11 +287,17 @@ def sparsify(omega, edges):
     """
     omega = check_symmetric(omega, "omega")
     p = omega.shape[0]
+    pairs = np.array(list(edges), dtype=int)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidParameterError("edges must be (i, j) pairs")
+    bad = np.any((pairs < 0) | (pairs >= p), axis=1) | (pairs[:, 0] == pairs[:, 1])
+    if np.any(bad):
+        i, j = pairs[bad][0].tolist()
+        raise InvalidParameterError(f"edge ({i}, {j}) out of range for p={p}")
     keep = np.zeros((p, p), dtype=bool)
-    for i, j in edges:
-        if not (0 <= i < p and 0 <= j < p) or i == j:
-            raise InvalidParameterError(f"edge ({i}, {j}) out of range for p={p}")
-        keep[i, j] = keep[j, i] = True
+    keep[pairs[:, 0], pairs[:, 1]] = keep[pairs[:, 1], pairs[:, 0]] = True
     np.fill_diagonal(keep, True)
     out = np.where(keep, omega, 0.0)
     return out, float(np.linalg.eigvalsh(out)[0])
@@ -389,11 +397,11 @@ def extract_network(
         if lam is None:
             raise InvalidParameterError("a penalty is required (lam or auto_lambda)")
         est = estimators.fit(estimator, S, lam, target)
-        omega = est.omega
+        omega, spectrum = est.omega, est.prec
         lambda_used = float(lam)
     else:
-        omega = check_symmetric(omega, "omega")
-    P = partial_correlations(omega)
+        omega, spectrum = check_symmetric(omega, "omega"), None
+    P = partial_correlations(omega, spectrum)
     fit = fit_lfdr(offdiagonal_values(P))
     probs = edge_probabilities(P, fit)
     selected = select_edges(probs, P.shape[0], threshold)

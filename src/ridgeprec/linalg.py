@@ -25,25 +25,26 @@ class EigenDecomposition(NamedTuple):
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (a + a.T)/2, which is exactly symmetric in IEEE arithmetic."""
-    return 0.5 * (a + a.T)
+    """Return (a + a')/2 over the last two axes, exactly symmetric in IEEE arithmetic."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def check_symmetric(a, name: str = "matrix") -> np.ndarray:
+def check_symmetric(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Validate that ``a`` is a finite, square, symmetric 2-D array.
 
-    Returns the exactly-symmetrized copy. Raises
-    :class:`~ridgeprec.errors.InvalidMatrixError` otherwise.
+    With ``stack`` set, ``a`` may also be a stack ``(..., p, p)`` and each
+    matrix is held to the same test. Returns the exactly-symmetrized copy.
+    Raises :class:`~ridgeprec.errors.InvalidMatrixError` otherwise.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-2] != a.shape[-1]:
         raise InvalidMatrixError(f"{name} must be square, got shape {a.shape}")
     if a.size == 0:
         raise InvalidMatrixError(f"{name} must be nonempty")
     if not np.all(np.isfinite(a)):
         raise InvalidMatrixError(f"{name} contains non-finite entries")
-    scale = np.abs(a).max()
-    if np.abs(a - a.T).max() > _ASYM_RTOL * (1.0 + scale):
+    scale = np.abs(a).max(axis=(-2, -1))
+    if np.any(np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1)) > _ASYM_RTOL * (1.0 + scale)):
         raise InvalidMatrixError(f"{name} is not symmetric")
     return symmetrize(a)
 
@@ -75,23 +76,31 @@ def eig_sym(a) -> EigenDecomposition:
 
 
 def eig_sym_unchecked(a: np.ndarray) -> EigenDecomposition:
-    """:func:`eig_sym` without validation, for a finite, exactly symmetric array."""
+    """:func:`eig_sym` without validation, for a finite, exactly symmetric array.
+
+    ``a`` may be a stack ``(..., p, p)``; every matrix is decomposed in one
+    ``eigh`` call and gets the same canonical form.
+    """
     vals, vecs = np.linalg.eigh(a)
     # eigh sorts ascending; flip for descending without re-sorting.
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
+    vals = vals[..., ::-1].copy()
+    vecs = vecs[..., ::-1].copy()
     # Sign convention: first component with |v_i| above a relative threshold
     # is made positive. Unit-norm columns always have such a component.
-    lead = np.argmax(np.abs(vecs) > 1e-12, axis=0)
-    flip = vecs[lead, np.arange(vecs.shape[1])] < 0
-    vecs[:, flip] = -vecs[:, flip]
+    # Multiplying by +-1.0 in place is exact, the same as negating.
+    lead = np.argmax(np.abs(vecs) > 1e-12, axis=-2)
+    first = np.take_along_axis(vecs, lead[..., None, :], axis=-2)
+    vecs *= np.where(first < 0, -1.0, 1.0)
     return EigenDecomposition(vals, vecs)
 
 
-def pd_tolerance(values) -> float:
-    """Default positive-definiteness cutoff: 1e-12 * max(1, max |eigenvalue|)."""
+def pd_tolerance(values):
+    """Default positive-definiteness cutoff: 1e-12 * max(1, max |eigenvalue|).
+
+    Taken over the last axis, so a stack of spectra gets one cutoff each.
+    """
     values = np.asarray(values, dtype=float)
-    return 1e-12 * max(1.0, float(np.abs(values).max()))
+    return 1e-12 * np.maximum(1.0, np.abs(values).max(axis=-1))
 
 
 def inv_pd(a) -> np.ndarray:

@@ -72,7 +72,10 @@ def mc_moments(
     Draws ``reps`` datasets of n rows from N(0, Sigma) (one child RNG stream
     per replicate, so results are reproducible and order-independent),
     fits the alternative ridge at ``lam`` (target-free when ``target`` is
-    None or zero), and averages the covariance-side estimates.
+    None or zero), and averages the covariance-side estimates. Replicates
+    are fitted in stacked blocks of :func:`~ridgeprec.estimators.stack_slices`
+    and summed one at a time in replicate order, so the mean equals that of
+    one fit per replicate, bit for bit.
     """
     Sigma = check_symmetric(Sigma, "Sigma")
     n = _check_n(n)
@@ -83,8 +86,11 @@ def mc_moments(
     L = np.linalg.cholesky(Sigma)
     target = Target.zero() if target is None else target
     acc = np.zeros((p, p))
-    for r in range(reps):
-        rng = np.random.default_rng([int(seed), r])
-        S = sample_cov(rng.standard_normal((n, p)) @ L.T)
-        acc += estimators.alt_ridge1(S, target, lam).sigma
+    for block in estimators.stack_slices(reps, p):
+        S = np.stack([
+            sample_cov(np.random.default_rng([int(seed), r]).standard_normal((n, p)) @ L.T)
+            for r in range(block.start, block.stop)
+        ])
+        for sigma_hat in estimators.alt_ridge1(S, target, lam).sigma:
+            acc += sigma_hat
     return symmetrize(acc / reps)

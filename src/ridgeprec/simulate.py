@@ -193,6 +193,10 @@ def risk_curve(config: RiskConfig, keep_losses: bool = False) -> RiskCurve:
     Replicate r at sample size n uses the RNG stream seeded by
     ``[base_seed, n, r]``, so curves are reproducible, and a study split
     into one run per sample size gives the same rows as a single run.
+    Each (replicate, kind) is one broadcast :func:`~ridgeprec.estimators.fit`
+    over the grid, split only where the grid's p x p stack would exceed
+    :data:`~ridgeprec.estimators.STACK_BYTES`; the losses equal those of
+    one fit per grid penalty, bit for bit.
     """
     Omega = population_precision(config.population)
     Sigma = inv_pd(Omega)
@@ -200,7 +204,8 @@ def risk_curve(config: RiskConfig, keep_losses: bool = False) -> RiskCurve:
     p = Omega.shape[0]
     kinds = config.estimators
     grid = config.grid
-    lam_table = {k: [penalty_in_kind_scale(k, la) for la in grid] for k in kinds}
+    lam_table = {k: np.array([penalty_in_kind_scale(k, la) for la in grid]) for k in kinds}
+    blocks = _est.stack_slices(grid.size, p)
     if config.loss == "frobenius":
         loss_fn, reference = loss_frobenius, Omega
     else:
@@ -214,9 +219,10 @@ def risk_curve(config: RiskConfig, keep_losses: bool = False) -> RiskCurve:
             rng = np.random.default_rng([int(config.base_seed), n, r])
             S = sample_cov(rng.standard_normal((n, p)) @ L.T)
             for ki, kind in enumerate(kinds):
-                for gi, lam in enumerate(lam_table[kind]):
-                    est = _est.fit(kind, S, lam, config.target)
-                    stacked[r, ki, gi] = loss_fn(est.omega, reference)
+                for block in blocks:
+                    omegas = _est.fit(kind, S, lam_table[kind][block], config.target).omega
+                    stacked[r, ki, block] = [loss_fn(omega, reference) for omega in omegas]
+                    del omegas  # free this stack before the next fit builds one
         med = np.median(stacked, axis=0)
         for ki, kind in enumerate(kinds):
             medians[(kind, n)] = med[ki]
@@ -253,7 +259,9 @@ def coefficient_paths(S, grid, kinds=("alt-1",), target=_est.DDIAG):
 
     Returns ``(pairs, paths)`` with ``pairs`` the upper-triangle index pairs
     and ``paths[kind]`` an array of shape (len(pairs), len(grid)). The grid
-    is in the alternative scale and mapped per kind, as in the risk harness.
+    is in the alternative scale and mapped per kind, as in the risk harness;
+    each kind is one broadcast fit per :func:`~ridgeprec.estimators.stack_slices`
+    block of the grid.
     """
     S = check_symmetric(S, "S")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -261,9 +269,9 @@ def coefficient_paths(S, grid, kinds=("alt-1",), target=_est.DDIAG):
     pairs = list(zip(iu[0].tolist(), iu[1].tolist()))
     paths = {}
     for kind in kinds:
+        lams = np.array([penalty_in_kind_scale(kind, la) for la in grid])
         out = np.empty((len(pairs), grid.size))
-        for gi, la in enumerate(grid):
-            est = _est.fit(kind, S, penalty_in_kind_scale(kind, la), target)
-            out[:, gi] = est.omega[iu]
+        for block in _est.stack_slices(grid.size, S.shape[0]):
+            out[:, block] = _est.fit(kind, S, lams[block], target).omega[:, iu[0], iu[1]].T
         paths[kind] = out
     return pairs, paths

@@ -28,9 +28,9 @@ def symmetry_checks(monkeypatch):
     calls = []
     check = linalg.check_symmetric
 
-    def counting(a, name="matrix"):
+    def counting(a, name="matrix", **kwargs):
         calls.append(name)
-        return check(a, name)
+        return check(a, name, **kwargs)
 
     for module in (linalg, estimators):
         monkeypatch.setattr(module, "check_symmetric", counting)

@@ -3,10 +3,12 @@
 Everything here recomputes a quantity by a route the package does not use:
 cyclic Jacobi rotations instead of LAPACK eigensolvers, safeguarded 1-D
 Newton instead of the matrix square-root formula, explicit loops instead of
-vectorized linear algebra, an exact kernel sum instead of the binned KDE.
+vectorized linear algebra, an exact kernel sum instead of the binned KDE,
+one fit per penalty or replicate instead of one broadcast fit per stack.
 Values produced by these helpers are what the
-tests trust. The last two helpers, ``is_pd`` and ``matrix_from_text``, are
-small test conveniences that the package itself never needs.
+tests trust. The last three helpers, ``is_pd``, ``same_bits`` and
+``matrix_from_text``, are small test conveniences that the package itself
+never needs.
 """
 
 import io
@@ -208,6 +210,77 @@ def aloocv_score_dense(Y, lam: float, kind: str, target) -> float:
     return float(-0.5 * loglik + gamma.sum() / (2.0 * n * (n - 1.0)))
 
 
+def risk_curve_loop(config, keep_losses: bool = False):
+    """Risk-curve medians (and raw losses) from one scalar fit per grid penalty.
+
+    Same replicate streams ``[base_seed, n, r]``, loss functions and
+    reference matrices as the package, with no stacking: the broadcast
+    harness must reproduce these values bit for bit. Returns
+    ``(medians, losses)`` keyed by ``(kind, n)``; ``losses`` is None unless
+    ``keep_losses`` is set.
+    """
+    from ridgeprec import estimators, simulate
+    from ridgeprec.linalg import inv_pd
+
+    Omega = simulate.population_precision(config.population)
+    Sigma = inv_pd(Omega)
+    L = np.linalg.cholesky(Sigma)
+    p = Omega.shape[0]
+    if config.loss == "frobenius":
+        loss_fn, reference = simulate.loss_frobenius, Omega
+    else:
+        loss_fn, reference = simulate._quadratic_given_sigma, Sigma
+    medians, losses = {}, ({} if keep_losses else None)
+    for n in config.sample_sizes:
+        table = np.empty((config.reps, len(config.estimators), config.grid.size))
+        for r in range(config.reps):
+            rng = np.random.default_rng([int(config.base_seed), n, r])
+            S = estimators.sample_cov(rng.standard_normal((n, p)) @ L.T)
+            for ki, kind in enumerate(config.estimators):
+                for gi, la in enumerate(config.grid):
+                    lam = simulate.penalty_in_kind_scale(kind, la)
+                    est = estimators.fit(kind, S, lam, config.target)
+                    table[r, ki, gi] = loss_fn(est.omega, reference)
+        for ki, kind in enumerate(config.estimators):
+            medians[(kind, n)] = np.median(table, axis=0)[ki]
+            if keep_losses:
+                losses[(kind, n)] = table[:, ki, :]
+    return medians, losses
+
+
+def mc_moments_loop(Sigma, n: int, lam: float, target=None, reps: int = 1000, seed: int = 0):
+    """Monte Carlo mean of the alternative covariance estimate, one fit per replicate."""
+    from ridgeprec import estimators
+    from ridgeprec.linalg import symmetrize
+
+    Sigma = np.asarray(Sigma, dtype=float)
+    p = Sigma.shape[0]
+    L = np.linalg.cholesky(Sigma)
+    target = estimators.Target.zero() if target is None else target
+    acc = np.zeros((p, p))
+    for r in range(reps):
+        rng = np.random.default_rng([int(seed), r])
+        S = estimators.sample_cov(rng.standard_normal((n, p)) @ L.T)
+        acc += estimators.alt_ridge1(S, target, lam).sigma
+    return symmetrize(acc / reps)
+
+
+def coefficient_paths_loop(S, grid, kinds=("alt-1",), target="ddiag") -> dict:
+    """Upper-triangle precision entries per kind, one scalar fit per grid penalty."""
+    from ridgeprec import estimators, simulate
+
+    S = np.asarray(S, dtype=float)
+    iu = np.triu_indices(S.shape[0], k=1)
+    paths = {}
+    for kind in kinds:
+        out = np.empty((iu[0].size, len(grid)))
+        for gi, la in enumerate(grid):
+            lam = simulate.penalty_in_kind_scale(kind, la)
+            out[:, gi] = estimators.fit(kind, S, lam, target).omega[iu]
+        paths[kind] = out
+    return paths
+
+
 def null_partial_corr_draws(rng, kappa: float, size: int) -> np.ndarray:
     """Draws from the null partial-correlation density with ``kappa`` dof.
 
@@ -258,6 +331,16 @@ def is_pd(a, tol: float = 0.0) -> bool:
     """True iff the smallest eigenvalue of symmetric ``a`` exceeds ``tol``."""
     a = np.asarray(a, dtype=float)
     return float(np.linalg.eigvalsh(a)[0]) > tol
+
+
+def same_bits(a, b) -> bool:
+    """True iff ``a`` and ``b`` have the same shape and the same bytes.
+
+    Stricter than ``np.array_equal``, which takes -0.0 and +0.0 as equal:
+    a sign of zero that moves can print differently.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 def matrix_from_text(text: str, header: bool = False) -> np.ndarray:

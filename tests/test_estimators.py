@@ -15,6 +15,7 @@ from ridgeprec.estimators import (
     KINDS,
     RidgeEstimate,
     Target,
+    _eigen_map,
     alt_ridge1,
     alt_ridge2,
     archetype1,
@@ -29,9 +30,9 @@ from ridgeprec.estimators import (
     shrunk_eigenvalues,
     stationarity_residual,
 )
-from ridgeprec.linalg import inv_pd, symmetrize
+from ridgeprec.linalg import eig_sym_unchecked, inv_pd, symmetrize
 
-from oracles import fd_gradient_max_abs, is_pd, newton_max_penalized, sample_cov_loop
+from oracles import fd_gradient_max_abs, is_pd, newton_max_penalized, same_bits, sample_cov_loop
 
 
 class TestSampleCov:
@@ -456,3 +457,157 @@ class TestGradientAtOptimum:
         lam = 1.3
         est = alt_ridge1(S, t, lam)
         assert fd_gradient_max_abs(est.omega, S, np.eye(4), lam) <= 1e-5
+
+
+class TestBroadcastFit:
+    """A grid or stacked fit equals the scalar fits, slice by slice, bit for bit."""
+
+    P = 8
+    GRIDS = {
+        "archetype-1": np.array([1e-3, 0.05, 0.4, 0.9, 1.0]),
+        "other": np.logspace(-3, 3, 7),
+    }
+
+    @staticmethod
+    def targets(rng, make_spd, p):
+        return {
+            "zero": Target.zero(),
+            "identity": Target.identity(),
+            "scalar": Target.scalar(2.5),
+            "diagonal": Target.diagonal(rng.uniform(0.5, 2.0, size=p)),
+            "ddiag": "ddiag",
+            "full": Target.full(make_spd(p, rng)),
+        }
+
+    @staticmethod
+    def assert_slice_equal(got, want):
+        assert got.kind == want.kind
+        for name in ("vectors", "prec", "cov", "omega", "sigma"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("n", [4, 15], ids=["n<p", "n>p"])
+    @pytest.mark.parametrize("target_name", ["zero", "identity", "scalar", "diagonal", "ddiag", "full"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_grid_fit_equals_scalar_fits(self, kind, target_name, n, rng, make_spd):
+        S = sample_cov(rng.standard_normal((n, self.P)))
+        target = self.targets(rng, make_spd, self.P)[target_name]
+        grid = self.GRIDS["archetype-1" if kind == "archetype-1" else "other"]
+        if kind == "archetype-1" and target_name == "zero":
+            with pytest.raises(InvalidTargetError):
+                fit(kind, S, grid, target)
+            return
+        est = fit(kind, S, grid, target)
+        assert est.vectors.shape == (grid.size, self.P, self.P)
+        assert est.prec.shape == est.cov.shape == (grid.size, self.P)
+        assert est.omega.shape == (grid.size, self.P, self.P) and est.p == self.P
+        npt.assert_array_equal(est.lam, grid)
+        for g, lam in enumerate(grid):
+            one = fit(kind, S, float(lam), target)
+            got = RidgeEstimate(est.vectors[g], est.prec[g], est.cov[g], est.kind, lam, est.target)
+            self.assert_slice_equal(got, one)
+            assert same_bits(est.omega[g], one.omega)
+
+    @pytest.mark.parametrize("target_name", ["identity", "diagonal", "ddiag", "full"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stacked_s_with_and_without_grid(self, kind, target_name, rng, make_spd):
+        stack = np.stack([sample_cov(rng.standard_normal((n, self.P))) for n in (3, 9, 20)])
+        target = self.targets(rng, make_spd, self.P)[target_name]
+        grid = self.GRIDS["archetype-1" if kind == "archetype-1" else "other"][1:4]
+        scalar = float(grid[1])
+        at_scalar = fit(kind, stack, scalar, target)
+        assert at_scalar.vectors.shape == (3, self.P, self.P)
+        over_grid = fit(kind, stack, grid, target)
+        assert over_grid.vectors.shape == (3, grid.size, self.P, self.P)
+        for b, S in enumerate(stack):
+            one = fit(kind, S, scalar, target)
+            assert same_bits(at_scalar.omega[b], one.omega)
+            assert same_bits(at_scalar.sigma[b], one.sigma)
+            for g, lam in enumerate(grid):
+                one = fit(kind, S, float(lam), target)
+                for name in ("vectors", "prec", "cov"):
+                    assert same_bits(getattr(over_grid, name)[b, g], getattr(one, name))
+                assert same_bits(over_grid.omega[b, g], one.omega)
+
+    @pytest.mark.parametrize("kind", ["alt-1", "archetype-1"])
+    def test_diagonal_target_matches_dense_target_bitwise(self, kind):
+        # Negative zeros off the diagonal: the dense sum (1-lam)S + lam*G
+        # turns them into +0.0, and eigh's Householder signs follow them.
+        S = np.diag([2.0, 1.0, 3.0])
+        S[0, 1] = S[1, 0] = -0.0
+        S[0, 2] = S[2, 0] = -0.5
+        for target in (Target.identity(), Target.diagonal([1.0, 2.0, 0.5])):
+            for lam in (0.3, 1.0):
+                if kind == "alt-1":
+                    dense = S - lam * target.matrix(3)
+                else:
+                    dense = (1.0 - lam) * S + lam * target.gamma(3)
+                vals, vecs = eig_sym_unchecked(dense)
+                cov, prec = _eigen_map(kind, vals, lam)
+                est = fit(kind, S, lam, target)
+                for got, want in ((est.vectors, vecs), (est.cov, cov), (est.prec, prec)):
+                    assert same_bits(got, want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bad_grid_value_rejected(self, kind):
+        for bad in ([0.5, 0.0], [0.5, -1.0], [np.nan, 0.5], [0.5, np.inf], [], [[0.5]]):
+            with pytest.raises(InvalidPenaltyError):
+                fit(kind, np.eye(3), bad, Target.identity())
+        if kind == "archetype-1":
+            with pytest.raises(InvalidPenaltyError):
+                fit(kind, np.eye(3), [0.5, 1.5], Target.identity())
+
+    def test_non_pd_archetype1_slice_rejected(self):
+        S = np.diag([-5.0, 1.0])  # (1-v)(-5) + v > 0 only for v > 5/6
+        fit("archetype-1", S, 0.9, Target.identity())
+        with pytest.raises(NotPositiveDefiniteError):
+            fit("archetype-1", S, [0.9, 0.5], Target.identity())
+        with pytest.raises(NotPositiveDefiniteError):
+            fit("archetype-1", np.stack([np.eye(2), S]), 0.5, Target.identity())
+
+    def test_non_pd_archetype2_slice_rejected(self):
+        S = np.diag([-1.0, 1.0])
+        fit("archetype-2", S, 2.0)
+        with pytest.raises(NotPositiveDefiniteError):
+            fit("archetype-2", S, [2.0, 0.5])
+
+    @pytest.mark.parametrize("kind", ["alt-1", "archetype-1"])
+    def test_wrong_size_diagonal_target_rejected(self, kind):
+        with pytest.raises(InvalidTargetError):
+            fit(kind, np.eye(3), [0.2, 0.5], Target.diagonal([1.0, 2.0]))
+        with pytest.raises(InvalidTargetError):
+            fit(kind, np.eye(3), 0.5, Target.diagonal([1.0, 2.0]))
+
+    def test_stack_rejects_one_asymmetric_matrix(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])])
+        with pytest.raises(InvalidMatrixError):
+            fit("alt-2", stack, [0.5, 1.0])
+
+    def test_stack_ddiag_rejects_one_nonpositive_diagonal(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+        with pytest.raises(InvalidTargetError):
+            fit("alt-1", stack, 0.5, "ddiag")
+
+    def test_shared_decomposition_is_one_matrix(self, rng, monkeypatch):
+        S = sample_cov(rng.standard_normal((6, 5)))
+        decomposed = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            decomposed.append(int(np.prod(np.shape(a)[:-2])))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for kind in ("alt-2", "archetype-2"):
+            fit(kind, S, np.logspace(-2, 2, 9))
+        fit("alt-1", S, np.logspace(-2, 2, 9), "ddiag")
+        assert decomposed == [1, 1, 9]
+
+
+class TestStackSlices:
+    def test_blocks_cover_count_within_budget(self, monkeypatch):
+        from ridgeprec import estimators
+
+        monkeypatch.setattr(estimators, "STACK_BYTES", 3 * 8 * 4 * 4)
+        assert estimators.stack_slices(7, 4) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert estimators.stack_slices(3, 4) == [slice(0, 3)]
+        assert estimators.stack_slices(2, 100) == [slice(0, 1), slice(1, 2)]

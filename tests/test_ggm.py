@@ -103,6 +103,19 @@ class TestPartialCorrelations:
         with pytest.raises(NotPositiveDefiniteError):
             partial_correlations(np.diag([1.0, -1.0]))
 
+    def test_known_spectrum_skips_eigvalsh(self, rng, make_spd, monkeypatch):
+        omega = make_spd(5, rng)
+        want = partial_correlations(omega)
+        spectrum = np.linalg.eigvalsh(omega)[::-1]
+
+        def forbidden(a):
+            raise AssertionError("eigvalsh called despite a known spectrum")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        npt.assert_array_equal(partial_correlations(omega, spectrum), want)
+        with pytest.raises(NotPositiveDefiniteError):
+            partial_correlations(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
+
 
 class TestOffdiagonalValues:
     def test_row_major_upper_triangle(self):
@@ -374,6 +387,24 @@ class TestSparsify:
         with pytest.raises(InvalidParameterError):
             sparsify(np.eye(3), {(1, 1)})
 
+    def test_rejects_negative_index_and_names_the_edge(self):
+        with pytest.raises(InvalidParameterError, match=r"edge \(-1, 2\)"):
+            sparsify(np.eye(3), [(0, 1), (-1, 2)])
+
+    def test_rejects_edges_that_are_not_pairs(self):
+        with pytest.raises(InvalidParameterError):
+            sparsify(np.eye(3), [(0, 1, 2), (1, 2, 0)])
+
+    def test_matches_edge_loop(self, rng, make_spd):
+        omega = make_spd(7, rng)
+        edges = {(0, 3), (5, 2), (6, 1), (1, 6)}
+        keep = np.eye(7, dtype=bool)
+        for i, j in edges:
+            keep[i, j] = keep[j, i] = True
+        out, mineig = sparsify(omega, edges)
+        npt.assert_array_equal(out, np.where(keep, omega, 0.0))
+        assert mineig == float(np.linalg.eigvalsh(out)[0])
+
 
 class TestSupportMetrics:
     def test_perfect(self):
@@ -458,6 +489,21 @@ class TestExtractNetwork:
         assert a.selected == b.selected
         npt.assert_array_equal(a.sparsified, b.sparsified)
         npt.assert_array_equal(a.probabilities, b.probabilities)
+
+    def test_fitted_precision_is_not_rechecked(self, monkeypatch):
+        Y, _ = self.chain_draw(4, n=100, p=8)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        fitted = extract_network(Y=Y, lam=0.05)
+        assert len(calls) == 1  # sparsify's smallest eigenvalue only
+        extract_network(omega=fitted.omega)
+        assert len(calls) == 3  # the --omega path keeps its p.d. check
 
     def test_data_path_matches_omega_path(self):
         Y, _ = self.chain_draw(2, n=100, p=8)

@@ -4,7 +4,10 @@ import pytest
 
 from ridgeprec.errors import InvalidMatrixError, InvalidParameterError, InvalidPenaltyError
 from ridgeprec.estimators import Target, alt_ridge2, sample_cov
+from ridgeprec import estimators
 from ridgeprec.moments import bias_approx_type2, mc_moments, wishart_moments
+
+from oracles import mc_moments_loop, same_bits
 
 
 class TestWishartMoments:
@@ -102,6 +105,28 @@ class TestMCMoments:
         # anchored fit stays near the target inverse; target-free grows like sqrt(lam)
         assert np.linalg.norm(with_target - np.eye(2)) < 1.0
         assert np.linalg.norm(without) > 5.0
+
+    @pytest.mark.parametrize("reps", [3, 4, 5, 9])
+    @pytest.mark.parametrize("target", [None, Target.identity(), "ddiag"], ids=["zero", "identity", "ddiag"])
+    def test_matches_per_replicate_loop_across_blocks(self, reps, target, make_spd, rng, monkeypatch):
+        # Blocks of 4 replicates: 3, 4, 5 and 9 are below, at and above one block.
+        Sigma = make_spd(3, rng)
+        monkeypatch.setattr(estimators, "STACK_BYTES", 4 * 8 * 3 * 3)
+        got = mc_moments(Sigma, 6, 2.5, target=target, reps=reps, seed=11)
+        want = mc_moments_loop(Sigma, 6, 2.5, target=target, reps=reps, seed=11)
+        assert same_bits(got, want)
+
+    def test_matches_per_replicate_loop_at_default_budget(self, make_spd, rng):
+        p = 25
+        block = estimators.stack_slices(10**6, p)[0].stop
+        Sigma = make_spd(p, rng)
+        got = mc_moments(Sigma, 10, 50.0, reps=block + 1, seed=4)
+        assert same_bits(got, mc_moments_loop(Sigma, 10, 50.0, reps=block + 1, seed=4))
+
+    def test_rejects_bad_penalty(self):
+        for lam in (0.0, -1.0, np.nan):
+            with pytest.raises(InvalidPenaltyError):
+                mc_moments(np.eye(2), 5, lam, reps=3)
 
     def test_rejects_bad_reps(self):
         with pytest.raises(InvalidParameterError):

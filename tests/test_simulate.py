@@ -24,7 +24,14 @@ from ridgeprec.simulate import (
     sample_mvn,
 )
 
-from oracles import is_pd, loss_frobenius_loop, loss_quadratic_loop
+from oracles import (
+    coefficient_paths_loop,
+    is_pd,
+    loss_frobenius_loop,
+    loss_quadratic_loop,
+    risk_curve_loop,
+    same_bits,
+)
 
 
 class TestPopulationPrecision:
@@ -208,6 +215,45 @@ class TestRiskCurve:
         assert raw.shape == (5, 2)
         npt.assert_array_equal(np.median(raw, axis=0), curve.medians[("alt-2", 6)])
 
+    @pytest.mark.parametrize("block", [None, 5], ids=["one-block", "blocks-of-5"])
+    @pytest.mark.parametrize("loss", ["quadratic", "frobenius"])
+    def test_matches_per_penalty_loop(self, loss, block, monkeypatch):
+        p = 6
+        if block is not None:
+            monkeypatch.setattr(estimators, "STACK_BYTES", block * 8 * p * p)
+        for target in ("ddiag", Target.identity(), Target.full(np.eye(p) + 0.1)):
+            cfg = RiskConfig(
+                PopulationSpec("star", p), (4, 12), np.logspace(-3, 2, 12),
+                estimators=estimators.KINDS, target=target, reps=3, loss=loss, base_seed=7,
+            )
+            curve = risk_curve(cfg, keep_losses=True)
+            medians, losses = risk_curve_loop(cfg, keep_losses=True)
+            assert curve.medians.keys() == medians.keys() == losses.keys()
+            for key in medians:
+                assert same_bits(curve.medians[key], medians[key]), key
+                assert same_bits(curve.losses[key], losses[key]), key
+
+    def test_one_grid_decomposition_per_replicate_and_shared_kind(self, monkeypatch):
+        # 4 kinds on a 50-point grid: alt-2 and archetype-2 decompose S once,
+        # alt-1 (ddiag) and archetype-1 once per penalty: 102 matrices.
+        decomposed = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            decomposed.append(int(np.prod(np.shape(a)[:-2])))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        reps, sizes = 3, (5, 10)
+        cfg = RiskConfig(
+            PopulationSpec("star", 8), sizes, np.logspace(-2, 2, 50),
+            estimators=estimators.KINDS, reps=reps,
+        )
+        risk_curve(cfg)
+        replicates = reps * len(sizes)
+        # One more matrix: the population covariance inverted once per curve.
+        assert sum(decomposed) <= 102 * replicates + 1
+
     def test_config_validation(self):
         pop = PopulationSpec("chain", 3)
         with pytest.raises(InvalidParameterError):
@@ -254,6 +300,18 @@ class TestCoefficientPaths:
         pairs, paths = coefficient_paths(S, [1e-8])
         want = np.array([Sinv[i, j] for i, j in pairs])
         npt.assert_allclose(paths["alt-1"][:, 0], want, atol=1e-5)
+
+    @pytest.mark.parametrize("block", [None, 4], ids=["one-block", "blocks-of-4"])
+    def test_matches_per_penalty_loop(self, block, monkeypatch):
+        S = figure1_matrix()
+        if block is not None:
+            monkeypatch.setattr(estimators, "STACK_BYTES", block * 8 * 5 * 5)
+        grid = np.logspace(-4, 4, 9)
+        for target in ("ddiag", Target.scalar(2.0)):
+            _, paths = coefficient_paths(S, grid, kinds=estimators.KINDS, target=target)
+            want = coefficient_paths_loop(S, grid, kinds=estimators.KINDS, target=target)
+            for kind in estimators.KINDS:
+                assert same_bits(paths[kind], want[kind]), kind
 
     def test_heavy_shrinkage_kills_offdiagonals(self):
         S = figure1_matrix()
