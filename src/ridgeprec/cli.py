@@ -49,11 +49,9 @@ def parse_target(spec: str):
     )
 
 
-def _parse_int_list(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
+def _parse_int_list(value: str) -> list[int]:
     try:
-        return [int(tok) for tok in str(value).split(",") if tok.strip()]
+        return [int(tok) for tok in value.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"bad integer list {value!r}") from None
 
@@ -305,7 +303,8 @@ def _add_common(sp) -> None:
     sp.add_argument("--seed", type=int, default=0, help="base RNG seed (64-bit)")
     sp.add_argument(
         "--threads", type=_threads, default=1,
-        help="CV scoring threads, 0 means one per CPU; faster only with BLAS pinned to "
+        help="CV scoring threads, 0 means one per CPU; they split each fold's grid blocks, "
+        "so a one-block grid (small p) runs inline; faster only with BLAS pinned to "
         "one thread; simulate and moments ignore it",
     )
     sp.add_argument("--config", help="JSON file mirroring the flags; flags override it")

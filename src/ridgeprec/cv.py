@@ -3,10 +3,19 @@
 Scores are predictive negative log-likelihoods (smaller is better). The
 approximate scheme touches the estimator once per penalty value on the full
 data, making it usable where exact LOOCV would need n refits per penalty.
+
+All three schemes share one loop that runs fold by fold. Each part (a
+fold, a left-out row, or the whole data for the approximation) builds its
+held-in sample covariance once and fits the whole grid in broadcast
+:func:`~ridgeprec.estimators.fit` calls, one per
+:func:`~ridgeprec.estimators.stack_slices` block. A thread pool, when asked
+for, fits a part's blocks concurrently, so a grid that is one block (every
+grid at small p) runs inline.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,48 +84,59 @@ def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
     return list(np.array_split(perm, k))
 
 
-def _scorer(Y, config: CVConfig, scheme: str):
-    """Per-penalty score function of ``scheme`` on data prepared once.
-
-    The data are validated (and centered) here, and whatever does not depend
-    on the penalty is computed here too: the folds, or for "aloocv" the
-    full-data sample covariance.
-    """
-    Y = prepare_data(Y, config.center)
-    n = Y.shape[0]
-    if scheme == "kfold":
-        folds = make_folds(n, config.k, config.fold_seed)
-        return lambda lam: _score_with_folds(Y, lam, config, folds)
-    if n < 2:
-        what = "leave-one-out" if scheme == "loocv" else "approximate leave-one-out"
-        raise InvalidFoldsError(f"{what} needs at least 2 observations")
-    if scheme == "loocv":
-        folds = [np.array([i]) for i in range(n)]
-        return lambda lam: _score_with_folds(Y, lam, config, folds)
-    S = sample_cov(Y)
-    return lambda lam: _approx_loocv(Y, S, lam, config)
+def _held_out_term(Y_out, vectors, prec) -> float:
+    """``n_out * (-ln|omega|) + tr(Y_out omega Y_out')`` from one fit's eigenpairs."""
+    U = Y_out @ vectors
+    return Y_out.shape[0] * -np.sum(np.log(prec)) + np.sum(U * U * prec)
 
 
-def _score_with_folds(Y, lam, config, folds) -> float:
-    n = Y.shape[0]
-    score = 0.0
-    for held_out in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[held_out] = False
-        est = estimators.fit(config.estimator, sample_cov(Y[mask]), lam, config.target)
-        U = Y[held_out] @ est.vectors
-        score += held_out.size * -np.sum(np.log(est.prec)) + np.sum(U * U * est.prec)
-    return float(score)
-
-
-def _approx_loocv(Y, S, lam, config) -> float:
+def _aloocv_term(Y, vectors, prec) -> float:
+    """The approximate leave-one-out score of one full-data fit's eigenpairs."""
     n, p = Y.shape
-    est = estimators.fit(config.estimator, S, lam, config.target)
-    B = (Y @ est.vectors) * np.sqrt(est.prec)
+    B = (Y @ vectors) * np.sqrt(prec)
     q = np.einsum("ij,ij->i", B, B)
     G = B @ B.T if n <= p else B.T @ B
     correction = (q @ q - np.sum(G * G) / n) / (2.0 * n * (n - 1.0))
-    return float(-0.5 * (np.sum(np.log(est.prec)) - q.sum() / n) + correction)
+    return float(-0.5 * (np.sum(np.log(prec)) - q.sum() / n) + correction)
+
+
+def _score(Y, grid, config: CVConfig, scheme: str, threads: int = 1) -> np.ndarray:
+    """Scores of ``scheme`` at every penalty of ``grid``, part by part.
+
+    Terms are added in part order, as a loop over parts per penalty adds
+    them, so every score equals that loop's bit for bit.
+    """
+    Y = prepare_data(Y, config.center)
+    n, p = Y.shape
+    if scheme == "kfold":
+        parts = make_folds(n, config.k, config.fold_seed)
+    elif n < 2:
+        what = "leave-one-out" if scheme == "loocv" else "approximate leave-one-out"
+        raise InvalidFoldsError(f"{what} needs at least 2 observations")
+    elif scheme == "loocv":
+        parts = [np.array([i]) for i in range(n)]
+    else:
+        parts = [None]
+    blocks = estimators.stack_slices(grid.size, p)
+    scores = np.zeros(grid.size)
+    threads = threads or os.cpu_count() or 1
+    pooled = threads > 1 and len(blocks) > 1
+    with ThreadPoolExecutor(max_workers=threads) if pooled else nullcontext() as pool:
+        for held_out in parts:
+            if held_out is None:
+                S, rows, term = sample_cov(Y), Y, _aloocv_term
+            else:
+                mask = np.ones(n, dtype=bool)
+                mask[held_out] = False
+                S, rows, term = sample_cov(Y[mask]), Y[held_out], _held_out_term
+
+            def block_terms(block):
+                est = estimators.fit(config.estimator, S, grid[block], config.target)
+                return [term(rows, v, w) for v, w in zip(est.vectors, est.prec)]
+
+            for block, terms in zip(blocks, (pool.map if pooled else map)(block_terms, blocks)):
+                scores[block] += terms
+    return scores
 
 
 def kfold_cv_score(Y, lam: float, config: CVConfig) -> float:
@@ -126,12 +146,12 @@ def kfold_cv_score(Y, lam: float, config: CVConfig) -> float:
     held-out sample covariance (divisor n_k, uncentered) and ``omega_{-k}``
     fitted on the remaining rows.
     """
-    return _scorer(Y, config, "kfold")(lam)
+    return float(_score(Y, np.array([lam], dtype=float), config, "kfold")[0])
 
 
 def exact_loocv_score(Y, lam: float, config: CVConfig) -> float:
     """Leave-one-out score: K-fold with every fold a single row."""
-    return _scorer(Y, config, "loocv")(lam)
+    return float(_score(Y, np.array([lam], dtype=float), config, "loocv")[0])
 
 
 def approx_loocv_score(Y, lam: float, config: CVConfig) -> float:
@@ -153,21 +173,19 @@ def approx_loocv_score(Y, lam: float, config: CVConfig) -> float:
     sum(q)/n) + (sum(q^2) - sum(G^2)/n) / (2n(n-1))``. When n > p the
     same ``sum(G^2)`` is read from the smaller ``B'B``.
     """
-    return _scorer(Y, config, "aloocv")(lam)
+    return float(_score(Y, np.array([lam], dtype=float), config, "aloocv")[0])
 
 
 def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
     """Evaluate the configured scheme's score at every grid value.
 
-    ``threads=0`` means one worker per CPU and ``threads <= 1`` runs inline;
-    otherwise an order-preserving thread pool scores the grid points.
+    Scoring runs fold by fold: one held-in covariance per fold and one
+    broadcast fit per grid block. ``threads=0`` means one worker per CPU
+    and ``threads <= 1`` runs inline; otherwise an order-preserving thread
+    pool fits a fold's grid blocks, so a grid that is one block (every grid
+    at small p) runs inline. Scores do not depend on ``threads``.
     """
-    scorer = _scorer(Y, config, config.scheme)
-    threads = threads or os.cpu_count() or 1
-    if threads <= 1 or config.grid.size <= 1:
-        return np.array([scorer(lam) for lam in config.grid])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(scorer, config.grid)))
+    return _score(Y, config.grid, config, config.scheme, threads)
 
 
 def select_lambda(Y, config: CVConfig, threads: int = 1) -> CVResult:

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import estimators
-from .errors import InvalidParameterError, InvalidPenaltyError
+from .errors import InvalidParameterError, InvalidPenaltyError, NotPositiveDefiniteError
 from .estimators import Target, sample_cov
 from .linalg import check_symmetric, symmetrize
 
@@ -83,7 +83,10 @@ def mc_moments(
         raise InvalidParameterError(f"reps must be a positive integer, got {reps}")
     reps = int(reps)
     p = Sigma.shape[0]
-    L = np.linalg.cholesky(Sigma)
+    try:
+        L = np.linalg.cholesky(Sigma)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("Monte Carlo sampling requires a p.d. Sigma") from exc
     target = Target.zero() if target is None else target
     acc = np.zeros((p, p))
     for block in estimators.stack_slices(reps, p):

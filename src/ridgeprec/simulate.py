@@ -39,6 +39,10 @@ class PopulationSpec:
             )
         if int(self.p) != self.p or self.p < 2:
             raise InvalidParameterError(f"p must be an integer >= 2, got {self.p}")
+        for name in ("n0", "blocks"):
+            value = getattr(self, name)
+            if int(value) != value or value < 1:
+                raise InvalidParameterError(f"{name} must be a positive integer, got {value}")
 
 
 def population_precision(spec: PopulationSpec) -> np.ndarray:

@@ -4,7 +4,8 @@ Everything here recomputes a quantity by a route the package does not use:
 cyclic Jacobi rotations instead of LAPACK eigensolvers, safeguarded 1-D
 Newton instead of the matrix square-root formula, explicit loops instead of
 vectorized linear algebra, an exact kernel sum instead of the binned KDE,
-one fit per penalty or replicate instead of one broadcast fit per stack.
+one fit per penalty, replicate or (penalty, fold) instead of one broadcast
+fit per stack.
 Values produced by these helpers are what the
 tests trust. The last three helpers, ``is_pd``, ``same_bits`` and
 ``matrix_from_text``, are small test conveniences that the package itself
@@ -208,6 +209,45 @@ def aloocv_score_dense(Y, lam: float, kind: str, target) -> float:
     L = np.linalg.cholesky(omega)
     loglik = 2.0 * float(np.sum(np.log(np.diag(L)))) - float(np.einsum("ij,ij->", S, omega))
     return float(-0.5 * loglik + gamma.sum() / (2.0 * n * (n - 1.0)))
+
+
+def cv_scores_loop(Y, config) -> np.ndarray:
+    """CV scores with one scalar fit per (penalty, fold), penalty outer.
+
+    Every held-in sample covariance is rebuilt at every penalty, and the
+    score at each penalty sums its folds' terms in fold order; "aloocv" is
+    one full-data fit per penalty. The terms are read from the fit's
+    eigenpairs as the package reads them, so the fold-outer loop with one
+    broadcast fit per grid block must reproduce these scores bit for bit.
+    """
+    from ridgeprec import cv, estimators
+
+    Y = estimators.prepare_data(Y, config.center)
+    n, p = Y.shape
+    scores = []
+    for lam in config.grid:
+        if config.scheme == "aloocv":
+            est = estimators.fit(config.estimator, estimators.sample_cov(Y), lam, config.target)
+            B = (Y @ est.vectors) * np.sqrt(est.prec)
+            q = np.einsum("ij,ij->i", B, B)
+            G = B @ B.T if n <= p else B.T @ B
+            correction = (q @ q - np.sum(G * G) / n) / (2.0 * n * (n - 1.0))
+            scores.append(float(-0.5 * (np.sum(np.log(est.prec)) - q.sum() / n) + correction))
+            continue
+        if config.scheme == "kfold":
+            folds = cv.make_folds(n, config.k, config.fold_seed)
+        else:
+            folds = [np.array([i]) for i in range(n)]
+        score = 0.0
+        for held_out in folds:
+            mask = np.ones(n, dtype=bool)
+            mask[held_out] = False
+            S_in = estimators.sample_cov(Y[mask])
+            est = estimators.fit(config.estimator, S_in, lam, config.target)
+            U = Y[held_out] @ est.vectors
+            score += held_out.size * -np.sum(np.log(est.prec)) + np.sum(U * U * est.prec)
+        scores.append(float(score))
+    return np.array(scores)
 
 
 def risk_curve_loop(config, keep_losses: bool = False):

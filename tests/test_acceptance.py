@@ -224,9 +224,9 @@ def test_criterion_07_approx_loocv_tracks_exact(monkeypatch):
     calls = {"n": 0}
     real_fit = estimators.fit
 
-    def counting_fit(*args, **kwargs):
-        calls["n"] += 1
-        return real_fit(*args, **kwargs)
+    def counting_fit(kind, S, lam, *args, **kwargs):
+        calls["n"] += np.size(lam)
+        return real_fit(kind, S, lam, *args, **kwargs)
 
     monkeypatch.setattr(estimators, "fit", counting_fit)
     Y = simulate.sample_mvn(Sigma, 20, [7, 0])
@@ -239,7 +239,7 @@ def test_criterion_07_approx_loocv_tracks_exact(monkeypatch):
         7,
         within_one >= 45 and calls["n"] == 30 and elapsed < 120,
         f"argmin within one grid step in {within_one}/{seeds} seeds (need >= 45); "
-        f"{calls['n']} fits for 30 penalties; {elapsed:.1f}s (< 2 min)",
+        f"{calls['n']} penalties fitted for 30 grid points; {elapsed:.1f}s (< 2 min)",
     )
 
 

@@ -425,6 +425,16 @@ class TestSimulate:
         assert main(["simulate", "--estimators", "lasso"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--topology", "clique", "--blocks", "0"], ["--topology", "clique", "--blocks", "-1"],
+         ["--topology", "random", "--n0", "0"]],
+    )
+    def test_bad_population_flags_are_data_errors(self, flags, capsys):
+        assert main(["simulate", "--p", "10", "--reps", "2"] + flags) == 2
+        _, err = capsys.readouterr()
+        assert "must be a positive integer" in err
+
     def test_negative_sample_size_is_data_error(self, capsys):
         assert main(["simulate", "--p", "4", "--reps", "2", "--n", "-5"]) == 2
         _, err = capsys.readouterr()
@@ -458,6 +468,15 @@ class TestMoments:
         path, _ = sigma_file
         assert main(["moments", "--sigma", path]) == 1
         capsys.readouterr()
+
+    def test_indefinite_sigma_with_mc_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "indefinite.csv"
+        matio.write_matrix(path, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        code = main(["moments", "--sigma", str(path), "--lambda", "1", "--mc-reps", "5"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "ridgeprec moments: error:" in err and "p.d." in err
 
 
 class TestHelpAndDispatch:

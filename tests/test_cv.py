@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -17,11 +19,16 @@ from ridgeprec.cv import (
     score_grid,
     select_lambda,
 )
-from ridgeprec.errors import InvalidFoldsError, InvalidParameterError
+from ridgeprec.errors import (
+    InvalidFoldsError,
+    InvalidParameterError,
+    InvalidPenaltyError,
+    InvalidTargetError,
+)
 from ridgeprec.estimators import Target, loglik, penalty_map_1, sample_cov
 from ridgeprec.simulate import PopulationSpec, population_precision, sample_mvn
 
-from oracles import aloocv_score_dense, kfold_score_oracle
+from oracles import aloocv_score_dense, cv_scores_loop, kfold_score_oracle, same_bits
 
 
 def chain_data(n, p=5, seed=3):
@@ -273,11 +280,20 @@ class TestScoreGrid:
         want = [kfold_cv_score(Y, lam, cfg) for lam in grid]
         npt.assert_allclose(scores, want, rtol=1e-13)
 
-    @pytest.mark.parametrize("scheme, fits", [("kfold", 9), ("aloocv", 3)])
-    def test_one_symmetry_check_per_fit(self, scheme, fits, symmetry_checks):
+    @pytest.mark.parametrize("scheme, penalties", [("kfold", 9), ("aloocv", 3)])
+    def test_one_symmetry_check_per_fit(self, scheme, penalties, symmetry_checks, monkeypatch):
+        grid_sizes = []
+        real_fit = estimators.fit
+
+        def recording_fit(kind, S, lam, *args, **kwargs):
+            grid_sizes.append(np.size(lam))
+            return real_fit(kind, S, lam, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "fit", recording_fit)
         Y = chain_data(12, p=3, seed=13)
         score_grid(Y, CVConfig(grid=[0.1, 1.0, 10.0], scheme=scheme, k=3))
-        assert symmetry_checks == ["S"] * fits
+        assert grid_sizes == [3] * (penalties // 3)  # the grid is one block: one fit per part
+        assert symmetry_checks == ["S"] * len(grid_sizes)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_scores_build_no_dense_matrices(self, scheme, monkeypatch):
@@ -290,12 +306,99 @@ class TestScoreGrid:
 
         monkeypatch.setattr(estimators, "fit", recording_fit)
         score_grid(chain_data(12, p=3, seed=13), CVConfig(grid=[0.1, 1.0], scheme=scheme, k=3))
-        assert len(fits) == {"kfold": 6, "loocv": 24, "aloocv": 2}[scheme]
+        assert len(fits) == {"kfold": 3, "loocv": 12, "aloocv": 1}[scheme]
+        assert sum(np.size(est.lam) for est in fits) == {"kfold": 6, "loocv": 24, "aloocv": 2}[scheme]
         assert not any({"omega", "sigma"} & est.__dict__.keys() for est in fits)
 
-    def test_threads_do_not_change_result(self):
+    def test_threads_do_not_change_result(self, monkeypatch):
         Y = chain_data(15, p=4, seed=21)
-        cfg = CVConfig(grid=default_grid(sample_cov(Y), 8), scheme="aloocv")
-        inline = score_grid(Y, cfg, threads=1)
-        for threads in (2, 0):
-            npt.assert_array_equal(score_grid(Y, cfg, threads=threads), inline)
+        grid = default_grid(sample_cov(Y), 8)
+        monkeypatch.setattr(estimators, "STACK_BYTES", 2 * 8 * 4 * 4)  # 4 blocks of 2
+        real_fit = estimators.fit
+        for scheme in ("kfold", "aloocv"):
+            cfg = CVConfig(grid=grid, scheme=scheme)
+            monkeypatch.setattr(estimators, "fit", real_fit)
+            inline = score_grid(Y, cfg, threads=1)
+            # The first two fits wait for each other, so they must run on two threads.
+            barrier = threading.Barrier(2, timeout=30)
+            lock = threading.Lock()
+            fit_threads = []
+
+            def recording_fit(*args, **kwargs):
+                with lock:
+                    fit_threads.append(threading.get_ident())
+                    first = len(fit_threads) <= 2
+                if first:
+                    barrier.wait()
+                return real_fit(*args, **kwargs)
+
+            monkeypatch.setattr(estimators, "fit", recording_fit)
+            npt.assert_array_equal(score_grid(Y, cfg, threads=2), inline)
+            assert len(set(fit_threads)) == 2
+            npt.assert_array_equal(score_grid(Y, cfg, threads=0), inline)
+
+
+class TestFoldOuterLoop:
+    """``score_grid`` against the per-(penalty, fold) loop it replaced.
+
+    Each case runs n < p and n > p, uncentered and centered, with the grid
+    in one stack and split into stacks of two matrices.
+    """
+
+    SHAPES = ((9, 14), (24, 6))
+    TARGETS = ("zero", "identity", "ddiag", "full")
+
+    @staticmethod
+    def target(name, p):
+        if name == "full":
+            B = np.random.default_rng(p).standard_normal((p, p))
+            return Target.full(B @ B.T / p + np.eye(p))
+        return {"zero": Target.zero(), "identity": Target.identity(), "ddiag": "ddiag"}[name]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("kind", estimators.KINDS)
+    def test_scores_equal_the_loop_bit_for_bit(self, kind, target, scheme, monkeypatch):
+        cases = itertools.product(self.SHAPES, (False, True), (None, 2))
+        for (n, p), center, per_block in cases:
+            Y = chain_data(n, p=p, seed=n + p)
+            cfg = CVConfig(
+                grid=default_grid(sample_cov(Y), 7, kind=kind), scheme=scheme, k=4,
+                fold_seed=5, estimator=kind, target=self.target(target, p), center=center,
+            )
+            budget = 2**18 if per_block is None else per_block * 8 * p * p
+            monkeypatch.setattr(estimators, "STACK_BYTES", budget)
+            if kind == "archetype-1" and target == "zero":
+                for scores in (score_grid, cv_scores_loop):
+                    with pytest.raises(InvalidTargetError):
+                        scores(Y, cfg)
+                continue
+            got, want = score_grid(Y, cfg), cv_scores_loop(Y, cfg)
+            assert same_bits(got, want), (n, p, center, per_block, got - want)
+
+    @pytest.mark.parametrize("per_block", [None, 2])
+    @pytest.mark.parametrize("grid_n", [1, 9])
+    @pytest.mark.parametrize("scheme, builds", [("kfold", 4), ("loocv", 10), ("aloocv", 1)])
+    def test_one_held_in_covariance_per_part(self, scheme, builds, grid_n, per_block, monkeypatch):
+        calls = []
+        real_cov = cv.sample_cov
+
+        def counting_cov(*args, **kwargs):
+            calls.append(1)
+            return real_cov(*args, **kwargs)
+
+        monkeypatch.setattr(cv, "sample_cov", counting_cov)
+        if per_block is not None:
+            monkeypatch.setattr(estimators, "STACK_BYTES", per_block * 8 * 3 * 3)
+        cfg = CVConfig(grid=np.logspace(-2, 2, grid_n), scheme=scheme, k=4)
+        score_grid(chain_data(10, p=3, seed=4), cfg)
+        assert len(calls) == builds
+
+    def test_one_point_calls_keep_their_errors(self):
+        Y = chain_data(10, p=3, seed=4)
+        cfg = CVConfig(grid=[1.0], k=4)
+        for score in (kfold_cv_score, exact_loocv_score, approx_loocv_score):
+            with pytest.raises(InvalidPenaltyError):
+                score(Y, -1.0, cfg)
+            with pytest.raises(InvalidPenaltyError):
+                score(Y, np.nan, cfg)

@@ -2,7 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ridgeprec.errors import InvalidMatrixError, InvalidParameterError, InvalidPenaltyError
+from ridgeprec.errors import (
+    InvalidMatrixError,
+    InvalidParameterError,
+    InvalidPenaltyError,
+    NotPositiveDefiniteError,
+)
 from ridgeprec.estimators import Target, alt_ridge2, sample_cov
 from ridgeprec import estimators
 from ridgeprec.moments import bias_approx_type2, mc_moments, wishart_moments
@@ -131,6 +136,10 @@ class TestMCMoments:
     def test_rejects_bad_reps(self):
         with pytest.raises(InvalidParameterError):
             mc_moments(np.eye(2), 5, 1.0, reps=0)
+
+    def test_rejects_indefinite_sigma(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            mc_moments(np.array([[1.0, 2.0], [2.0, 1.0]]), 5, 1.0, reps=3)
 
     def test_approximation_tracks_mc_at_large_penalty(self, rng, make_spd):
         Sigma = make_spd(3, rng)

@@ -70,6 +70,15 @@ class TestPopulationPrecision:
         with pytest.raises(InvalidParameterError):
             PopulationSpec("chain", 1)
 
+    @pytest.mark.parametrize(
+        "topology, field, value",
+        [("clique", "blocks", 0), ("clique", "blocks", -1), ("clique", "blocks", 2.5),
+         ("random", "n0", 0), ("random", "n0", -3)],
+    )
+    def test_blocks_and_n0_must_be_positive_integers(self, topology, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            PopulationSpec(topology, 10, **{field: value})
+
 
 class TestSampleMVN:
     def test_identity_large_sample(self):
