@@ -74,8 +74,6 @@ def _positive_lambda(args) -> float | None:
 
 
 def _grid_from_flags(args, S=None, Omega=None, kind=None) -> np.ndarray:
-    if args.grid_n < 1:
-        raise UsageError(f"--grid-n must be a positive integer, got {args.grid_n}")
     given = (args.grid_min is not None, args.grid_max is not None)
     if any(given) and not all(given):
         raise UsageError("--grid-min and --grid-max must be given together")
@@ -225,7 +223,7 @@ def cmd_ggm(args) -> int:
     if not args.sparsified_out:
         out.append("# sparsified_precision\n" + sparse_csv)
     out.append("# report\n" + report)
-    sys.stdout.write("".join(out))
+    _emit("".join(out), args.output)
     return 0
 
 
@@ -275,14 +273,10 @@ def cmd_moments(args) -> int:
     lam = _positive_lambda(args)
     if lam is None:
         raise UsageError("--lambda is required")
-    if args.n < 1:
-        raise UsageError("--n must be a positive integer")
     Sigma = matio.read_matrix(args.sigma, header=args.header)
     approx = moments.bias_approx_type2(Sigma, args.n, lam)
     out = ["# approximation\n" + matio.matrix_to_csv(approx)]
     if args.mc_reps is not None:
-        if args.mc_reps < 1:
-            raise UsageError("--mc-reps must be a positive integer")
         mc = moments.mc_moments(Sigma, args.n, lam, reps=args.mc_reps, seed=args.seed)
         out.append("# mc_estimate\n" + matio.matrix_to_csv(mc))
     _emit("".join(out), args.output)
@@ -293,16 +287,22 @@ def cmd_moments(args) -> int:
 # Parser assembly
 
 
-def _threads(value: str) -> int:
-    if not value.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
-    return int(value)
+def _count(low: int):
+    """Parser type for a whole-number flag ``>= low`` (0 or 1); anything else exits 1."""
+    what = "a non-negative integer" if low == 0 else "a positive integer"
+
+    def parse(value: str) -> int:
+        if not value.isdecimal() or int(value) < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value!r}")
+        return int(value)
+
+    return parse
 
 
 def _add_common(sp) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="base RNG seed (64-bit)")
+    sp.add_argument("--seed", type=int, default=0, help="base RNG seed, a non-negative integer")
     sp.add_argument(
-        "--threads", type=_threads, default=1,
+        "--threads", type=_count(0), default=1,
         help="CV scoring threads, 0 means one per CPU; they split each fold's grid blocks, "
         "so a one-block grid (small p) runs inline; faster only with BLAS pinned to "
         "one thread; simulate and moments ignore it",
@@ -315,7 +315,7 @@ def _add_common(sp) -> None:
 def _add_grid_flags(sp) -> None:
     sp.add_argument("--grid-min", type=float, help="smallest grid penalty")
     sp.add_argument("--grid-max", type=float, help="largest grid penalty")
-    sp.add_argument("--grid-n", type=int, default=50, help="number of grid points")
+    sp.add_argument("--grid-n", type=_count(1), default=50, help="number of grid points")
 
 
 def _add_estimator_flags(sp) -> None:
@@ -400,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mom = sub.add_parser("moments", help="bias approximation and MC moments")
     p_mom.add_argument("--sigma", help="p x p population covariance CSV")
-    p_mom.add_argument("--n", type=int, default=10, help="sample size behind S")
+    p_mom.add_argument("--n", type=_count(1), default=10, help="sample size behind S")
     p_mom.add_argument("--lambda", type=float, help="alternative-scale penalty")
-    p_mom.add_argument("--mc-reps", type=int, help="also run a Monte Carlo estimate")
+    p_mom.add_argument("--mc-reps", type=_count(1), help="also run a Monte Carlo estimate")
     _add_common(p_mom)
     p_mom.set_defaults(func=cmd_moments)
 

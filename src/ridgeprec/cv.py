@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .errors import InvalidFoldsError, InvalidParameterError
+from .errors import InvalidFoldsError, InvalidParameterError, whole
 from .estimators import prepare_data, sample_cov
 
 SCHEMES = ("kfold", "loocv", "aloocv")
@@ -61,9 +61,8 @@ class CVConfig:
         if grid.size > 1 and np.any(np.diff(grid) <= 0):
             raise InvalidParameterError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
-        if int(self.k) != self.k or self.k < 2:
-            raise InvalidParameterError(f"k must be an integer >= 2, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", whole(self.k, "k", 2))
+        object.__setattr__(self, "fold_seed", whole(self.fold_seed, "fold_seed", 0))
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,10 @@ class CVResult:
 
 def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Seeded partition of range(n) into k near-equal folds."""
-    if int(k) != k or k < 2:
-        raise InvalidFoldsError(f"k must be an integer >= 2, got {k}")
+    k = whole(k, "k", 2, InvalidFoldsError)
     if k > n:
         raise InvalidFoldsError(f"cannot split {n} observations into {k} folds")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(whole(seed, "seed", 0)).permutation(n)
     return list(np.array_split(perm, k))
 
 
@@ -207,9 +205,5 @@ def default_grid(S, num: int = 50, kind: str | None = None) -> np.ndarray:
     g = float(np.trace(S)) / p
     if not np.isfinite(g) or g <= 0:
         raise InvalidParameterError("default grid needs tr(S)/p > 0")
-    if int(num) != num or num < 1:
-        raise InvalidParameterError(f"grid size must be a positive integer, got {num}")
-    grid = np.logspace(np.log10(1e-4 * g), np.log10(1e4 * g), int(num))
-    if kind == "archetype-1":
-        grid = np.array([estimators.penalty_map_1(x) for x in grid])
-    return grid
+    grid = np.logspace(np.log10(1e-4 * g), np.log10(1e4 * g), whole(num, "grid size"))
+    return estimators.penalty_map_1(grid) if kind == "archetype-1" else grid

@@ -48,3 +48,18 @@ class ConstructionFailedError(RidgeprecError):
 
 class InvalidParameterError(RidgeprecError):
     """A scalar or structural parameter is outside its documented domain."""
+
+
+def whole(value, name: str, low: int = 1, error=InvalidParameterError) -> int:
+    """``value`` as an ``int``, if it is a whole number ``>= low``.
+
+    Counts and RNG seeds enter the package through this one check. Anything
+    else, including NaN, infinities, strings and ``None``, raises ``error``.
+    """
+    try:
+        if int(value) == value and value >= low:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+    raise error(f"{name} must be {what}, got {value!r}")

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import estimators
-from .errors import InvalidParameterError, InvalidPenaltyError, NotPositiveDefiniteError
+from .errors import InvalidPenaltyError, NotPositiveDefiniteError, whole
 from .estimators import Target, sample_cov
 from .linalg import check_symmetric, symmetrize
 
@@ -21,19 +21,13 @@ class WishartMoments(NamedTuple):
     mean_sq: np.ndarray
 
 
-def _check_n(n) -> int:
-    if int(n) != n or n < 1:
-        raise InvalidParameterError(f"n must be a positive integer, got {n}")
-    return int(n)
-
-
 def wishart_moments(Sigma, n: int) -> WishartMoments:
     """Exact E[S] and E[S^2] for S = Y'Y/n with rows ~ N(0, Sigma).
 
     ``E[S] = Sigma`` and ``E[S^2] = ((n+1)/n) Sigma^2 + (tr Sigma / n) Sigma``.
     """
     Sigma = check_symmetric(Sigma, "Sigma")
-    n = _check_n(n)
+    n = whole(n, "n")
     mean = Sigma.copy()
     mean_sq = symmetrize(
         ((n + 1.0) / n) * (Sigma @ Sigma) + (float(np.trace(Sigma)) / n) * Sigma
@@ -48,7 +42,7 @@ def bias_approx_type2(Sigma, n: int, lam: float) -> np.ndarray:
     ``lam`` is large relative to ``||Sigma||_2^2``.
     """
     Sigma = check_symmetric(Sigma, "Sigma")
-    n = _check_n(n)
+    n = whole(n, "n")
     lam = float(lam)
     if not np.isfinite(lam) or lam <= 0:
         raise InvalidPenaltyError(f"lam must be positive, got {lam}")
@@ -78,10 +72,9 @@ def mc_moments(
     one fit per replicate, bit for bit.
     """
     Sigma = check_symmetric(Sigma, "Sigma")
-    n = _check_n(n)
-    if int(reps) != reps or reps < 1:
-        raise InvalidParameterError(f"reps must be a positive integer, got {reps}")
-    reps = int(reps)
+    n = whole(n, "n")
+    reps = whole(reps, "reps")
+    seed = whole(seed, "seed", 0)
     p = Sigma.shape[0]
     try:
         L = np.linalg.cholesky(Sigma)
@@ -91,7 +84,7 @@ def mc_moments(
     acc = np.zeros((p, p))
     for block in estimators.stack_slices(reps, p):
         S = np.stack([
-            sample_cov(np.random.default_rng([int(seed), r]).standard_normal((n, p)) @ L.T)
+            sample_cov(np.random.default_rng([seed, r]).standard_normal((n, p)) @ L.T)
             for r in range(block.start, block.stop)
         ])
         for sigma_hat in estimators.alt_ridge1(S, target, lam).sigma:

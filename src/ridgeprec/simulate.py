@@ -4,11 +4,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators as _est
+from . import cv, estimators as _est
 from .errors import (
     ConstructionFailedError,
     InvalidParameterError,
     NotPositiveDefiniteError,
+    whole,
 )
 from .estimators import sample_cov
 from .linalg import check_symmetric, inv_pd, pd_tolerance, symmetrize
@@ -37,17 +38,15 @@ class PopulationSpec:
             raise InvalidParameterError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}"
             )
-        if int(self.p) != self.p or self.p < 2:
-            raise InvalidParameterError(f"p must be an integer >= 2, got {self.p}")
-        for name in ("n0", "blocks"):
-            value = getattr(self, name)
-            if int(value) != value or value < 1:
-                raise InvalidParameterError(f"{name} must be a positive integer, got {value}")
+        for name, low in (("p", 2), ("seed", 0), ("n0", 1), ("blocks", 1)):
+            object.__setattr__(self, name, whole(getattr(self, name), name, low))
+        if not np.isfinite(self.offdiag):
+            raise InvalidParameterError(f"offdiag must be finite, got {self.offdiag!r}")
 
 
 def population_precision(spec: PopulationSpec) -> np.ndarray:
     """Build the population precision matrix for a spec; always validated p.d."""
-    p = int(spec.p)
+    p = spec.p
     if spec.topology == "chain":
         Omega = np.eye(p)
         idx = np.arange(p - 1)
@@ -67,8 +66,8 @@ def population_precision(spec: PopulationSpec) -> np.ndarray:
         np.fill_diagonal(block, 1.0)
         Omega = np.kron(np.eye(spec.blocks), block)
     else:  # random
-        rng = np.random.default_rng([int(spec.seed), 1])
-        Y = rng.standard_normal((int(spec.n0), p))
+        rng = np.random.default_rng([spec.seed, 1])
+        Y = rng.standard_normal((spec.n0, p))
         Omega = Y.T @ Y / spec.n0
     Omega = symmetrize(Omega)
     vals = np.linalg.eigvalsh(Omega)
@@ -82,14 +81,13 @@ def population_precision(spec: PopulationSpec) -> np.ndarray:
 def sample_mvn(Sigma, n: int, seed) -> np.ndarray:
     """Draw n rows from N(0, Sigma). ``seed`` is an int/sequence or a Generator."""
     Sigma = check_symmetric(Sigma, "Sigma")
-    if int(n) != n or n < 1:
-        raise InvalidParameterError(f"n must be a positive integer, got {n}")
+    n = whole(n, "n")
     try:
         L = np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("sampling requires a p.d. covariance") from exc
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.standard_normal((int(n), Sigma.shape[0])) @ L.T
+    return rng.standard_normal((n, Sigma.shape[0])) @ L.T
 
 
 def loss_frobenius(omega_hat, Omega) -> float:
@@ -135,18 +133,16 @@ class RiskConfig:
         for kind in self.estimators:
             if kind not in _est.KINDS:
                 raise InvalidParameterError(f"unknown estimator kind {kind!r}")
-        if int(self.reps) != self.reps or self.reps < 1:
-            raise InvalidParameterError(f"reps must be a positive integer, got {self.reps}")
-        sizes = tuple(self.sample_sizes)
-        if not sizes or any(int(n) != n or n < 1 for n in sizes):
-            raise InvalidParameterError(
-                f"sample sizes must be a nonempty list of positive integers, got {sizes}"
-            )
+        object.__setattr__(self, "reps", whole(self.reps, "reps"))
+        object.__setattr__(self, "base_seed", whole(self.base_seed, "base_seed", 0))
+        sizes = tuple(whole(n, "sample size") for n in self.sample_sizes)
+        if not sizes:
+            raise InvalidParameterError("sample sizes must be a nonempty list")
         grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
         if grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(grid <= 0):
             raise InvalidParameterError("grid values must be finite and positive")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sizes))
+        object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
 
@@ -161,8 +157,10 @@ class RiskCurve:
     losses: dict | None = None  # (kind, n) -> ndarray (reps, len(grid))
 
 
-def penalty_in_kind_scale(kind: str, lam_a: float) -> float:
-    """Translate an alternative-scale penalty into ``kind``'s own scale.
+def penalty_in_kind_scale(kind: str, lam_a):
+    """Translate an alternative-scale penalty, or a 1-D grid of them, into ``kind``'s own scale.
+
+    A grid maps elementwise. Each value must be finite and positive, as for ``penalty_map_1``.
 
     The map does not equate shrinkage. For archetype-2 (``sqrt(lam_a)``) the
     shrunken covariance eigenvalues agree with alt-2's at ``lam_a`` only for
@@ -173,22 +171,19 @@ def penalty_in_kind_scale(kind: str, lam_a: float) -> float:
     eigenvalues are never below archetype-1's elsewhere; other targets carry
     no such guarantee.
     """
-    if kind in ("alt-1", "alt-2"):
-        return float(lam_a)
+    if kind not in _est.KINDS:
+        raise InvalidParameterError(f"unknown estimator kind {kind!r}")
+    lam_a = _est._check_penalty(lam_a)
     if kind == "archetype-1":
         return _est.penalty_map_1(lam_a)
     if kind == "archetype-2":
-        return float(np.sqrt(lam_a))
-    raise InvalidParameterError(f"unknown estimator kind {kind!r}")
+        return np.sqrt(lam_a)
+    return lam_a
 
 
 def default_risk_grid(Omega, num: int = 50) -> np.ndarray:
-    """Default alternative-scale grid anchored at g = tr(Omega^-1)/p."""
-    if int(num) != num or num < 1:
-        raise InvalidParameterError(f"grid size must be a positive integer, got {num}")
-    Sigma = inv_pd(Omega)
-    g = float(np.trace(Sigma)) / Sigma.shape[0]
-    return np.logspace(np.log10(1e-4 * g), np.log10(1e4 * g), int(num))
+    """:func:`ridgeprec.cv.default_grid` of ``Omega^-1``: anchored at g = tr(Omega^-1)/p."""
+    return cv.default_grid(inv_pd(Omega), num)
 
 
 def risk_curve(config: RiskConfig, keep_losses: bool = False) -> RiskCurve:
@@ -208,7 +203,7 @@ def risk_curve(config: RiskConfig, keep_losses: bool = False) -> RiskCurve:
     p = Omega.shape[0]
     kinds = config.estimators
     grid = config.grid
-    lam_table = {k: np.array([penalty_in_kind_scale(k, la) for la in grid]) for k in kinds}
+    lam_table = {k: penalty_in_kind_scale(k, grid) for k in kinds}
     blocks = _est.stack_slices(grid.size, p)
     if config.loss == "frobenius":
         loss_fn, reference = loss_frobenius, Omega
@@ -220,7 +215,7 @@ def risk_curve(config: RiskConfig, keep_losses: bool = False) -> RiskCurve:
     for n in config.sample_sizes:
         stacked = np.empty((config.reps, len(kinds), grid.size))
         for r in range(config.reps):
-            rng = np.random.default_rng([int(config.base_seed), n, r])
+            rng = np.random.default_rng([config.base_seed, n, r])
             S = sample_cov(rng.standard_normal((n, p)) @ L.T)
             for ki, kind in enumerate(kinds):
                 for block in blocks:
@@ -273,7 +268,7 @@ def coefficient_paths(S, grid, kinds=("alt-1",), target=_est.DDIAG):
     pairs = list(zip(iu[0].tolist(), iu[1].tolist()))
     paths = {}
     for kind in kinds:
-        lams = np.array([penalty_in_kind_scale(kind, la) for la in grid])
+        lams = penalty_in_kind_scale(kind, grid)
         out = np.empty((len(pairs), grid.size))
         for block in _est.stack_slices(grid.size, S.shape[0]):
             out[:, block] = _est.fit(kind, S, lams[block], target).omega[:, iu[0], iu[1]].T

@@ -321,6 +321,29 @@ def coefficient_paths_loop(S, grid, kinds=("alt-1",), target="ddiag") -> dict:
     return paths
 
 
+def default_risk_grid_closed_form(Omega, num: int) -> np.ndarray:
+    """``num`` log-spaced points on [1e-4 g, 1e4 g] with ``g = tr(Omega^-1)/p``, written out."""
+    from ridgeprec.linalg import inv_pd
+
+    Sigma = inv_pd(Omega)
+    g = float(np.trace(Sigma)) / Sigma.shape[0]
+    return np.logspace(np.log10(1e-4 * g), np.log10(1e4 * g), int(num))
+
+
+def penalty_map_1_loop(grid) -> np.ndarray:
+    """``1 - 1/(lam + 1)`` in Python floats, one grid value at a time."""
+    return np.array([1.0 - 1.0 / (float(la) + 1.0) for la in grid])
+
+
+def penalty_in_kind_scale_loop(kind: str, grid) -> np.ndarray:
+    """The alternative-to-kind penalty map in Python floats, one grid value at a time."""
+    if kind == "archetype-1":
+        return penalty_map_1_loop(grid)
+    if kind == "archetype-2":
+        return np.array([math.sqrt(la) for la in grid])
+    return np.array([float(la) for la in grid])
+
+
 def null_partial_corr_draws(rng, kappa: float, size: int) -> np.ndarray:
     """Draws from the null partial-correlation density with ``kappa`` dof.
 

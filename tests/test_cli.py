@@ -327,6 +327,21 @@ class TestGgm:
         assert content.startswith("i,j,partial_corr,one_minus_lfdr,selected\n")
         assert len(content.strip().splitlines()) == 1 + 15  # header + p(p-1)/2 rows
 
+    def test_output_flag_writes_the_combined_text(self, data_file, tmp_path, capsys):
+        path, _ = data_file
+        args = ["ggm", "--data", path, "--lambda", "0.5"]
+        assert main(args) == 0
+        printed, _ = capsys.readouterr()
+        out_path = tmp_path / "g.txt"
+        assert main(args + ["--output", str(out_path)]) == 0
+        out, _ = capsys.readouterr()
+        assert out == ""
+        assert out_path.read_text() == printed
+        edges_path = tmp_path / "edges.csv"
+        assert main(args + ["--output", str(out_path), "--edges-out", str(edges_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out_path.read_text() == printed[printed.index("# sparsified_precision"):]
+
     def test_omega_input_skips_estimation(self, data_file, tmp_path, capsys):
         path, _ = data_file
         assert main(["ggm", "--data", path, "--lambda", "0.1"]) == 0
@@ -435,6 +450,14 @@ class TestSimulate:
         _, err = capsys.readouterr()
         assert "must be a positive integer" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_offdiag_is_data_error(self, value, capsys):
+        args = ["simulate", "--topology", "clique", "--p", "4", "--blocks", "2", "--reps", "2"]
+        assert main(args + ["--offdiag", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].startswith("ridgeprec simulate: error: offdiag must be finite")
+
     def test_negative_sample_size_is_data_error(self, capsys):
         assert main(["simulate", "--p", "4", "--reps", "2", "--n", "-5"]) == 2
         _, err = capsys.readouterr()
@@ -477,6 +500,92 @@ class TestMoments:
         assert code == 2
         assert out == ""
         assert "ridgeprec moments: error:" in err and "p.d." in err
+
+
+# subcommand -> {integer flag (and --offdiag): exit codes for the values -1, 0 and nan}
+INTEGER_FLAGS = {
+    "estimate": {"seed": (0, 0, 1), "threads": (1, 0, 1), "grid-n": (1, 1, 1)},
+    "cv": {
+        "k": (2, 2, 1), "fold-seed": (2, 0, 1), "seed": (2, 0, 1),
+        "threads": (1, 0, 1), "grid-n": (1, 1, 1),
+    },
+    "ggm": {"seed": (0, 0, 1), "threads": (1, 0, 1), "grid-n": (1, 1, 1)},
+    "simulate": {
+        "p": (2, 2, 1), "n": (2, 2, 1), "reps": (2, 2, 1), "n0": (2, 2, 1),
+        "blocks": (2, 2, 1), "offdiag": (2, 0, 2), "seed": (2, 0, 1),
+        "threads": (1, 0, 1), "grid-n": (1, 1, 1),
+    },
+    "moments": {"n": (1, 1, 1), "mc-reps": (1, 1, 1), "seed": (2, 0, 1), "threads": (1, 0, 1)},
+}
+SWEEP_VALUES = {"-1": -1, "0": 0, "nan": float("nan")}
+
+
+class TestIntegerFlags:
+    @staticmethod
+    def base(command, data, sigma) -> dict:
+        """Small valid flags for each subcommand."""
+        return {
+            "estimate": {"data": data, "lambda": "0.5", "grid-n": "3"},
+            "cv": {"data": data, "scheme": "kfold", "k": "3", "grid-n": "3"},
+            "ggm": {"data": data, "lambda": "0.5", "grid-n": "3"},
+            "simulate": {
+                "topology": "clique", "p": "4", "blocks": "2", "n": "5", "reps": "2",
+                "grid-n": "3",
+            },
+            "moments": {"sigma": sigma, "lambda": "1", "mc-reps": "3"},
+        }[command]
+
+    @pytest.mark.parametrize("route", ["argv", "config"])
+    @pytest.mark.parametrize(
+        "command, flag, value, code",
+        [
+            (command, flag, value, code)
+            for command, flags in INTEGER_FLAGS.items()
+            for flag, codes in flags.items()
+            for value, code in zip(SWEEP_VALUES, codes)
+        ],
+    )
+    def test_bad_values_exit_cleanly(
+        self, command, flag, value, code, route, data_file, sigma_file, tmp_path, capsys
+    ):
+        flags = self.base(command, data_file[0], sigma_file[0])
+        flags.pop(flag, None)
+        argv = [command] + [tok for name, v in flags.items() for tok in (f"--{name}", v)]
+        if route == "argv":
+            argv += [f"--{flag}", value]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({flag.replace("-", "_"): SWEEP_VALUES[value]}))
+            argv += ["--config", str(config)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.splitlines()[-1].startswith(f"ridgeprec {command}: error:")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cv", "--scheme", "kfold", "--seed", "-1"],
+            ["cv", "--scheme", "kfold", "--fold-seed", "-1"],
+            ["simulate", "--p", "4", "--reps", "2", "--seed", "-1"],
+            ["moments", "--lambda", "1", "--mc-reps", "3", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seeds_are_data_errors(self, args, data_file, sigma_file, capsys):
+        inputs = {"cv": ["--data", data_file[0]], "moments": ["--sigma", sigma_file[0]]}
+        assert main(args + inputs.get(args[0], [])) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith(f"ridgeprec {args[0]}: error:")
+        assert "must be a non-negative integer" in last
+
+    def test_unused_grid_n_is_still_checked(self, data_file, capsys):
+        assert main(["estimate", "--data", data_file[0], "--lambda", "1", "--grid-n", "0"]) == 1
+        _, err = capsys.readouterr()
+        assert "argument --grid-n: must be a positive integer" in err
 
 
 class TestHelpAndDispatch:

@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ridgeprec import estimators
+from ridgeprec import cv, estimators
 from ridgeprec.errors import (
     InvalidParameterError,
+    InvalidPenaltyError,
     NotPositiveDefiniteError,
 )
 from ridgeprec.estimators import Target, penalty_map_1, sample_cov
@@ -26,12 +27,17 @@ from ridgeprec.simulate import (
 
 from oracles import (
     coefficient_paths_loop,
+    default_risk_grid_closed_form,
     is_pd,
     loss_frobenius_loop,
     loss_quadratic_loop,
+    penalty_in_kind_scale_loop,
+    penalty_map_1_loop,
     risk_curve_loop,
     same_bits,
 )
+
+CUSTOM_GRID = np.array([1e-3, 0.02, 0.5, 1.0, 3.7, 50.0, 1e4])
 
 
 class TestPopulationPrecision:
@@ -78,6 +84,11 @@ class TestPopulationPrecision:
     def test_blocks_and_n0_must_be_positive_integers(self, topology, field, value):
         with pytest.raises(InvalidParameterError, match=field):
             PopulationSpec(topology, 10, **{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_offdiag_must_be_finite(self, value):
+        with pytest.raises(InvalidParameterError, match="offdiag must be finite"):
+            PopulationSpec("clique", 10, blocks=5, offdiag=value)
 
 
 class TestSampleMVN:
@@ -143,6 +154,32 @@ class TestPenaltyScale:
         with pytest.raises(InvalidParameterError):
             penalty_in_kind_scale("lasso", 1.0)
 
+    @pytest.mark.parametrize("kind", estimators.KINDS)
+    @pytest.mark.parametrize("which", ["default", "custom"])
+    def test_grid_map_matches_elementwise_map_bit_for_bit(self, kind, which):
+        grid = default_risk_grid(figure1_inverse(), 50) if which == "default" else CUSTOM_GRID
+        want = penalty_in_kind_scale_loop(kind, grid)
+        assert same_bits(penalty_in_kind_scale(kind, grid), want)
+        assert [penalty_in_kind_scale(kind, la) for la in grid] == want.tolist()
+
+    @pytest.mark.parametrize("which", ["default", "custom"])
+    def test_penalty_map_1_grid_matches_elementwise_map(self, which):
+        grid = cv.default_grid(figure1_matrix(), 50) if which == "default" else CUSTOM_GRID
+        assert same_bits(penalty_map_1(grid), penalty_map_1_loop(grid))
+
+    def test_archetype_1_default_grid_matches_elementwise_map(self):
+        S = figure1_matrix()
+        want = penalty_map_1_loop(cv.default_grid(S, 50))
+        assert same_bits(cv.default_grid(S, 50, kind="archetype-1"), want)
+
+    @pytest.mark.parametrize("kind", estimators.KINDS)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_penalty_is_a_penalty_error(self, kind, bad):
+        with pytest.raises(InvalidPenaltyError):
+            penalty_in_kind_scale(kind, bad)
+        with pytest.raises(InvalidPenaltyError):
+            penalty_in_kind_scale(kind, np.array([1.0, bad]))
+
 
 class TestDefaultRiskGrid:
     def test_endpoints(self):
@@ -151,6 +188,11 @@ class TestDefaultRiskGrid:
         assert grid.size == 10
         npt.assert_allclose(grid[0], 3e-4, rtol=1e-12)
         npt.assert_allclose(grid[-1], 3e4, rtol=1e-12)
+
+    @pytest.mark.parametrize("num", [50, 7])
+    def test_matches_closed_form_bit_for_bit(self, num):
+        for Omega in (figure1_inverse(), population_precision(PopulationSpec("star", 25))):
+            assert same_bits(default_risk_grid(Omega, num), default_risk_grid_closed_form(Omega, num))
 
 
 class TestRiskCurve:
