@@ -194,6 +194,8 @@ def cmd_ggm(args) -> int:
     )
     if res.cv_result is not None:
         _warn_on_grid_edge(res.cv_result)
+    for line in res.fit.warnings():
+        print(f"warning: {line}", file=sys.stderr)
     edge_lines = ["i,j,partial_corr,one_minus_lfdr,selected"]
     for i, j, prob in zip(*np.triu_indices(res.partials.shape[0], k=1), res.probabilities):
         sel = 1 if (i, j) in res.selected else 0

@@ -16,7 +16,13 @@ recipe is pinned:
   the truncation so the estimate is consistent when the data really are
   null. The quantile keeps the fit on the central bulk when shrinkage
   concentrates every value near zero; the 0.75 cap keeps alternative mass
-  near the domain edges out of the null fit when it is abundant;
+  near the domain edges out of the null fit when it is abundant. The Beta
+  normalizer cancels between the density and the truncation mass, so the
+  negative log-likelihood of the m kept values is
+  ``-(kappa-3)/2 * sum(ln(1 - r^2)) + m ln B(c^2; 1/2, (kappa-1)/2)`` with
+  the unnormalized incomplete beta B(x; a, b) from its continued fraction.
+  It is minimized by golden-section search over ``u = ln(kappa - 1)`` in
+  [ln 1e-2, ln 1e7] down to a bracket of 1e-8;
 * eta0: central matching, the ratio of the mixture density to the fitted
   null density at r = 0, clamped to [0, 1];
 * mixture density: Gaussian kernel density estimate with Silverman's
@@ -62,6 +68,13 @@ KDE_NODES_PER_BANDWIDTH = 200
 KDE_MAX_INTERVALS = 2**20
 #: Kernel truncation in bandwidths; exp(-40**2 / 2) underflows to zero.
 KDE_KERNEL_REACH = 40
+#: Search interval of the kappa fit in ``u = ln(kappa - 1)``.
+KAPPA_U_MIN = math.log(1e-2)
+KAPPA_U_MAX = math.log(1e7)
+#: The kappa search stops once its bracket in ``u`` is narrower than this.
+KAPPA_U_TOL = 1e-8
+#: ``B_2k / (2k (2k - 1))``, the first six Stirling-series coefficients of ln Gamma.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +134,82 @@ def null_density(r, kappa: float):
 
 def _log_null_density(r: np.ndarray, kappa: float) -> np.ndarray:
     """``ln f0(r; kappa)`` for an array ``r`` in [-1, 1], unvalidated."""
-    from scipy import special
-
     expo = 0.5 * (kappa - 3.0)
-    lognorm = special.betaln(0.5, 0.5 * (kappa - 1.0))
+    lognorm = _log_beta_half(0.5 * (kappa - 1.0))
     with np.errstate(divide="ignore"):
         return expo * np.log1p(-r * r) - lognorm
+
+
+def _log_beta_half(b: float) -> float:
+    """``ln B(1/2, b)``: lgamma below b = 20, the Stirling series of ln Gamma above.
+
+    Above 20 the difference ``ln Gamma(b) - ln Gamma(b + 1/2)`` is taken
+    term by term, so the two large logarithms never cancel.
+    """
+    if b < 20.0:
+        return math.lgamma(0.5) + math.lgamma(b) - math.lgamma(b + 0.5)
+    h = b + 0.5
+    series = sum(c * (b ** (1 - 2 * k) - h ** (1 - 2 * k)) for k, c in enumerate(_STIRLING, 1))
+    return 0.5 * math.log(math.pi) + 0.5 - 0.5 * math.log(b) - b * math.log1p(0.5 / b) + series
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta, by the modified Lentz method.
+
+    ``B(x; a, b) = x^a (1 - x)^b / a * cf``; it converges fast for
+    ``x < (a + 1)/(a + b + 2)``.
+    """
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    cf = d
+    for m in range(1, 1000):
+        even = m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m))
+        for coef in (even, odd):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coef / c
+            c = c if abs(c) > tiny else tiny
+            step = c * d
+            cf *= step
+        if abs(step - 1.0) < 1e-16:
+            break
+    return cf
+
+
+def _log_central_mass(b: float, x: float) -> float:
+    """``ln B(x; 1/2, b)``, the unnormalized incomplete beta, for 0 < x < 1.
+
+    Direct continued fraction for small x; otherwise through
+    ``B(x; 1/2, b) = B(1/2, b) - B(1 - x; b, 1/2)``, each fraction in the
+    range where it converges fast.
+    """
+    if x < 1.5 / (b + 2.5):
+        return 0.5 * math.log(x) + b * math.log1p(-x) + math.log(2.0 * _beta_fraction(0.5, b, x))
+    log_whole = _log_beta_half(b)
+    log_tail = (
+        b * math.log1p(-x) + 0.5 * math.log(x) - math.log(b)
+        + math.log(_beta_fraction(b, 0.5, 1.0 - x))
+    )
+    return log_whole + math.log1p(-math.exp(log_tail - log_whole))
+
+
+def _golden_section(f, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of the first golden-section bracket narrower than ``tol``."""
+    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo >= tol:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
 
 
 def _fit_kappa(values: np.ndarray, cutoff: float) -> float:
@@ -134,27 +217,19 @@ def _fit_kappa(values: np.ndarray, cutoff: float) -> float:
 
     The log-likelihood of the kept values under f0 restricted to the
     central region subtracts ``m * ln P0(|r| <= cutoff; kappa)``, so the
-    estimate stays consistent under truncation.
+    estimate stays consistent under truncation. The Beta normalizer of f0
+    cancels against that of P0, which leaves the unnormalized mass.
     """
-    from scipy import optimize, special
-
     kept = values[np.abs(values) <= cutoff]
     m = kept.size
+    log_sum = float(np.sum(np.log1p(-kept * kept)))
+    x = cutoff * cutoff
 
     def nll(u: float) -> float:
-        kappa = 1.0 + math.exp(u)
-        mass = special.betainc(0.5, 0.5 * (kappa - 1.0), cutoff * cutoff)
-        if mass <= 0.0:
-            return np.inf
-        return -float(np.sum(_log_null_density(kept, kappa))) + m * math.log(mass)
+        b = 0.5 * math.exp(u)
+        return -(b - 1.0) * log_sum + m * _log_central_mass(b, x)
 
-    res = optimize.minimize_scalar(
-        nll,
-        bounds=(math.log(1e-2), math.log(1e7)),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    return 1.0 + math.exp(float(res.x))
+    return 1.0 + math.exp(_golden_section(nll, KAPPA_U_MIN, KAPPA_U_MAX, KAPPA_U_TOL))
 
 
 @dataclass(frozen=True)
@@ -166,6 +241,20 @@ class LfdrFit:
     values: np.ndarray = field(compare=False)
     bandwidth: float
     cutoff: float
+
+    def warnings(self) -> list[str]:
+        """One line per sign of a degenerate fit: kappa at a search bound, eta0 clamped."""
+        out = []
+        u = math.log(self.kappa - 1.0)
+        for bound, side in ((KAPPA_U_MIN, "lower"), (KAPPA_U_MAX, "upper")):
+            if abs(u - bound) <= KAPPA_U_TOL:
+                out.append(
+                    f"kappa {self.kappa:.17g} is at the {side} bound of its search interval "
+                    f"[{1.0 + math.exp(KAPPA_U_MIN):g}, {1.0 + math.exp(KAPPA_U_MAX):g}]"
+                )
+        if self.eta0 in (0.0, 1.0):
+            out.append(f"eta0 is clamped to {self.eta0:g}; the mixture fit is degenerate")
+        return out
 
     def mixture_density(self, r):
         """Reflected-KDE mixture density, evaluable anywhere on [-1, 1].

@@ -79,9 +79,16 @@ def population_precision(spec: PopulationSpec) -> np.ndarray:
 
 
 def sample_mvn(Sigma, n: int, seed) -> np.ndarray:
-    """Draw n rows from N(0, Sigma). ``seed`` is an int/sequence or a Generator."""
+    """Draw n rows from N(0, Sigma).
+
+    ``seed`` is a Generator, or a non-negative integer or a sequence of them
+    (such as ``[seed, n, r]``); anything else is an ``InvalidParameterError``.
+    """
     Sigma = check_symmetric(Sigma, "Sigma")
     n = whole(n, "n")
+    if not isinstance(seed, np.random.Generator):
+        for part in np.ravel(np.asarray(seed, dtype=object)):
+            whole(part, "seed", low=0)
     try:
         L = np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError as exc:

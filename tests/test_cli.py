@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ridgeprec import cv, estimators, matio, moments
+from ridgeprec import cv, estimators, ggm, matio, moments
 from ridgeprec.cli import main, parse_target
 from ridgeprec.estimators import Target
 from ridgeprec.simulate import PopulationSpec, population_precision, sample_mvn
@@ -234,6 +234,42 @@ class TestGridEdgeWarning:
         lines = out.splitlines()
         assert lines[-1].split(",")[1] not in (lines[1].split(",")[0], lines[-2].split(",")[0])
         assert _edge_warnings(err) == []
+
+
+@pytest.fixture()
+def chain200_file(tmp_path):
+    """n=200, p=20 chain data (criterion 11's seed 0)."""
+    Y = sample_mvn(np.linalg.inv(population_precision(PopulationSpec("chain", 20))), 200, 0)
+    path = tmp_path / "chain200.csv"
+    np.savetxt(path, Y, delimiter=",", fmt="%.17g")
+    return str(path), Y
+
+
+def _fit_warnings(err: str) -> list[str]:
+    return [line for line in err.splitlines() if "kappa" in line or "eta0" in line]
+
+
+class TestMixtureFitWarning:
+    def test_heavy_penalty_warns_on_stderr_only(self, chain200_file, capsys, monkeypatch):
+        path, Y = chain200_file
+        lam = cv.default_grid(estimators.sample_cov(Y), kind="alt-1")[-1]
+        args = ["ggm", "--data", path, "--lambda", matio.fmt(lam)]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        warned = _fit_warnings(err)
+        assert len(warned) == 2
+        assert "kappa" in warned[0] and "upper bound" in warned[0]
+        assert "eta0 is clamped to 1" in warned[1]
+        monkeypatch.setattr(ggm.LfdrFit, "warnings", lambda fit: [])
+        assert main(args) == 0
+        silent_out, silent_err = capsys.readouterr()
+        assert silent_out == out
+        assert _fit_warnings(silent_err) == []
+
+    def test_fit_at_lambda_star_is_silent(self, chain200_file, capsys):
+        path, _ = chain200_file
+        assert main(["ggm", "--data", path, "--auto-lambda"]) == 0
+        assert _fit_warnings(capsys.readouterr().err) == []
 
 
 class TestConfigFile:

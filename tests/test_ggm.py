@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from scipy import integrate, special
 
 import ridgeprec
+from ridgeprec import ggm
 from ridgeprec.errors import (
     DegenerateFitError,
     InsufficientDataError,
@@ -34,7 +36,13 @@ from ridgeprec.ggm import (
 from ridgeprec.linalg import inv_pd
 from ridgeprec.simulate import PopulationSpec, population_precision, sample_mvn
 
-from oracles import null_partial_corr_draws, reflected_kde_exact
+from oracles import (
+    fit_kappa_scipy,
+    kappa_nll_mp,
+    log_null_density_scipy,
+    null_partial_corr_draws,
+    reflected_kde_exact,
+)
 
 
 def planted_values(seed, n_null=250, n_alt=250):
@@ -269,7 +277,7 @@ class TestBinnedMixtureDensity:
         assert np.all(np.isfinite(f.mixture_density(values)))
 
 
-def test_importing_the_package_leaves_scipy_unloaded():
+def test_importing_the_package_leaves_scipy_unloaded(tmp_path):
     code = (
         "import sys\n"
         "loaded = lambda: any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
@@ -285,6 +293,115 @@ def test_importing_the_package_leaves_scipy_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False", "False"]
+
+    # A full ggm call runs, and prints the same, when scipy cannot be imported.
+    Sigma = inv_pd(population_precision(PopulationSpec("chain", 8)))
+    data = tmp_path / "data.csv"
+    np.savetxt(data, sample_mvn(Sigma, 60, 5), delimiter=",", fmt="%.17g")
+    argv = ["ridgeprec", "ggm", "--data", str(data), "--auto-lambda"]
+    blocked = (
+        "import runpy, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        f"sys.argv = {argv!r}\n"
+        "runpy.run_module('ridgeprec', run_name='__main__')\n"
+    )
+    runs = [
+        subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        for cmd in ([sys.executable, "-c", blocked], [sys.executable, "-m", *argv])
+    ]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert "# report" in runs[0].stdout
+
+
+@pytest.fixture(scope="module")
+def kappa_cases():
+    """ggm --auto-lambda fits on graph-style block data (seeds 1-5) and criterion 11's chains."""
+    block = inv_pd(population_precision(PopulationSpec("clique", 150, blocks=5, offdiag=0.95)))
+    chain = inv_pd(population_precision(PopulationSpec("chain", 20)))
+    draws = [sample_mvn(block, 200, s) for s in range(1, 6)]
+    draws += [sample_mvn(chain, 200, s) for s in range(20)]
+    cases = []
+    for Y in draws:
+        res = extract_network(Y=Y, estimator="alt-1", auto_lambda=True, threshold=0.99)
+        cases.append((res, fit_kappa_scipy(res.fit.values, res.fit.cutoff)))
+    return cases
+
+
+def scipy_null_probabilities(fit, kappa):
+    """``1 - lFDR`` at the fit's values with kappa and the null density from scipy."""
+    f0_at_zero = math.exp(log_null_density_scipy(np.zeros(1), kappa)[0])
+    eta0 = float(np.clip(fit.mixture_density(0.0) / f0_at_zero, 0.0, 1.0))
+    if eta0 >= 1.0:
+        return np.zeros_like(fit.values)
+    f0 = np.exp(log_null_density_scipy(fit.values, kappa))
+    return 1.0 - np.minimum(1.0, eta0 * f0 / fit.mixture_density(fit.values))
+
+
+class TestKappaFit:
+    """The scipy-free kappa fit against scipy's Beta functions and Brent search."""
+
+    @pytest.mark.parametrize("low, high, rtol", [(5e-3, 100.0, 1e-13), (100.0, 5e6, 1e-9)])
+    def test_log_beta_half_matches_betaln(self, low, high, rtol):
+        b = np.geomspace(low, high, 300)
+        ours = np.array([ggm._log_beta_half(v) for v in b])
+        npt.assert_allclose(ours, special.betaln(0.5, b), rtol=rtol, atol=rtol)
+
+    @pytest.mark.parametrize("low, high, rtol", [(5e-3, 100.0, 1e-13), (100.0, 5e6, 1e-9)])
+    def test_log_central_mass_matches_betainc(self, low, high, rtol):
+        b, c = np.meshgrid(np.geomspace(low, high, 60), np.geomspace(1e-3, 0.75, 25))
+        b, x = b.ravel(), (c * c).ravel()
+        ours = np.array([ggm._log_central_mass(bi, xi) for bi, xi in zip(b, x)])
+        want = np.log(special.betainc(0.5, b, x)) + special.betaln(0.5, b)
+        npt.assert_allclose(ours, want, rtol=rtol, atol=rtol)
+
+    def test_kappa_matches_the_scipy_fit(self, kappa_cases):
+        for res, oracle in kappa_cases:
+            assert res.fit.kappa == pytest.approx(oracle, rel=5e-6, abs=0.0)
+
+    def test_selections_match_the_scipy_fit(self, kappa_cases):
+        for res, oracle in kappa_cases:
+            fit = res.fit
+            want = scipy_null_probabilities(fit, oracle)
+            p = res.partials.shape[0]
+            for threshold in (0.5, 0.9, 0.99):
+                assert select_edges(res.probabilities, p, threshold) == select_edges(
+                    want, p, threshold
+                ), threshold
+
+    def test_no_worse_a_likelihood_than_the_scipy_fit(self, kappa_cases):
+        for res, oracle in kappa_cases:
+            fit = res.fit
+            ours, theirs = kappa_nll_mp(fit.values, fit.cutoff, (fit.kappa, oracle))
+            assert float(ours - theirs) <= 1e-9
+
+    def test_golden_section_finds_a_parabola_minimum_and_an_edge(self):
+        calls = []
+
+        def parabola(u):
+            calls.append(u)
+            return (u - 0.3) ** 2
+
+        got = ggm._golden_section(parabola, ggm.KAPPA_U_MIN, ggm.KAPPA_U_MAX, ggm.KAPPA_U_TOL)
+        assert got == pytest.approx(0.3, abs=1e-8)
+        assert len(calls) <= 50
+        edge = ggm._golden_section(lambda u: -u, ggm.KAPPA_U_MIN, ggm.KAPPA_U_MAX, 1e-8)
+        assert ggm.KAPPA_U_MAX - edge <= 1e-8
+
+
+class TestFitWarnings:
+    """The upper bound and eta0 = 1 are checked through the CLI in test_cli.py."""
+
+    def test_lower_bound_and_zero_eta0(self):
+        fit = LfdrFit(0.0, 1.0 + math.exp(ggm.KAPPA_U_MIN), np.zeros(3), 0.1, 0.5)
+        lines = fit.warnings()
+        assert len(lines) == 2
+        assert "lower bound" in lines[0] and "eta0 is clamped to 0" in lines[1]
 
 
 class TestLfdrValues:

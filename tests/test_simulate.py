@@ -121,6 +121,18 @@ class TestSampleMVN:
         with pytest.raises(InvalidParameterError):
             sample_mvn(np.eye(2), 0, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), None, "1", [7, -1], [7, 0.5]])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            sample_mvn(np.eye(2), 3, seed)
+
+    def test_seed_forms_draw_their_streams(self):
+        Sigma = np.eye(2)
+        for seed in (0, 11, np.int64(11), [7, 20, 3]):
+            want = np.random.default_rng(seed).standard_normal((4, 2))
+            npt.assert_array_equal(sample_mvn(Sigma, 4, seed), want)
+            npt.assert_array_equal(sample_mvn(Sigma, 4, np.random.default_rng(seed)), want)
+
 
 class TestLosses:
     def test_zero_at_truth(self, rng, make_spd):
