@@ -320,6 +320,14 @@ def _add_grid_flags(sp) -> None:
     sp.add_argument("--grid-n", type=_count(1), default=50, help="number of grid points")
 
 
+def _add_target_flag(sp) -> None:
+    sp.add_argument(
+        "--target",
+        default="ddiag",
+        help="target spec: zero | identity | scalar:PSI | ddiag | file:PATH",
+    )
+
+
 def _add_estimator_flags(sp) -> None:
     sp.add_argument(
         "--estimator",
@@ -327,11 +335,7 @@ def _add_estimator_flags(sp) -> None:
         default="alt-1",
         help="estimator kind",
     )
-    sp.add_argument(
-        "--target",
-        default="ddiag",
-        help="target spec: zero | identity | scalar:PSI | ddiag | file:PATH",
-    )
+    _add_target_flag(sp)
     sp.add_argument(
         "--center", action="store_true", help="subtract column means before S = Y'Y/n"
     )
@@ -390,12 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--estimators",
         default="alt-1,archetype-1",
-        help="comma-separated estimator kinds",
+        help="comma-separated estimator kinds; --target applies to alt-1 and archetype-1",
     )
     p_sim.add_argument("--n0", type=int, default=10000, help="draws behind the random topology")
     p_sim.add_argument("--blocks", type=int, default=5, help="clique block count")
     p_sim.add_argument("--offdiag", type=float, default=0.25, help="clique off-diagonal value")
-    _add_estimator_flags(p_sim)
+    _add_target_flag(p_sim)
     _add_grid_flags(p_sim)
     _add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)

@@ -197,13 +197,16 @@ def select_lambda(Y, config: CVConfig, threads: int = 1) -> CVResult:
 def default_grid(S, num: int = 50, kind: str | None = None) -> np.ndarray:
     """Default penalty grid: ``num`` log-spaced points on [1e-4 g, 1e4 g].
 
-    The anchor is ``g = tr(S)/p``. For "archetype-1" the grid is mapped
-    through the penalty scale map into its (0, 1] domain.
+    The anchor is ``g = tr(S)/p``, which must be finite and positive. For
+    "archetype-1" the grid is mapped through the penalty scale map into its
+    (0, 1] domain.
     """
     S = np.asarray(S, dtype=float)
     p = S.shape[0]
     g = float(np.trace(S)) / p
     if not np.isfinite(g) or g <= 0:
-        raise InvalidParameterError("default grid needs tr(S)/p > 0")
+        raise InvalidParameterError(
+            f"default grid needs a finite, positive anchor tr(S)/p, got {g}"
+        )
     grid = np.logspace(np.log10(1e-4 * g), np.log10(1e4 * g), whole(num, "grid size"))
     return estimators.penalty_map_1(grid) if kind == "archetype-1" else grid

@@ -65,11 +65,11 @@ def stack_slices(count: int, p: int) -> list:
 class Target:
     """Precision-side shrinkage target.
 
-    One of four variants: ``zero``, ``scalar`` (psi * I, psi >= 0; psi = 0
-    coincides with zero), ``diagonal`` (positive entries; a stack
-    ``(..., p)`` holds one diagonal per matrix of a stacked fit), or
-    ``full`` (symmetric positive definite). Use the factory classmethods;
-    the raw constructor performs no validation.
+    One of three variants: ``scalar`` (psi * I, psi >= 0; :meth:`zero` is
+    psi = 0), ``diagonal`` (positive entries; a stack ``(..., p)`` holds one
+    diagonal per matrix of a stacked fit), or ``full`` (symmetric positive
+    definite). Use the factory classmethods; the raw constructor performs
+    no validation.
     """
 
     kind: str
@@ -78,7 +78,7 @@ class Target:
 
     @classmethod
     def zero(cls) -> "Target":
-        return cls("zero")
+        return cls.scalar(0.0)
 
     @classmethod
     def scalar(cls, psi: float) -> "Target":
@@ -110,10 +110,10 @@ class Target:
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or (self.kind == "scalar" and self.psi == 0.0)
+        return self.kind == "scalar" and self.psi == 0.0
 
     def diagonal_entries(self, p: int) -> np.ndarray:
-        """The (p,) diagonal of a zero, scalar or diagonal target."""
+        """The (p,) diagonal of a scalar or diagonal target."""
         if self.kind == "full":
             raise InvalidTargetError("a full target is not diagonal")
         if self.kind == "diagonal":

@@ -3,11 +3,9 @@
 All public functions validate their inputs and return exactly symmetric
 arrays: results are passed through :func:`symmetrize`, which guarantees the
 (i, j) and (j, i) entries are the same float, not merely close. The one
-exception is :func:`eig_sym_unchecked`, the body of :func:`eig_sym` for
-callers that have validated the matrix already.
+exception is :func:`eig_sym_unchecked`, which validates nothing: callers
+pass it a matrix they have checked already.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -15,13 +13,6 @@ from .errors import InvalidMatrixError, NotPositiveDefiniteError
 
 # Relative asymmetry allowed before an input is rejected outright.
 _ASYM_RTOL = 1e-8
-
-
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues (descending) and matching orthonormal eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -49,37 +40,13 @@ def check_symmetric(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return symmetrize(a)
 
 
-def eig_sym(a) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix with a fixed canonical form.
+def eig_sym_unchecked(a: np.ndarray) -> tuple:
+    """``(values, vectors)`` of a finite, exactly symmetric array; validates nothing.
 
-    Eigenvalues are returned in descending order. Each eigenvector is scaled
-    so its first component of nonnegligible magnitude is positive, which makes
-    the decomposition deterministic for reproducible downstream output.
-
-    Parameters
-    ----------
-    a : array_like
-        Finite symmetric matrix.
-
-    Returns
-    -------
-    EigenDecomposition
-        ``values`` (p,) descending, ``vectors`` (p, p) with columns matching
-        ``values``; ``a == vectors @ diag(values) @ vectors.T`` up to roundoff.
-
-    Raises
-    ------
-    InvalidMatrixError
-        If the input is not finite/square/symmetric.
-    """
-    return eig_sym_unchecked(check_symmetric(a))
-
-
-def eig_sym_unchecked(a: np.ndarray) -> EigenDecomposition:
-    """:func:`eig_sym` without validation, for a finite, exactly symmetric array.
-
-    ``a`` may be a stack ``(..., p, p)``; every matrix is decomposed in one
-    ``eigh`` call and gets the same canonical form.
+    Eigenvalues descend, and each eigenvector column is signed so its first
+    component of nonnegligible magnitude is positive, which makes the
+    decomposition deterministic. ``a`` may be a stack ``(..., p, p)``; every
+    matrix is decomposed in one ``eigh`` call and gets the same canonical form.
     """
     vals, vecs = np.linalg.eigh(a)
     # eigh sorts ascending; flip for descending without re-sorting.
@@ -91,7 +58,7 @@ def eig_sym_unchecked(a: np.ndarray) -> EigenDecomposition:
     lead = np.argmax(np.abs(vecs) > 1e-12, axis=-2)
     first = np.take_along_axis(vecs, lead[..., None, :], axis=-2)
     vecs *= np.where(first < 0, -1.0, 1.0)
-    return EigenDecomposition(vals, vecs)
+    return vals, vecs
 
 
 def pd_tolerance(values):
@@ -108,8 +75,10 @@ def inv_pd(a) -> np.ndarray:
 
     Computed via the eigendecomposition so the result is symmetric by
     construction and the p.d. requirement is enforced (not silently assumed).
+    Raises :class:`~ridgeprec.errors.InvalidMatrixError` for an input that
+    :func:`check_symmetric` rejects.
     """
-    vals, vecs = eig_sym(a)
+    vals, vecs = eig_sym_unchecked(check_symmetric(a))
     if vals[-1] <= pd_tolerance(vals):
         raise NotPositiveDefiniteError(
             f"inverse requires a p.d. input (min eigenvalue {vals[-1]:.3e})"

@@ -104,8 +104,7 @@ def loss_frobenius(omega_hat, Omega) -> float:
 
 
 def _quadratic_given_sigma(omega_hat, Sigma) -> float:
-    M = omega_hat @ Sigma
-    M[np.diag_indices_from(M)] -= 1.0
+    M = omega_hat @ Sigma - np.eye(Sigma.shape[0])
     return float(np.sum(M * M))
 
 
@@ -155,13 +154,15 @@ class RiskConfig:
 
 @dataclass(frozen=True)
 class RiskCurve:
+    """A :func:`risk_curve` run: median losses and views of the per-replicate losses."""
+
     grid: np.ndarray
     sample_sizes: tuple
     estimators: tuple
     target_label: str
     loss: str
     medians: dict  # (kind, n) -> ndarray over grid
-    losses: dict | None = None  # (kind, n) -> ndarray (reps, len(grid))
+    losses: dict  # (kind, n) -> ndarray (reps, len(grid))
 
 
 def penalty_in_kind_scale(kind: str, lam_a):
@@ -193,7 +194,7 @@ def default_risk_grid(Omega, num: int = 50) -> np.ndarray:
     return cv.default_grid(inv_pd(Omega), num)
 
 
-def risk_curve(config: RiskConfig, keep_losses: bool = False) -> RiskCurve:
+def risk_curve(config: RiskConfig) -> RiskCurve:
     """Median loss per (estimator, sample size, grid penalty) over replicates.
 
     Replicate r at sample size n uses the RNG stream seeded by
@@ -202,7 +203,8 @@ def risk_curve(config: RiskConfig, keep_losses: bool = False) -> RiskCurve:
     Each (replicate, kind) is one broadcast :func:`~ridgeprec.estimators.fit`
     over the grid, split only where the grid's p x p stack would exceed
     :data:`~ridgeprec.estimators.STACK_BYTES`; the losses equal those of
-    one fit per grid penalty, bit for bit.
+    one fit per grid penalty, bit for bit. The per-replicate losses are
+    kept in :attr:`RiskCurve.losses`.
     """
     Omega = population_precision(config.population)
     Sigma = inv_pd(Omega)
@@ -217,8 +219,7 @@ def risk_curve(config: RiskConfig, keep_losses: bool = False) -> RiskCurve:
     else:
         loss_fn, reference = _quadratic_given_sigma, Sigma
 
-    medians = {}
-    losses = {} if keep_losses else None
+    medians, losses = {}, {}
     for n in config.sample_sizes:
         stacked = np.empty((config.reps, len(kinds), grid.size))
         for r in range(config.reps):
@@ -232,8 +233,7 @@ def risk_curve(config: RiskConfig, keep_losses: bool = False) -> RiskCurve:
         med = np.median(stacked, axis=0)
         for ki, kind in enumerate(kinds):
             medians[(kind, n)] = med[ki]
-            if keep_losses:
-                losses[(kind, n)] = stacked[:, ki, :]
+            losses[(kind, n)] = stacked[:, ki, :]
     if isinstance(config.target, _est.Target):
         target_label = config.target.label()
     else:

@@ -123,6 +123,17 @@ def loss_quadratic_loop(omega_hat, Omega) -> float:
     return acc
 
 
+def quadratic_given_sigma_diag(omega_hat, Sigma) -> float:
+    """``||omega_hat Sigma - I||_F^2``, with I subtracted from the diagonal in place.
+
+    ``simulate._quadratic_given_sigma`` subtracts a dense identity instead,
+    and must match this form bit for bit.
+    """
+    M = omega_hat @ Sigma
+    M[np.diag_indices_from(M)] -= 1.0
+    return float(np.sum(M * M))
+
+
 def penalized_loglik(omega, S, T, lam: float) -> float:
     """Objective ``ln|omega| - tr(S omega) - (lam/2)||omega - T||_F^2``."""
     sign, logdet = np.linalg.slogdet(omega)
@@ -252,14 +263,14 @@ def cv_scores_loop(Y, config) -> np.ndarray:
     return np.array(scores)
 
 
-def risk_curve_loop(config, keep_losses: bool = False):
-    """Risk-curve medians (and raw losses) from one scalar fit per grid penalty.
+def risk_curve_loop(config):
+    """Risk-curve medians and raw losses from one scalar fit per grid penalty.
 
-    Same replicate streams ``[base_seed, n, r]``, loss functions and
-    reference matrices as the package, with no stacking: the broadcast
-    harness must reproduce these values bit for bit. Returns
-    ``(medians, losses)`` keyed by ``(kind, n)``; ``losses`` is None unless
-    ``keep_losses`` is set.
+    Same replicate streams ``[base_seed, n, r]`` and reference matrices as
+    the package, with no stacking, and the quadratic loss from
+    :func:`quadratic_given_sigma_diag`: the broadcast harness must
+    reproduce these values bit for bit. Returns ``(medians, losses)``
+    keyed by ``(kind, n)``.
     """
     from ridgeprec import estimators, simulate
     from ridgeprec.linalg import inv_pd
@@ -271,8 +282,8 @@ def risk_curve_loop(config, keep_losses: bool = False):
     if config.loss == "frobenius":
         loss_fn, reference = simulate.loss_frobenius, Omega
     else:
-        loss_fn, reference = simulate._quadratic_given_sigma, Sigma
-    medians, losses = {}, ({} if keep_losses else None)
+        loss_fn, reference = quadratic_given_sigma_diag, Sigma
+    medians, losses = {}, {}
     for n in config.sample_sizes:
         table = np.empty((config.reps, len(config.estimators), config.grid.size))
         for r in range(config.reps):
@@ -285,8 +296,7 @@ def risk_curve_loop(config, keep_losses: bool = False):
                     table[r, ki, gi] = loss_fn(est.omega, reference)
         for ki, kind in enumerate(config.estimators):
             medians[(kind, n)] = np.median(table, axis=0)[ki]
-            if keep_losses:
-                losses[(kind, n)] = table[:, ki, :]
+            losses[(kind, n)] = table[:, ki, :]
     return medians, losses
 
 
@@ -439,7 +449,7 @@ def kappa_nll_mp(values, cutoff: float, kappas) -> list:
 
 
 def canonical_signs_loop(vecs) -> np.ndarray:
-    """Per-column loop form of ``eig_sym``'s eigenvector sign convention.
+    """Per-column loop form of ``eig_sym_unchecked``'s eigenvector sign convention.
 
     The first component with magnitude above 1e-12 of each column is made
     positive. Negation is exact, so the result must match bit for bit.

@@ -120,7 +120,8 @@ class TestEstimate:
     def test_header_flag(self, data_file, tmp_path, capsys):
         path, Y = data_file
         with_header = tmp_path / "hdr.csv"
-        body = open(path).read()
+        with open(path) as fh:
+            body = fh.read()
         with_header.write_text("c0,c1,c2,c3,c4,c5\n" + body)
         assert main(["estimate", "--data", path, "--lambda", "0.5"]) == 0
         plain, _ = capsys.readouterr()
@@ -177,6 +178,19 @@ class TestCV:
         assert main(["cv", "--data", path, "--grid-n", "-1"]) == 1
         assert main(["simulate", "--p", "4", "--reps", "2", "--grid-n", "-1"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [["cv"], ["estimate", "--auto-lambda"]])
+    def test_overflowing_data_names_the_grid_anchor(self, command, data_file, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        matio.write_matrix(path, data_file[1] * 1e200)
+        with pytest.warns(RuntimeWarning, match="overflow"):  # S = Y'Y/n overflows
+            assert main(command + ["--data", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"ridgeprec {command[0]}: error: default grid needs a finite, positive "
+            "anchor tr(S)/p, got inf"
+        )
 
 
 @pytest.fixture()
@@ -475,6 +489,22 @@ class TestSimulate:
     def test_unknown_estimator(self, capsys):
         assert main(["simulate", "--estimators", "lasso"]) == 1
         capsys.readouterr()
+
+    def test_estimator_prefix_reaches_estimators(self, capsys):
+        base = ["simulate", "--p", "4", "--reps", "2", "--grid-n", "3"]
+        assert main(base + ["--estimator", "alt-2"]) == 0
+        out, _ = capsys.readouterr()
+        assert main(base + ["--estimators", "alt-2"]) == 0
+        assert out == capsys.readouterr()[0]
+        assert {line.split(",")[0] for line in out.splitlines()[1:]} == {"alt-2"}
+
+    def test_center_is_a_usage_error(self, tmp_path, capsys):
+        base = ["simulate", "--p", "4", "--reps", "2", "--grid-n", "3"]
+        assert main(base + ["--center"]) == 1
+        config = tmp_path / "center.json"
+        config.write_text(json.dumps({"center": True}))
+        assert main(base + ["--config", str(config)]) == 1
+        assert "unrecognized arguments: --center" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",

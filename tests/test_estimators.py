@@ -528,6 +528,27 @@ class TestBroadcastFit:
                     assert same_bits(getattr(over_grid, name)[b, g], getattr(one, name))
                 assert same_bits(over_grid.omega[b, g], one.omega)
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["2-D", "stack"])
+    @pytest.mark.parametrize(
+        "kind, target_name",
+        [
+            (kind, name)
+            for kind in KINDS
+            for name in ("zero", "scalar", "diagonal", "ddiag", "full")
+            if (kind, name) != ("archetype-1", "zero")  # rejected before any work
+        ],
+    )
+    def test_fit_never_writes_to_s(self, kind, target_name, stacked, rng, make_spd):
+        S = np.stack([sample_cov(rng.standard_normal((n, self.P))) for n in (3, 20)])
+        if not stacked:
+            S = S[0]
+        before = S.tobytes()
+        target = self.targets(rng, make_spd, self.P)[target_name]
+        grid = self.GRIDS["archetype-1" if kind == "archetype-1" else "other"]
+        for lam in (float(grid[2]), grid):
+            fit(kind, S, lam, target)
+            assert S.tobytes() == before
+
     @pytest.mark.parametrize("kind", ["alt-1", "archetype-1"])
     def test_diagonal_target_matches_dense_target_bitwise(self, kind):
         # Negative zeros off the diagonal: the dense sum (1-lam)S + lam*G

@@ -6,7 +6,7 @@ from ridgeprec import simulate
 from ridgeprec.errors import InvalidMatrixError, NotPositiveDefiniteError
 from ridgeprec.linalg import (
     check_symmetric,
-    eig_sym,
+    eig_sym_unchecked,
     inv_pd,
     pd_tolerance,
     symmetrize,
@@ -17,39 +17,35 @@ from oracles import canonical_signs_loop, is_pd, jacobi_eigenvalues
 
 class TestEigSym:
     def test_identity(self):
-        vals, vecs = eig_sym(np.eye(3))
+        vals, vecs = eig_sym_unchecked(np.eye(3))
         npt.assert_array_equal(vals, np.ones(3))
         npt.assert_allclose(vecs @ vecs.T, np.eye(3), atol=1e-14)
 
     def test_diagonal_descending(self):
-        vals, vecs = eig_sym(np.diag([3.0, 1.0]))
+        vals, vecs = eig_sym_unchecked(np.diag([3.0, 1.0]))
         npt.assert_allclose(vals, [3.0, 1.0])
         npt.assert_allclose(np.abs(vecs), np.eye(2), atol=1e-14)
 
     def test_worked_example_matrix_vs_jacobi(self):
         S = simulate.figure1_matrix()
-        vals, _ = eig_sym(S)
+        vals, _ = eig_sym_unchecked(S)
         ref = jacobi_eigenvalues(S)
         npt.assert_allclose(vals, ref, atol=1e-8)
 
     def test_reconstruction(self, rng, make_spd):
         A = make_spd(6, rng)
-        vals, vecs = eig_sym(A)
+        vals, vecs = eig_sym_unchecked(A)
         npt.assert_allclose((vecs * vals) @ vecs.T, A, atol=1e-12 * np.linalg.norm(A))
 
     def test_deterministic_sign_convention(self, rng):
         B = rng.standard_normal((5, 5))
         A = symmetrize(B @ B.T)
-        d1 = eig_sym(A)
-        d2 = eig_sym(A.copy())
-        npt.assert_array_equal(d1.values, d2.values)
-        npt.assert_array_equal(d1.vectors, d2.vectors)
+        vals1, vecs1 = eig_sym_unchecked(A)
+        vals2, vecs2 = eig_sym_unchecked(A.copy())
+        npt.assert_array_equal(vals1, vals2)
+        npt.assert_array_equal(vecs1, vecs2)
         _, vecs = np.linalg.eigh(A)
-        npt.assert_array_equal(d1.vectors, canonical_signs_loop(vecs[:, ::-1]))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidMatrixError):
-            eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        npt.assert_array_equal(vecs1, canonical_signs_loop(vecs[:, ::-1]))
 
 
 class TestInvPD:
@@ -69,6 +65,10 @@ class TestInvPD:
     def test_rejects_singular(self):
         with pytest.raises(NotPositiveDefiniteError):
             inv_pd(np.diag([1.0, 0.0]))
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(InvalidMatrixError):
+            inv_pd(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestIsPD:

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ridgeprec import cv, estimators
+from ridgeprec import cv, estimators, simulate
 from ridgeprec.errors import (
     InvalidParameterError,
     InvalidPenaltyError,
@@ -33,6 +33,7 @@ from oracles import (
     loss_quadratic_loop,
     penalty_in_kind_scale_loop,
     penalty_map_1_loop,
+    quadratic_given_sigma_diag,
     risk_curve_loop,
     same_bits,
 )
@@ -152,6 +153,18 @@ class TestLosses:
         A, B = make_spd(4, rng), make_spd(4, rng)
         npt.assert_allclose(loss_quadratic(A, B), loss_quadratic_loop(A, B), rtol=1e-10)
 
+    @pytest.mark.parametrize("n", [4, 20], ids=["n<p", "n>p"])
+    @pytest.mark.parametrize("kind", estimators.KINDS)
+    def test_quadratic_given_sigma_matches_diagonal_subtraction(self, kind, n):
+        p = 10
+        Omega = population_precision(PopulationSpec("star", p))
+        Sigma = inv_pd(Omega)
+        S = sample_cov(sample_mvn(Sigma, n, [3, n]))
+        grid = penalty_in_kind_scale(kind, np.logspace(-3, 3, 9))
+        for omega in estimators.fit(kind, S, grid, "ddiag").omega:
+            got = simulate._quadratic_given_sigma(omega, Sigma)
+            assert same_bits(got, quadratic_given_sigma_diag(omega, Sigma))
+
 
 class TestPenaltyScale:
     def test_alt_passthrough(self):
@@ -268,12 +281,12 @@ class TestRiskCurve:
         for key in a.medians:
             npt.assert_array_equal(a.medians[key], b.medians[key])
 
-    def test_keep_losses_shape_and_median(self):
+    def test_losses_shape_and_median(self):
         cfg = RiskConfig(
             PopulationSpec("chain", 3), (6,), [0.2, 2.0], estimators=("alt-2",),
             target=Target.zero(), reps=5, base_seed=0,
         )
-        curve = risk_curve(cfg, keep_losses=True)
+        curve = risk_curve(cfg)
         raw = curve.losses[("alt-2", 6)]
         assert raw.shape == (5, 2)
         npt.assert_array_equal(np.median(raw, axis=0), curve.medians[("alt-2", 6)])
@@ -289,8 +302,8 @@ class TestRiskCurve:
                 PopulationSpec("star", p), (4, 12), np.logspace(-3, 2, 12),
                 estimators=estimators.KINDS, target=target, reps=3, loss=loss, base_seed=7,
             )
-            curve = risk_curve(cfg, keep_losses=True)
-            medians, losses = risk_curve_loop(cfg, keep_losses=True)
+            curve = risk_curve(cfg)
+            medians, losses = risk_curve_loop(cfg)
             assert curve.medians.keys() == medians.keys() == losses.keys()
             for key in medians:
                 assert same_bits(curve.medians[key], medians[key]), key
