@@ -28,8 +28,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def parse_target(spec: str):
-    """Parse a target spec: zero | identity | scalar:PSI | ddiag | file:PATH."""
+def parse_target(spec: str, header: bool = False):
+    """Parse a target spec: zero | identity | scalar:PSI | ddiag | file:PATH.
+
+    ``header`` skips a target file's first row, as ``--header`` does for
+    every other input file.
+    """
     if spec == "zero":
         return Target.zero()
     if spec == "identity":
@@ -43,7 +47,7 @@ def parse_target(spec: str):
             raise UsageError(f"bad scalar target {spec!r}") from None
         return Target.scalar(psi)
     if spec.startswith("file:"):
-        return Target.full(matio.read_matrix(spec.split(":", 1)[1]))
+        return Target.full(matio.read_matrix(spec.split(":", 1)[1], header=header))
     raise UsageError(
         f"unknown target {spec!r}; expected zero, identity, scalar:PSI, ddiag, or file:PATH"
     )
@@ -66,10 +70,13 @@ def _parse_kind_list(value) -> list[str]:
     return kinds
 
 
-def _positive_lambda(args) -> float | None:
+def _penalty(args) -> float | None:
+    """``--lambda``, which must be positive and may not come with ``--auto-lambda``."""
     lam = getattr(args, "lambda")
     if lam is not None and lam <= 0:
         raise UsageError("lambda must be positive")
+    if lam is not None and getattr(args, "auto_lambda", False):
+        raise UsageError("give either --lambda or --auto-lambda, not both")
     return lam
 
 
@@ -86,8 +93,21 @@ def _grid_from_flags(args, S=None, Omega=None, kind=None) -> np.ndarray:
     return simulate.default_risk_grid(Omega, num=args.grid_n)
 
 
-def _warn_on_grid_edge(result) -> None:
-    """One stderr line when the chosen penalty is the first or last grid point."""
+def _select(args, Y, S, target, scheme: str = "aloocv", k: int = 5) -> cv.CVResult:
+    """Choose the penalty over the flag grid, folds seeded by ``--seed``.
+
+    One stderr line warns when the choice is the first or last grid point.
+    """
+    config = cv.CVConfig(
+        grid=_grid_from_flags(args, S=S, kind=args.estimator),
+        scheme=scheme,
+        k=k,
+        fold_seed=args.seed,
+        estimator=args.estimator,
+        target=target,
+        center=args.center,
+    )
+    result = cv.select_lambda(Y, config, threads=args.threads)
     grid = result.grid
     if result.lambda_star in (grid[0], grid[-1]):
         print(
@@ -95,6 +115,7 @@ def _warn_on_grid_edge(result) -> None:
             f"penalty grid [{fmt(grid[0])}, {fmt(grid[-1])}]; the optimum may lie outside it",
             file=sys.stderr,
         )
+    return result
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -112,24 +133,12 @@ def _emit(text: str, path: str | None) -> None:
 def cmd_estimate(args) -> int:
     if not args.data:
         raise UsageError("--data FILE is required")
-    lam = _positive_lambda(args)
-    if args.auto_lambda and lam is not None:
-        raise UsageError("give either --lambda or --auto-lambda, not both")
+    lam = _penalty(args)
     Y = matio.read_data(args.data, header=args.header)
     S = estimators.sample_cov(Y, center=args.center)
-    target = parse_target(args.target)
+    target = parse_target(args.target, args.header)
     if args.auto_lambda:
-        grid = _grid_from_flags(args, S=S, kind=args.estimator)
-        config = cv.CVConfig(
-            grid=grid,
-            scheme="aloocv",
-            estimator=args.estimator,
-            target=target,
-            center=args.center,
-        )
-        selection = cv.select_lambda(Y, config, threads=args.threads)
-        _warn_on_grid_edge(selection)
-        lam = selection.lambda_star
+        lam = _select(args, Y, S, target).lambda_star
     if lam is None:
         raise UsageError("a penalty is required: --lambda or --auto-lambda")
     est = estimators.fit(args.estimator, S, lam, target)
@@ -142,20 +151,7 @@ def cmd_cv(args) -> int:
         raise UsageError("--data FILE is required")
     Y = matio.read_data(args.data, header=args.header)
     S = estimators.sample_cov(Y, center=args.center)
-    target = parse_target(args.target)
-    grid = _grid_from_flags(args, S=S, kind=args.estimator)
-    fold_seed = args.fold_seed if args.fold_seed is not None else args.seed
-    config = cv.CVConfig(
-        grid=grid,
-        scheme=args.scheme,
-        k=args.k,
-        fold_seed=fold_seed,
-        estimator=args.estimator,
-        target=target,
-        center=args.center,
-    )
-    result = cv.select_lambda(Y, config, threads=args.threads)
-    _warn_on_grid_edge(result)
+    result = _select(args, Y, S, parse_target(args.target, args.header), args.scheme, args.k)
     lines = ["lambda,score"]
     lines += [f"{fmt(la)},{fmt(sc)}" for la, sc in zip(result.grid, result.scores)]
     lines.append(f"lambda_star,{fmt(result.lambda_star)}")
@@ -166,34 +162,31 @@ def cmd_cv(args) -> int:
 def cmd_ggm(args) -> int:
     if bool(args.data) == bool(args.omega):
         raise UsageError("give exactly one of --data and --omega")
-    lam = _positive_lambda(args)
+    lam = _penalty(args)
     if not 0.0 <= args.threshold <= 1.0:
         raise UsageError("threshold must be in [0, 1]")
     if args.omega and (lam is not None or args.auto_lambda):
         raise UsageError("--lambda/--auto-lambda apply only with --data")
-    if args.auto_lambda and lam is not None:
-        raise UsageError("give either --lambda or --auto-lambda, not both")
-    target = parse_target(args.target)
-    Y = matio.read_data(args.data, header=args.header) if args.data else None
-    grid = None
-    bounds = args.grid_min is not None or args.grid_max is not None
-    if Y is not None and (args.auto_lambda or bounds):
-        S = estimators.sample_cov(Y, center=args.center)
-        grid = _grid_from_flags(args, S=S, kind=args.estimator)
+    target = parse_target(args.target, args.header)
+    Y = omega = None
+    if args.data:
+        Y = matio.read_data(args.data, header=args.header)
+        if args.auto_lambda:
+            S = estimators.sample_cov(Y, center=args.center)
+            lam = _select(args, Y, S, target).lambda_star
+        if lam is None:
+            raise UsageError("a penalty is required: --lambda or --auto-lambda")
+    else:
+        omega = matio.read_matrix(args.omega, header=args.header)
     res = ggm.extract_network(
         Y=Y,
-        omega=matio.read_matrix(args.omega, header=args.header) if args.omega else None,
+        omega=omega,
         estimator=args.estimator,
         target=target,
         lam=lam,
-        auto_lambda=args.auto_lambda,
-        grid=grid,
         threshold=args.threshold,
         center=args.center,
-        threads=args.threads,
     )
-    if res.cv_result is not None:
-        _warn_on_grid_edge(res.cv_result)
     for line in res.fit.warnings():
         print(f"warning: {line}", file=sys.stderr)
     edge_lines = ["i,j,partial_corr,one_minus_lfdr,selected"]
@@ -234,7 +227,7 @@ def cmd_simulate(args) -> int:
     if not sizes:
         raise UsageError("--n needs at least one sample size")
     kinds = _parse_kind_list(args.estimators)
-    target = parse_target(args.target)
+    target = parse_target(args.target, args.header)
     spec = simulate.PopulationSpec(
         topology=args.topology,
         p=args.p,
@@ -272,7 +265,7 @@ def cmd_simulate(args) -> int:
 def cmd_moments(args) -> int:
     if not args.sigma:
         raise UsageError("--sigma FILE is required")
-    lam = _positive_lambda(args)
+    lam = _penalty(args)
     if lam is None:
         raise UsageError("--lambda is required")
     Sigma = matio.read_matrix(args.sigma, header=args.header)
@@ -360,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--data", help="n x p data CSV")
     p_cv.add_argument("--scheme", choices=cv.SCHEMES, default="aloocv")
     p_cv.add_argument("--k", type=int, default=5, help="folds for the kfold scheme")
-    p_cv.add_argument("--fold-seed", type=int, help="fold shuffle seed (defaults to --seed)")
     _add_estimator_flags(p_cv)
     _add_grid_flags(p_cv)
     _add_common(p_cv)
@@ -432,20 +424,22 @@ def _apply_config(argv: list[str]) -> list[str]:
             raise InvalidParameterError(f"bad config JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise InvalidParameterError("config JSON must be an object of flag values")
-    present = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-    out = list(argv)
+    tokens = []
     for key, value in loaded.items():
         flag = "--" + str(key).replace("_", "-")
-        if flag == "--config" or flag in present:
+        if flag == "--config":
             continue
         if isinstance(value, bool):
             if value:
-                out.append(flag)
+                tokens.append(flag)
         elif isinstance(value, (list, tuple)):
-            out.append(f"{flag}=" + ",".join(str(v) for v in value))
+            tokens.append(f"{flag}=" + ",".join(str(v) for v in value))
         else:
-            out.append(f"{flag}={value}")
-    return out
+            tokens.append(f"{flag}={value}")
+    # Right after the subcommand, so every flag typed on the command line
+    # comes later and wins however it is spelled: argparse keeps an option's
+    # last value and resolves abbreviations (--estimator for --estimators).
+    return argv[:1] + tokens + argv[1:]
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,8 @@
 
 Pipeline: precision matrix -> partial correlations -> two-component mixture
 fit on the off-diagonal values -> per-edge local false discovery rates ->
-edge selection and support sparsification.
+edge selection and support sparsification. The pipeline takes the penalty
+it is given: choosing one is :func:`ridgeprec.cv.select_lambda`'s job.
 
 The null density for a partial correlation r under kappa effective degrees
 of freedom is ``f0(r; kappa) = |r| * B(r^2; 1/2, (kappa-1)/2)`` with B the
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import cv, estimators
+from . import estimators
 from .errors import (
     DegenerateFitError,
     InsufficientDataError,
@@ -447,7 +448,6 @@ class GgmResult:
     sparsified: np.ndarray
     min_eigenvalue: float
     lambda_used: float | None
-    cv_result: object = None
 
 
 def extract_network(
@@ -456,35 +456,22 @@ def extract_network(
     estimator: str = "alt-1",
     target=estimators.DDIAG,
     lam: float | None = None,
-    auto_lambda: bool = False,
-    grid=None,
     threshold: float = 0.99,
     center: bool = False,
-    threads: int = 1,
 ) -> GgmResult:
     """Run the full pipeline from data (or a precision matrix) to a graph.
 
     Exactly one of ``Y`` (n x p data) and ``omega`` (p.d. precision) must be
-    given. With data, the penalty is either ``lam`` or chosen by approximate
-    leave-one-out CV over ``grid`` (default grid when omitted) when
-    ``auto_lambda`` is set.
+    given. With data, ``lam`` is the penalty; to choose it by cross-validation,
+    pass the ``lambda_star`` of :func:`ridgeprec.cv.select_lambda`.
     """
     if (Y is None) == (omega is None):
         raise InvalidParameterError("provide exactly one of data and precision input")
-    cv_result = None
     lambda_used = None
     if Y is not None:
-        S = estimators.sample_cov(np.asarray(Y, dtype=float), center=center)
-        if auto_lambda:
-            if lam is not None:
-                raise InvalidParameterError("give either lam or auto_lambda, not both")
-            if grid is None:
-                grid = cv.default_grid(S, kind=estimator)
-            config = cv.CVConfig(grid, "aloocv", estimator=estimator, target=target, center=center)
-            cv_result = cv.select_lambda(Y, config, threads=threads)
-            lam = cv_result.lambda_star
         if lam is None:
-            raise InvalidParameterError("a penalty is required (lam or auto_lambda)")
+            raise InvalidParameterError("a penalty lam is required with data")
+        S = estimators.sample_cov(np.asarray(Y, dtype=float), center=center)
         est = estimators.fit(estimator, S, lam, target)
         omega, spectrum = est.omega, est.prec
         lambda_used = float(lam)
@@ -504,5 +491,4 @@ def extract_network(
         sparsified=sparsified,
         min_eigenvalue=min_eig,
         lambda_used=lambda_used,
-        cv_result=cv_result,
     )

@@ -4,7 +4,8 @@ All public functions validate their inputs and return exactly symmetric
 arrays: results are passed through :func:`symmetrize`, which guarantees the
 (i, j) and (j, i) entries are the same float, not merely close. The one
 exception is :func:`eig_sym_unchecked`, which validates nothing: callers
-pass it a matrix they have checked already.
+pass it a matrix they have checked already, and read its eigenvectors only
+through products that do not depend on their signs.
 """
 
 import numpy as np
@@ -43,22 +44,15 @@ def check_symmetric(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
 def eig_sym_unchecked(a: np.ndarray) -> tuple:
     """``(values, vectors)`` of a finite, exactly symmetric array; validates nothing.
 
-    Eigenvalues descend, and each eigenvector column is signed so its first
-    component of nonnegligible magnitude is positive, which makes the
-    decomposition deterministic. ``a`` may be a stack ``(..., p, p)``; every
-    matrix is decomposed in one ``eigh`` call and gets the same canonical form.
+    Eigenvalues descend. Eigenvector signs are whatever ``eigh`` returns:
+    every caller reads the vectors through sign-free products such as
+    ``V diag(d) V'`` or squared projections. ``a`` may be a stack
+    ``(..., p, p)``; every matrix is decomposed in one ``eigh`` call.
     """
     vals, vecs = np.linalg.eigh(a)
-    # eigh sorts ascending; flip for descending without re-sorting.
-    vals = vals[..., ::-1].copy()
-    vecs = vecs[..., ::-1].copy()
-    # Sign convention: first component with |v_i| above a relative threshold
-    # is made positive. Unit-norm columns always have such a component.
-    # Multiplying by +-1.0 in place is exact, the same as negating.
-    lead = np.argmax(np.abs(vecs) > 1e-12, axis=-2)
-    first = np.take_along_axis(vecs, lead[..., None, :], axis=-2)
-    vecs *= np.where(first < 0, -1.0, 1.0)
-    return vals, vecs
+    # eigh sorts ascending; flip for descending without re-sorting. The
+    # copies keep later products on contiguous arrays.
+    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 def pd_tolerance(values):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ridgeprec.cv as cv
 import ridgeprec.estimators as estimators
 import ridgeprec.linalg as linalg
 
@@ -20,6 +21,17 @@ def make_spd():
         return 0.5 * (A + A.T)
 
     return build
+
+
+@pytest.fixture(scope="session")
+def aloocv_lambda():
+    """The alt-1 penalty ``--auto-lambda`` picks: ALOOCV's ``lambda_star``, default grid."""
+
+    def select(Y) -> float:
+        grid = cv.default_grid(estimators.sample_cov(Y), kind="alt-1")
+        return cv.select_lambda(Y, cv.CVConfig(grid, "aloocv", estimator="alt-1")).lambda_star
+
+    return select
 
 
 @pytest.fixture

@@ -448,21 +448,6 @@ def kappa_nll_mp(values, cutoff: float, kappas) -> list:
         return out
 
 
-def canonical_signs_loop(vecs) -> np.ndarray:
-    """Per-column loop form of ``eig_sym_unchecked``'s eigenvector sign convention.
-
-    The first component with magnitude above 1e-12 of each column is made
-    positive. Negation is exact, so the result must match bit for bit.
-    """
-    vecs = np.array(vecs, dtype=float)
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        idx = np.argmax(np.abs(col) > 1e-12)
-        if col[idx] < 0:
-            vecs[:, j] = -col
-    return vecs
-
-
 def is_pd(a, tol: float = 0.0) -> bool:
     """True iff the smallest eigenvalue of symmetric ``a`` exceeds ``tol``."""
     a = np.asarray(a, dtype=float)

@@ -348,7 +348,7 @@ def test_criterion_10_worked_example_paths():
     )
 
 
-def test_criterion_11_ggm_pipeline():
+def test_criterion_11_ggm_pipeline(aloocv_lambda):
     for kappa in (3.0, 10.0, 50.0):
         total, _ = integrate.quad(lambda r: ggm.null_density(r, kappa), -1.0, 1.0)
         assert abs(total - 1.0) <= 1e-6, f"null density integral {total} at kappa={kappa}"
@@ -359,7 +359,7 @@ def test_criterion_11_ggm_pipeline():
     antitone_ok = True
     for s in range(20):
         Y = simulate.sample_mvn(Sigma, 200, s)
-        res = ggm.extract_network(Y=Y, estimator="alt-1", auto_lambda=True, threshold=0.99)
+        res = ggm.extract_network(Y=Y, estimator="alt-1", lam=aloocv_lambda(Y), threshold=0.99)
         m = ggm.support_metrics(res.selected, truth, 20)
         sens.append(m.sensitivity)
         spec.append(m.specificity)

@@ -1,11 +1,13 @@
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from ridgeprec import cv, estimators, ggm, matio, moments
-from ridgeprec.cli import main, parse_target
+from ridgeprec.cli import build_parser, main, parse_target
 from ridgeprec.estimators import Target
 from ridgeprec.simulate import PopulationSpec, population_precision, sample_mvn
 
@@ -132,6 +134,33 @@ class TestEstimate:
         assert plain == skipped
 
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["estimate", "--lambda", "0.5"],
+            ["cv", "--grid-n", "3"],
+            ["ggm", "--lambda", "0.5"],
+            ["simulate", "--p", "6", "--reps", "2", "--grid-n", "3"],
+        ],
+    )
+    def test_header_reaches_a_target_file(self, command, data_file, tmp_path, capsys):
+        path, _ = data_file
+        names = ",".join(f"c{j}" for j in range(6)) + "\n"
+        target = tmp_path / "target.csv"
+        matio.write_matrix(target, np.diag(np.arange(1.0, 7.0)))
+        named = {}
+        for name, src in (("data", path), ("target", target)):
+            named[name] = tmp_path / f"named_{name}.csv"
+            named[name].write_text(names + Path(src).read_text())
+
+        def run(data_path, target_path, *flags):
+            inputs = [] if command[0] == "simulate" else ["--data", str(data_path)]
+            assert main(command + inputs + ["--target", f"file:{target_path}", *flags]) == 0
+            return capsys.readouterr().out
+
+        assert run(named["data"], named["target"], "--header") == run(path, target)
+
+
 class TestCV:
     def test_output_shape(self, data_file, capsys):
         path, _ = data_file
@@ -178,6 +207,25 @@ class TestCV:
         assert main(["cv", "--data", path, "--grid-n", "-1"]) == 1
         assert main(["simulate", "--p", "4", "--reps", "2", "--grid-n", "-1"]) == 1
         capsys.readouterr()
+
+    def test_seed_is_the_fold_seed(self, data_file, capsys):
+        path, Y = data_file
+        argv = ["cv", "--data", path, "--scheme", "kfold", "--grid-n", "4", "--seed", "7"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        grid = cv.default_grid(estimators.sample_cov(Y), num=4)
+        res = cv.select_lambda(Y, cv.CVConfig(grid, "kfold", fold_seed=7))
+        want = [f"{matio.fmt(a)},{matio.fmt(b)}" for a, b in zip(res.grid, res.scores)]
+        assert out.splitlines()[1:-1] == want
+        assert err.splitlines()[0] == "ridgeprec 0.1.0 cv seed=7"
+
+    def test_fold_seed_flag_is_gone(self, data_file, tmp_path, capsys):
+        argv = ["cv", "--data", data_file[0], "--scheme", "kfold"]
+        assert main(argv + ["--fold-seed", "1"]) == 1
+        config = tmp_path / "fold_seed.json"
+        config.write_text(json.dumps({"fold_seed": 1}))
+        assert main(argv + ["--config", str(config)]) == 1
+        assert "unrecognized arguments: --fold-seed=1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["cv"], ["estimate", "--auto-lambda"]])
     def test_overflowing_data_names_the_grid_anchor(self, command, data_file, tmp_path, capsys):
@@ -309,6 +357,27 @@ class TestConfigFile:
         direct, _ = capsys.readouterr()
         assert overridden == direct
 
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            (
+                {"estimators": "alt-1"},
+                ["simulate", "--p", "5", "--n", "10", "--reps", "2", "--grid-n", "2",
+                 "--estimator", "alt-2"],
+            ),
+            ({"scheme": "aloocv"}, ["cv", "--grid-n", "4", "--sch", "kfold"]),
+        ],
+    )
+    def test_abbreviated_flag_beats_config(self, config, argv, data_file, tmp_path, capsys):
+        if argv[0] == "cv":
+            argv = argv + ["--data", data_file[0]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(argv + ["--config", str(path)]) == 0
+        from_config, _ = capsys.readouterr()
+        assert main(argv) == 0
+        assert from_config == capsys.readouterr()[0]
+
     def test_bad_config_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")
@@ -354,6 +423,45 @@ class TestGgm:
         out, _ = capsys.readouterr()
         report = dict(line.split(",") for line in out.split("# report\n", 1)[1].splitlines())
         assert report["lambda"] == lambda_star
+
+    def test_data_without_penalty_is_usage_error(self, data_file, capsys):
+        for command in ("estimate", "ggm"):
+            assert main([command, "--data", data_file[0]]) == 1
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"ridgeprec {command}: error: a penalty is required: --lambda or --auto-lambda"
+            )
+
+    def test_grid_flags_unused_with_lambda(self, data_file, capsys):
+        args = ["ggm", "--data", data_file[0], "--lambda", "0.5"]
+        assert main(args) == 0
+        plain, _ = capsys.readouterr()
+        assert main(args + ["--grid-min", "0.1", "--grid-max", "10"]) == 0
+        assert capsys.readouterr()[0] == plain
+
+    def test_auto_lambda_is_select_lambda_then_extract_network(
+        self, data_file, aloocv_lambda, capsys
+    ):
+        path, Y = data_file
+        assert main(["ggm", "--data", path, "--auto-lambda"]) == 0
+        out, _ = capsys.readouterr()
+        lam = aloocv_lambda(Y)
+        res = ggm.extract_network(Y=Y, lam=lam)
+        fmt = matio.fmt
+        edges = ["i,j,partial_corr,one_minus_lfdr,selected"] + [
+            f"{i},{j},{fmt(res.partials[i, j])},{fmt(prob)},{int((i, j) in res.selected)}"
+            for i, j, prob in zip(*np.triu_indices(Y.shape[1], k=1), res.probabilities)
+        ]
+        report = [
+            f"eta0,{fmt(res.fit.eta0)}",
+            f"kappa,{fmt(res.fit.kappa)}",
+            f"min_eigenvalue,{fmt(res.min_eigenvalue)}",
+            f"lambda,{fmt(lam)}",
+        ]
+        assert out == (
+            "# edges\n" + "\n".join(edges) + "\n"
+            + "# sparsified_precision\n" + matio.matrix_to_csv(res.sparsified)
+            + "# report\n" + "\n".join(report) + "\n"
+        )
 
     def test_edges_out_moves_block(self, data_file, tmp_path, capsys):
         path, _ = data_file
@@ -571,10 +679,7 @@ class TestMoments:
 # subcommand -> {integer flag (and --offdiag): exit codes for the values -1, 0 and nan}
 INTEGER_FLAGS = {
     "estimate": {"seed": (0, 0, 1), "threads": (1, 0, 1), "grid-n": (1, 1, 1)},
-    "cv": {
-        "k": (2, 2, 1), "fold-seed": (2, 0, 1), "seed": (2, 0, 1),
-        "threads": (1, 0, 1), "grid-n": (1, 1, 1),
-    },
+    "cv": {"k": (2, 2, 1), "seed": (2, 0, 1), "threads": (1, 0, 1), "grid-n": (1, 1, 1)},
     "ggm": {"seed": (0, 0, 1), "threads": (1, 0, 1), "grid-n": (1, 1, 1)},
     "simulate": {
         "p": (2, 2, 1), "n": (2, 2, 1), "reps": (2, 2, 1), "n0": (2, 2, 1),
@@ -633,13 +738,14 @@ class TestIntegerFlags:
         "args",
         [
             ["cv", "--scheme", "kfold", "--seed", "-1"],
-            ["cv", "--scheme", "kfold", "--fold-seed", "-1"],
+            ["estimate", "--auto-lambda", "--seed", "-1"],
             ["simulate", "--p", "4", "--reps", "2", "--seed", "-1"],
             ["moments", "--lambda", "1", "--mc-reps", "3", "--seed", "-1"],
         ],
     )
     def test_negative_seeds_are_data_errors(self, args, data_file, sigma_file, capsys):
-        inputs = {"cv": ["--data", data_file[0]], "moments": ["--sigma", sigma_file[0]]}
+        data = ["--data", data_file[0]]
+        inputs = {"cv": data, "estimate": data, "moments": ["--sigma", sigma_file[0]]}
         assert main(args + inputs.get(args[0], [])) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -652,6 +758,56 @@ class TestIntegerFlags:
         assert main(["estimate", "--data", data_file[0], "--lambda", "1", "--grid-n", "0"]) == 1
         _, err = capsys.readouterr()
         assert "argument --grid-n: must be a positive integer" in err
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A parse result that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = set()
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestEveryFlagIsRead:
+    """A flag that parses but that no code reads is a flag that does nothing."""
+
+    # --config is expanded before parsing and --help exits inside it.
+    # simulate and moments accept --threads and ignore it: the benchmark's
+    # simulate thread pair still passes it (ROADMAP item 1).
+    UNREAD = {"config", "help"}
+    IGNORED = {"simulate": {"threads"}, "moments": {"threads"}}
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("estimate", ["--data", "DATA", "--auto-lambda", "--grid-n", "3"]),
+            ("cv", ["--data", "DATA", "--grid-n", "3"]),
+            ("ggm", ["--data", "DATA", "--auto-lambda", "--grid-n", "3"]),
+            ("simulate", ["--p", "4", "--reps", "2", "--grid-n", "3"]),
+            ("moments", ["--sigma", "SIGMA", "--lambda", "1", "--mc-reps", "3"]),
+        ],
+    )
+    def test_every_flag_is_read(self, command, flags, data_file, sigma_file, capsys):
+        parser = build_parser()
+        subcommands = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        dests = {action.dest for action in subcommands.choices[command]._actions}
+        files = {"DATA": data_file[0], "SIGMA": sigma_file[0]}
+        argv = [command] + [files.get(tok, tok) for tok in flags]
+        args = parser.parse_args(argv, namespace=_ReadRecorder())
+        args.reads.clear()  # argparse reads the namespace while it fills it
+        assert args.func(args) == 0
+        capsys.readouterr()
+        unread = dests - args.reads - self.UNREAD - self.IGNORED.get(command, set())
+        assert unread == set()
 
 
 class TestHelpAndDispatch:

@@ -251,12 +251,11 @@ class TestBinnedMixtureDensity:
         f = fit_lfdr(DENSITY_FIXTURES[name]())
         assert f.eta0 == pytest.approx(oracle_eta0(f), abs=1e-5)
 
-    def test_selection_matches_exact_kde_on_criterion_11_seeds(self):
+    def test_selection_matches_exact_kde_on_criterion_11_seeds(self, aloocv_lambda):
         Sigma = inv_pd(population_precision(PopulationSpec("chain", 20)))
         for s in range(20):
-            res = extract_network(
-                Y=sample_mvn(Sigma, 200, s), estimator="alt-1", auto_lambda=True, threshold=0.99
-            )
+            Y = sample_mvn(Sigma, 200, s)
+            res = extract_network(Y=Y, estimator="alt-1", lam=aloocv_lambda(Y), threshold=0.99)
             exact = oracle_probabilities(offdiagonal_values(res.partials), res.fit)
             for threshold in (0.5, 0.9, 0.99):
                 assert select_edges(res.probabilities, 20, threshold) == select_edges(
@@ -320,7 +319,7 @@ def test_importing_the_package_leaves_scipy_unloaded(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def kappa_cases():
+def kappa_cases(aloocv_lambda):
     """ggm --auto-lambda fits on graph-style block data (seeds 1-5) and criterion 11's chains."""
     block = inv_pd(population_precision(PopulationSpec("clique", 150, blocks=5, offdiag=0.95)))
     chain = inv_pd(population_precision(PopulationSpec("chain", 20)))
@@ -328,7 +327,7 @@ def kappa_cases():
     draws += [sample_mvn(chain, 200, s) for s in range(20)]
     cases = []
     for Y in draws:
-        res = extract_network(Y=Y, estimator="alt-1", auto_lambda=True, threshold=0.99)
+        res = extract_network(Y=Y, estimator="alt-1", lam=aloocv_lambda(Y), threshold=0.99)
         cases.append((res, fit_kappa_scipy(res.fit.values, res.fit.cutoff)))
     return cases
 
@@ -592,10 +591,8 @@ class TestExtractNetwork:
         with pytest.raises(InvalidParameterError):
             extract_network(Y=np.eye(3), omega=np.eye(3))
 
-    def test_lam_and_auto_lambda_exclusive(self):
+    def test_data_requires_lam(self):
         Y, _ = self.chain_draw(0, n=50, p=6)
-        with pytest.raises(InvalidParameterError):
-            extract_network(Y=Y, lam=0.1, auto_lambda=True)
         with pytest.raises(InvalidParameterError):
             extract_network(Y=Y)
 
@@ -629,11 +626,12 @@ class TestExtractNetwork:
         assert from_data.selected == from_omega.selected
         assert from_omega.lambda_used is None
 
-    def test_result_fields_consistent(self):
+    def test_result_fields_consistent(self, aloocv_lambda):
         Y, _ = self.chain_draw(3, n=150, p=10)
-        res = extract_network(Y=Y, estimator="alt-1", auto_lambda=True)
+        lam = aloocv_lambda(Y)
+        res = extract_network(Y=Y, estimator="alt-1", lam=lam)
         assert isinstance(res, GgmResult)
-        assert res.lambda_used == res.cv_result.lambda_star
+        assert res.lambda_used == lam
         iu = np.triu_indices(10, k=1)
         above = {(int(i), int(j)) for i, j, pr in zip(*iu, res.probabilities) if pr >= 0.99}
         assert res.selected == above
@@ -671,13 +669,13 @@ class TestExtractNetwork:
         with pytest.raises(DegenerateFitError):
             extract_network(omega=Omega)
 
-    def test_recovers_chain_support_reasonably(self):
+    def test_recovers_chain_support_reasonably(self, aloocv_lambda):
         Omega = population_precision(PopulationSpec("chain", 20))
         truth = {(j, j + 1) for j in range(19)}
         jacs = []
         for s in range(5):
             Y, _ = self.chain_draw(s)
-            res = extract_network(Y=Y, auto_lambda=True, threshold=0.9)
+            res = extract_network(Y=Y, lam=aloocv_lambda(Y), threshold=0.9)
             sel = res.selected
             jacs.append(len(sel & truth) / max(1, len(sel | truth)))
         assert np.median(jacs) >= 0.3

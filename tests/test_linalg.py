@@ -12,7 +12,7 @@ from ridgeprec.linalg import (
     symmetrize,
 )
 
-from oracles import canonical_signs_loop, is_pd, jacobi_eigenvalues
+from oracles import is_pd, jacobi_eigenvalues
 
 
 class TestEigSym:
@@ -36,16 +36,6 @@ class TestEigSym:
         A = make_spd(6, rng)
         vals, vecs = eig_sym_unchecked(A)
         npt.assert_allclose((vecs * vals) @ vecs.T, A, atol=1e-12 * np.linalg.norm(A))
-
-    def test_deterministic_sign_convention(self, rng):
-        B = rng.standard_normal((5, 5))
-        A = symmetrize(B @ B.T)
-        vals1, vecs1 = eig_sym_unchecked(A)
-        vals2, vecs2 = eig_sym_unchecked(A.copy())
-        npt.assert_array_equal(vals1, vals2)
-        npt.assert_array_equal(vecs1, vecs2)
-        _, vecs = np.linalg.eigh(A)
-        npt.assert_array_equal(vecs1, canonical_signs_loop(vecs[:, ::-1]))
 
 
 class TestInvPD:
