@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import __version__, cv, estimators, ggm, matio, moments, simulate
-from .errors import InvalidParameterError, RidgeprecError
+from .errors import InvalidParameterError, RidgeprecError, whole
 from .estimators import Target
 from .matio import fmt
 
@@ -80,6 +80,11 @@ def _penalty(args) -> float | None:
     return lam
 
 
+def _seed(args) -> int:
+    """``--seed``, checked under its own name by the whole-number rule."""
+    return whole(args.seed, "--seed", 0)
+
+
 def _grid_from_flags(args, S=None, Omega=None, kind=None) -> np.ndarray:
     given = (args.grid_min is not None, args.grid_max is not None)
     if any(given) and not all(given):
@@ -102,7 +107,7 @@ def _select(args, Y, S, target, scheme: str = "aloocv", k: int = 5) -> cv.CVResu
         grid=_grid_from_flags(args, S=S, kind=args.estimator),
         scheme=scheme,
         k=k,
-        fold_seed=args.seed,
+        fold_seed=_seed(args),
         estimator=args.estimator,
         target=target,
         center=args.center,
@@ -228,10 +233,11 @@ def cmd_simulate(args) -> int:
         raise UsageError("--n needs at least one sample size")
     kinds = _parse_kind_list(args.estimators)
     target = parse_target(args.target, args.header)
+    seed = _seed(args)
     spec = simulate.PopulationSpec(
         topology=args.topology,
         p=args.p,
-        seed=args.seed,
+        seed=seed,
         n0=args.n0,
         blocks=args.blocks,
         offdiag=args.offdiag,
@@ -246,7 +252,7 @@ def cmd_simulate(args) -> int:
         target=target,
         reps=args.reps,
         loss=args.loss,
-        base_seed=args.seed,
+        base_seed=seed,
     )
     curve = simulate.risk_curve(config)
     lines = ["estimator,target,n,lambda,median_loss"]
@@ -272,7 +278,7 @@ def cmd_moments(args) -> int:
     approx = moments.bias_approx_type2(Sigma, args.n, lam)
     out = ["# approximation\n" + matio.matrix_to_csv(approx)]
     if args.mc_reps is not None:
-        mc = moments.mc_moments(Sigma, args.n, lam, reps=args.mc_reps, seed=args.seed)
+        mc = moments.mc_moments(Sigma, args.n, lam, reps=args.mc_reps, seed=_seed(args))
         out.append("# mc_estimate\n" + matio.matrix_to_csv(mc))
     _emit("".join(out), args.output)
     return 0

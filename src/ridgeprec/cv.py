@@ -83,7 +83,12 @@ def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
 
 
 def _held_out_term(Y_out, vectors, prec) -> float:
-    """``n_out * (-ln|omega|) + tr(Y_out omega Y_out')`` from one fit's eigenpairs."""
+    """``n_out * (-ln|omega|) + tr(Y_out omega Y_out')`` from one fit's eigenpairs.
+
+    This and :func:`_aloocv_term` read all p eigenpairs of a dense
+    :func:`~ridgeprec.estimators.fit`; a thin estimate's null pair is not
+    counted, so scoring never uses :func:`~ridgeprec.estimators.fit_data`.
+    """
     U = Y_out @ vectors
     return Y_out.shape[0] * -np.sum(np.log(prec)) + np.sum(U * U * prec)
 

@@ -25,6 +25,14 @@ stacked ``eigh``. alt-2 and archetype-2 decompose ``S`` once for the whole
 grid. Each slice is bit-identical to the fit of that ``S`` at that penalty
 alone. Callers that stack many fits keep each stack within
 :data:`STACK_BYTES` through :func:`stack_slices`.
+
+:func:`fit_data` fits from the data rows instead of ``S``. With fewer rows
+than columns, and a kind whose matrix is a scalar shift of ``S`` (alt-2,
+archetype-2, and alt-1 and archetype-1 with a scalar target), it takes the
+n nonzero eigenpairs of ``S`` from the thin SVD of the data; the other
+p - n eigenvalues are 0 and map to one null pair (Hastie & Tibshirani
+2004, "Efficient quadratic regularization for expression arrays").
+Everything else is :func:`fit` on the sample covariance.
 """
 
 from dataclasses import dataclass, field
@@ -50,10 +58,16 @@ DDIAG = "ddiag"
 #: Byte budget for one stack of p x p float matrices handed to :func:`fit`.
 STACK_BYTES = 2**18
 
+_OVERFLOW = "data overflow: Y'Y/n is not finite although every data entry is; rescale the data"
 
-def stack_slices(count: int, p: int) -> list:
-    """Split ``count`` stacked p x p fits into blocks within :data:`STACK_BYTES`."""
-    step = max(1, STACK_BYTES // (8 * p * p))
+
+def stack_slices(count: int, p: int, rows: int = 0) -> list:
+    """Split ``count`` stacked p x p fits into blocks within :data:`STACK_BYTES`.
+
+    Fits from stacked data pass ``rows``, the n of each n x p data matrix;
+    a block's data then fits the budget too.
+    """
+    step = max(1, STACK_BYTES // (8 * p * max(p, rows)))
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
@@ -196,6 +210,12 @@ class RidgeEstimate:
     cached. ``kind`` is one of :data:`KINDS`, ``lam`` its own-scale penalty.
     A broadcast fit carries leading axes: ``vectors`` is ``(..., p, p)``,
     ``prec`` and ``cov`` are ``(..., p)`` and ``lam`` is the grid.
+
+    A thin fit (:func:`fit_data` with n < p rows) holds only r = n columns:
+    ``vectors`` is ``(..., p, r)``, and ``null_prec`` and ``null_cov`` (one
+    value per fit) are the eigenvalue pair of the p - r directions
+    orthogonal to them, so ``omega = null_prec*I + V diag(prec - null_prec) V'``
+    and ``sigma`` likewise. A dense fit leaves both None.
     """
 
     vectors: np.ndarray
@@ -204,18 +224,29 @@ class RidgeEstimate:
     kind: str
     lam: float | np.ndarray
     target: Target | None
+    null_prec: np.ndarray | None = None
+    null_cov: np.ndarray | None = None
 
     @cached_property
     def omega(self) -> np.ndarray:
-        return symmetrize((self.vectors * self.prec[..., None, :]) @ self.vectors.swapaxes(-1, -2))
+        return self._build(self.prec, self.null_prec)
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        return symmetrize((self.vectors * self.cov[..., None, :]) @ self.vectors.swapaxes(-1, -2))
+        return self._build(self.cov, self.null_cov)
+
+    def _build(self, values, null) -> np.ndarray:
+        V, Vt = self.vectors, self.vectors.swapaxes(-1, -2)
+        if null is None:
+            return symmetrize((V * values[..., None, :]) @ Vt)
+        out = (V * (values - null[..., None])[..., None, :]) @ Vt
+        idx = np.arange(self.p)
+        out[..., idx, idx] += null[..., None]
+        return symmetrize(out)
 
     @property
     def p(self) -> int:
-        return self.vectors.shape[-1]
+        return self.vectors.shape[-2]
 
 
 def _check_penalty(lam, upper: float = np.inf):
@@ -233,22 +264,24 @@ def _check_penalty(lam, upper: float = np.inf):
     return float(grid) if grid.ndim == 0 else grid
 
 
-def prepare_data(Y, center: bool = False) -> np.ndarray:
+def prepare_data(Y, center: bool = False, stack: bool = False) -> np.ndarray:
     """Validated 2-D float data matrix, column-centered when ``center`` is set.
 
-    A 1-D input is one column. Rejects empty and non-finite data.
+    A 1-D input is one column. With ``stack`` set, ``Y`` may also be a
+    stack ``(..., n, p)``, each matrix centered on its own. Rejects empty
+    and non-finite data.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    if Y.ndim != 2:
+    if Y.ndim != 2 and not (stack and Y.ndim > 2):
         raise InvalidMatrixError(f"data must be 2-D, got shape {Y.shape}")
-    if Y.shape[0] == 0:
+    if Y.shape[-2] == 0:
         raise EmptyDataError("data matrix has zero rows")
     if not np.all(np.isfinite(Y)):
         raise InvalidMatrixError("data matrix contains non-finite entries")
     if center:
-        Y = Y - Y.mean(axis=0)
+        Y = Y - Y.mean(axis=-2, keepdims=True)
     return Y
 
 
@@ -256,10 +289,16 @@ def sample_cov(Y, center: bool = False) -> np.ndarray:
     """Sample covariance ``S = Y'Y / n`` (divisor n, no centering by default).
 
     With ``center=True`` column means are subtracted first; the divisor is
-    still n.
+    still n. A stack ``(..., n, p)`` of data gives a stack of ``S``, each
+    equal to the covariance of its matrix alone. Data so large that
+    ``Y'Y/n`` overflows raise :class:`~ridgeprec.errors.InvalidMatrixError`.
     """
-    Y = prepare_data(Y, center)
-    return symmetrize(Y.T @ Y / Y.shape[0])
+    Y = prepare_data(Y, center, stack=True)
+    with np.errstate(over="ignore"):
+        S = Y.swapaxes(-1, -2) @ Y / Y.shape[-2]
+    if not np.all(np.isfinite(S)):
+        raise InvalidMatrixError(_OVERFLOW)
+    return symmetrize(S)
 
 
 def _eigen_map(kind: str, m: np.ndarray, lam):
@@ -363,10 +402,7 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
     S = check_symmetric(S, "S", stack=True)
     lam = _check_penalty(lam, upper=1.0 if kind == "archetype-1" else np.inf)
     target = resolve_target(target, S) if targeted else None
-    if kind == "alt-1" and target.is_zero:
-        kind = "alt-2"
-    if kind == "archetype-1" and target.is_zero:
-        raise InvalidTargetError("archetype-1 requires a p.d. target, got zero")
+    kind = _effective_kind(kind, target)
     p = S.shape[-1]
     grid = np.ndim(lam) == 1
     if grid:  # the grid axis follows S's stack axes
@@ -396,6 +432,74 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
                 M = (1.0 - lam_m) * S + 0.0
                 M[..., idx, idx] += lam_v * (1.0 / t)
         vals, vecs = eig_sym_unchecked(M)
+    cov, prec = _map_spectrum(kind, vals, lam_v)
+    return RidgeEstimate(vecs, prec, cov, kind, lam, Target.zero() if kind == "alt-2" else target)
+
+
+def fit_data(kind: str, Y, lam, target=None) -> RidgeEstimate:
+    """:func:`fit` of the sample covariance ``S = Y'Y/n``, thin when n < p.
+
+    ``Y`` is an n x p data matrix or a stack ``(..., n, p)``; ``lam`` and
+    ``target`` are as for :func:`fit`, and so are the estimate's axes. The
+    fit is thin when n < p and the kind's matrix is a scalar shift of ``S``:
+    alt-2, archetype-2, and alt-1 and archetype-1 with a :class:`Target`
+    of kind "scalar". Then the n nonzero eigenvalues of ``S`` and their
+    eigenvectors are the squared singular values and right singular vectors
+    of ``Y/sqrt(n)``, and the p - n zero eigenvalues map to one null pair
+    (see :class:`RidgeEstimate`). A singular value that is 0 maps exactly
+    onto that pair, so no rank cut is needed. Every other case returns
+    ``fit(kind, sample_cov(Y), lam, target)``. The route depends only on
+    n, p and the kind of ``target``; the two agree to rounding, but not bit
+    for bit.
+    """
+    Y = prepare_data(Y, stack=True)
+    n, p = Y.shape[-2:]
+    scalar = isinstance(target, Target) and target.kind == "scalar"
+    shift = kind in ("alt-2", "archetype-2") or (kind in ("alt-1", "archetype-1") and scalar)
+    if n >= p or not shift:
+        return fit(kind, sample_cov(Y), lam, target)
+    lam = _check_penalty(lam, upper=1.0 if kind == "archetype-1" else np.inf)
+    target = target if kind in ("alt-1", "archetype-1") else None
+    kind = _effective_kind(kind, target)
+    _, s, vt = np.linalg.svd(Y / np.sqrt(n), full_matrices=False)
+    with np.errstate(over="ignore"):
+        d = s * s
+    if not np.all(np.isfinite(d)):
+        raise InvalidMatrixError(_OVERFLOW)
+    # The n nonzero eigenvalues of S, then one exact 0 for its null space.
+    d = np.concatenate([d, np.zeros(d.shape[:-1] + (1,))], axis=-1)
+    vecs = vt.swapaxes(-1, -2)
+    if np.ndim(lam) == 1:
+        d = d[..., None, :]
+        vecs = np.broadcast_to(vecs[..., None, :, :], vecs.shape[:-2] + lam.shape + vecs.shape[-2:])
+    lam_v = np.asarray(lam)[..., None]
+    if kind == "alt-1":
+        d = d - lam_v * target.psi
+    elif kind == "archetype-1":
+        d = (1.0 - lam_v) * d + lam_v * (1.0 / target.psi)
+    cov, prec = _map_spectrum(kind, d, lam_v)
+    target = Target.zero() if kind == "alt-2" else target
+    return RidgeEstimate(
+        vecs, prec[..., :-1], cov[..., :-1], kind, lam, target, prec[..., -1], cov[..., -1]
+    )
+
+
+def _effective_kind(kind: str, target) -> str:
+    """alt-1 at a zero target is alt-2; archetype-1 has no zero-target form."""
+    if kind == "alt-1" and target.is_zero:
+        return "alt-2"
+    if kind == "archetype-1" and target.is_zero:
+        raise InvalidTargetError("archetype-1 requires a p.d. target, got zero")
+    return kind
+
+
+def _map_spectrum(kind: str, vals, lam_v):
+    """Check a fit's descending spectrum ``vals`` for the kind, then map it.
+
+    Returns ``(cov, prec)`` from :func:`_eigen_map`. archetype-1 needs its
+    combined matrix p.d., and archetype-2 needs ``S + lam*I`` p.d.; the
+    smallest eigenvalue is the last.
+    """
     low = vals[..., -1]
     if kind == "archetype-1":
         bad = low <= pd_tolerance(vals)
@@ -409,10 +513,7 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
             raise NotPositiveDefiniteError(
                 f"S + lam*I not p.d. (min eigenvalue {np.extract(low <= 0, low)[0]:.3e})"
             )
-    cov, prec = _eigen_map(kind, vals, lam_v)
-    if kind == "alt-2":
-        target = Target.zero()
-    return RidgeEstimate(vecs, prec, cov, kind, lam, target)
+    return _eigen_map(kind, vals, lam_v)
 
 
 # ---------------------------------------------------------------------------

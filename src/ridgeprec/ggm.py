@@ -213,13 +213,13 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _fit_kappa(values: np.ndarray, cutoff: float) -> float:
-    """Truncated ML for kappa on the |values| <= cutoff subset.
+def _kappa_nll(values: np.ndarray, cutoff: float):
+    """The kappa fit's objective: truncated negative log-likelihood in ``u = ln(kappa - 1)``.
 
-    The log-likelihood of the kept values under f0 restricted to the
-    central region subtracts ``m * ln P0(|r| <= cutoff; kappa)``, so the
-    estimate stays consistent under truncation. The Beta normalizer of f0
-    cancels against that of P0, which leaves the unnormalized mass.
+    The log-likelihood of the |values| <= cutoff subset under f0 restricted
+    to the central region subtracts ``m * ln P0(|r| <= cutoff; kappa)``, so
+    the estimate stays consistent under truncation. The Beta normalizer of
+    f0 cancels against that of P0, which leaves the unnormalized mass.
     """
     kept = values[np.abs(values) <= cutoff]
     m = kept.size
@@ -230,6 +230,12 @@ def _fit_kappa(values: np.ndarray, cutoff: float) -> float:
         b = 0.5 * math.exp(u)
         return -(b - 1.0) * log_sum + m * _log_central_mass(b, x)
 
+    return nll
+
+
+def _fit_kappa(values: np.ndarray, cutoff: float) -> float:
+    """Truncated ML for kappa on the |values| <= cutoff subset (see :func:`_kappa_nll`)."""
+    nll = _kappa_nll(values, cutoff)
     return 1.0 + math.exp(_golden_section(nll, KAPPA_U_MIN, KAPPA_U_MAX, KAPPA_U_TOL))
 
 
@@ -244,14 +250,28 @@ class LfdrFit:
     cutoff: float
 
     def warnings(self) -> list[str]:
-        """One line per sign of a degenerate fit: kappa at a search bound, eta0 clamped."""
+        """One line per sign of a degenerate fit.
+
+        Signs: kappa at a search bound; kappa inside the interval but on a
+        likelihood that is flat up to the nearer bound (no higher there,
+        to within 1e-12 relative); eta0 clamped.
+        """
         out = []
         u = math.log(self.kappa - 1.0)
-        for bound, side in ((KAPPA_U_MIN, "lower"), (KAPPA_U_MAX, "upper")):
-            if abs(u - bound) <= KAPPA_U_TOL:
+        lower = u - KAPPA_U_MIN < KAPPA_U_MAX - u
+        bound, side = (KAPPA_U_MIN, "lower") if lower else (KAPPA_U_MAX, "upper")
+        interval = f"[{1.0 + math.exp(KAPPA_U_MIN):g}, {1.0 + math.exp(KAPPA_U_MAX):g}]"
+        if abs(u - bound) <= KAPPA_U_TOL:
+            out.append(
+                f"kappa {self.kappa:.17g} is at the {side} bound of its search interval {interval}"
+            )
+        else:
+            nll = _kappa_nll(self.values, self.cutoff)
+            at_u = nll(u)
+            if nll(bound) <= at_u + 1e-12 * abs(at_u):
                 out.append(
-                    f"kappa {self.kappa:.17g} is at the {side} bound of its search interval "
-                    f"[{1.0 + math.exp(KAPPA_U_MIN):g}, {1.0 + math.exp(KAPPA_U_MAX):g}]"
+                    f"kappa {self.kappa:.17g} fits no better than the {side} bound of its search "
+                    f"interval {interval}; the likelihood is flat between them"
                 )
         if self.eta0 in (0.0, 1.0):
             out.append(f"eta0 is clamped to {self.eta0:g}; the mixture fit is degenerate")
@@ -473,6 +493,7 @@ def extract_network(
             raise InvalidParameterError("a penalty lam is required with data")
         S = estimators.sample_cov(np.asarray(Y, dtype=float), center=center)
         est = estimators.fit(estimator, S, lam, target)
+        # A dense fit: prec is the whole spectrum of omega (a thin one's is not).
         omega, spectrum = est.omega, est.prec
         lambda_used = float(lam)
     else:

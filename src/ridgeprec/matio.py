@@ -2,15 +2,16 @@
 
 Format, shared by every CLI surface: comma-separated, one matrix row per
 line, values rendered with 17 significant digits (lossless float64
-round-trip), no header by default. Square symmetric inputs are validated at
-an absolute tolerance of 1e-9 on load; rectangular data matrices skip the
-symmetry check.
+round-trip), no header by default. Square symmetric inputs are validated on
+load by :func:`~ridgeprec.linalg.check_symmetric`, the rule every matrix
+entering the package meets; rectangular data matrices skip the symmetry
+check.
 """
 
 import numpy as np
 
 from .errors import InvalidMatrixError
-from .linalg import symmetrize
+from .linalg import check_symmetric
 
 #: printf-style format giving a lossless float64 round-trip.
 FLOAT_FMT = "%.17g"
@@ -79,14 +80,11 @@ def read_data(source, header: bool = False) -> np.ndarray:
 def read_matrix(source, header: bool = False) -> np.ndarray:
     """Read a square symmetric matrix from CSV.
 
-    Symmetry is validated at absolute tolerance 1e-9; the returned array is
+    The matrix must pass :func:`~ridgeprec.linalg.check_symmetric`: finite
+    entries and ``|a - a'| <= 1e-8 * (1 + max|a|)``. The returned array is
     exactly symmetric.
     """
     a = _read_table(source, header)
     if a.shape[0] != a.shape[1]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidMatrixError("matrix contains non-finite entries")
-    if np.abs(a - a.T).max() > 1e-9:
-        raise InvalidMatrixError("matrix is not symmetric (abs tolerance 1e-9)")
-    return symmetrize(a)
+    return check_symmetric(a)

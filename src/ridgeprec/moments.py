@@ -12,7 +12,7 @@ import numpy as np
 
 from . import estimators
 from .errors import InvalidPenaltyError, NotPositiveDefiniteError, whole
-from .estimators import Target, sample_cov
+from .estimators import Target
 from .linalg import check_symmetric, symmetrize
 
 
@@ -64,12 +64,17 @@ def mc_moments(
     """Monte Carlo estimate of E[sigma-hat] under the alternative estimator.
 
     Draws ``reps`` datasets of n rows from N(0, Sigma) (one child RNG stream
-    per replicate, so results are reproducible and order-independent),
-    fits the alternative ridge at ``lam`` (target-free when ``target`` is
-    None or zero), and averages the covariance-side estimates. Replicates
-    are fitted in stacked blocks of :func:`~ridgeprec.estimators.stack_slices`
-    and summed one at a time in replicate order, so the mean equals that of
-    one fit per replicate, bit for bit.
+    ``[seed, r]`` per replicate, so results are reproducible and
+    order-independent), fits the alternative ridge at ``lam`` (target-free
+    when ``target`` is None or zero), and averages the covariance-side
+    estimates. Replicates are drawn and fitted in stacked blocks of
+    :func:`~ridgeprec.estimators.stack_slices` through
+    :func:`~ridgeprec.estimators.fit_data`, and summed one at a time in
+    replicate order. With n >= p, or a target that is not scalar, each fit
+    is the dense fit of that replicate's ``S``, so the mean equals that of
+    one fit per replicate bit for bit. With n < p and a scalar target the
+    fits are thin (one SVD of the n x p data each), and the mean agrees
+    with the dense one to rounding.
     """
     Sigma = check_symmetric(Sigma, "Sigma")
     n = whole(n, "n")
@@ -82,11 +87,11 @@ def mc_moments(
         raise NotPositiveDefiniteError("Monte Carlo sampling requires a p.d. Sigma") from exc
     target = Target.zero() if target is None else target
     acc = np.zeros((p, p))
-    for block in estimators.stack_slices(reps, p):
-        S = np.stack([
-            sample_cov(np.random.default_rng([seed, r]).standard_normal((n, p)) @ L.T)
+    for block in estimators.stack_slices(reps, p, n):
+        Y = np.stack([
+            np.random.default_rng([seed, r]).standard_normal((n, p))
             for r in range(block.start, block.stop)
-        ])
-        for sigma_hat in estimators.alt_ridge1(S, target, lam).sigma:
+        ]) @ L.T
+        for sigma_hat in estimators.fit_data("alt-1", Y, lam, target).sigma:
             acc += sigma_hat
     return symmetrize(acc / reps)

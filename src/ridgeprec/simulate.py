@@ -97,20 +97,29 @@ def sample_mvn(Sigma, n: int, seed) -> np.ndarray:
     return rng.standard_normal((n, Sigma.shape[0])) @ L.T
 
 
+def _frobenius(omegas, Omega):
+    """``||omega_hat - Omega||_F^2`` of each matrix in a stack (..., p, p)."""
+    M = omegas - Omega
+    M *= M  # in place: one stack-sized temporary
+    return np.sum(M, axis=(-2, -1))
+
+
+def _quadratic_given_sigma(omegas, Sigma):
+    """``||omega_hat Sigma - I||_F^2`` of each matrix in a stack (..., p, p)."""
+    M = omegas @ Sigma
+    M -= np.eye(Sigma.shape[0])
+    M *= M
+    return np.sum(M, axis=(-2, -1))
+
+
 def loss_frobenius(omega_hat, Omega) -> float:
     """Squared Frobenius loss ``||omega_hat - Omega||_F^2``."""
-    diff = np.asarray(omega_hat, dtype=float) - np.asarray(Omega, dtype=float)
-    return float(np.sum(diff * diff))
-
-
-def _quadratic_given_sigma(omega_hat, Sigma) -> float:
-    M = omega_hat @ Sigma - np.eye(Sigma.shape[0])
-    return float(np.sum(M * M))
+    return float(_frobenius(np.asarray(omega_hat, dtype=float), np.asarray(Omega, dtype=float)))
 
 
 def loss_quadratic(omega_hat, Omega) -> float:
     """Squared quadratic loss ``||omega_hat Omega^-1 - I||_F^2``."""
-    return _quadratic_given_sigma(np.asarray(omega_hat, dtype=float), inv_pd(Omega))
+    return float(_quadratic_given_sigma(np.asarray(omega_hat, dtype=float), inv_pd(Omega)))
 
 
 @dataclass(frozen=True)
@@ -202,9 +211,10 @@ def risk_curve(config: RiskConfig) -> RiskCurve:
     into one run per sample size gives the same rows as a single run.
     Each (replicate, kind) is one broadcast :func:`~ridgeprec.estimators.fit`
     over the grid, split only where the grid's p x p stack would exceed
-    :data:`~ridgeprec.estimators.STACK_BYTES`; the losses equal those of
-    one fit per grid penalty, bit for bit. The per-replicate losses are
-    kept in :attr:`RiskCurve.losses`.
+    :data:`~ridgeprec.estimators.STACK_BYTES`, and each block's losses are
+    one stacked contraction; the losses equal those of one fit and one loss
+    call per grid penalty, bit for bit. The per-replicate losses are kept
+    in :attr:`RiskCurve.losses`.
     """
     Omega = population_precision(config.population)
     Sigma = inv_pd(Omega)
@@ -215,7 +225,7 @@ def risk_curve(config: RiskConfig) -> RiskCurve:
     lam_table = {k: penalty_in_kind_scale(k, grid) for k in kinds}
     blocks = _est.stack_slices(grid.size, p)
     if config.loss == "frobenius":
-        loss_fn, reference = loss_frobenius, Omega
+        loss_fn, reference = _frobenius, Omega
     else:
         loss_fn, reference = _quadratic_given_sigma, Sigma
 
@@ -228,7 +238,7 @@ def risk_curve(config: RiskConfig) -> RiskCurve:
             for ki, kind in enumerate(kinds):
                 for block in blocks:
                     omegas = _est.fit(kind, S, lam_table[kind][block], config.target).omega
-                    stacked[r, ki, block] = [loss_fn(omega, reference) for omega in omegas]
+                    stacked[r, ki, block] = loss_fn(omegas, reference)
                     del omegas  # free this stack before the next fit builds one
         med = np.median(stacked, axis=0)
         for ki, kind in enumerate(kinds):

@@ -300,6 +300,33 @@ def risk_curve_loop(config):
     return medians, losses
 
 
+def fit_omega_mp(kind: str, Y, lam: float, psi: float) -> np.ndarray:
+    """Omega of a scalar-target fit to the exact ``Y'Y/n`` of float data ``Y``, at 40 digits.
+
+    ``psi`` is the scalar target (ignored by alt-2 and archetype-2, pass 0).
+    The eigendecomposition and the kind's eigenvalue map run in mpmath, so
+    the result is the fit of the data, free of the rounding in ``S``.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        n, p = Y.shape
+        Ym = mp.matrix(Y.tolist())
+        E, Q = mp.eigsy(Ym.T * Ym / n)
+        lam = mp.mpf(lam)
+        prec = []
+        for i in range(p):
+            d = E[i]
+            if kind == "archetype-1":
+                prec.append(1 / ((1 - lam) * d + lam / psi))
+            elif kind == "archetype-2":
+                prec.append(1 / (d + lam))
+            else:
+                m = d - lam * psi
+                prec.append(1 / (mp.sqrt(lam + m * m / 4) + m / 2))
+        return np.array((Q * mp.diag(prec) * Q.T).tolist(), dtype=float)
+
+
 def mc_moments_loop(Sigma, n: int, lam: float, target=None, reps: int = 1000, seed: int = 0):
     """Monte Carlo mean of the alternative covariance estimate, one fit per replicate."""
     from ridgeprec import estimators

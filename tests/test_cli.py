@@ -227,17 +227,22 @@ class TestCV:
         assert main(argv + ["--config", str(config)]) == 1
         assert "unrecognized arguments: --fold-seed=1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["cv"], ["estimate", "--auto-lambda"]])
+    @pytest.mark.parametrize(
+        "command", [["cv"], ["estimate", "--auto-lambda"], ["estimate", "--lambda", "0.5"]]
+    )
     def test_overflowing_data_names_the_grid_anchor(self, command, data_file, tmp_path, capsys):
+        # S = Y'Y/n overflows although every entry is finite. sample_cov says
+        # so before the grid anchor tr(S)/p or fit's check of S could, and
+        # numpy's overflow RuntimeWarning no longer escapes (pytest would
+        # turn it into an error).
         path = tmp_path / "huge.csv"
         matio.write_matrix(path, data_file[1] * 1e200)
-        with pytest.warns(RuntimeWarning, match="overflow"):  # S = Y'Y/n overflows
-            assert main(command + ["--data", str(path)]) == 2
+        assert main(command + ["--data", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines()[-1] == (
-            f"ridgeprec {command[0]}: error: default grid needs a finite, positive "
-            "anchor tr(S)/p, got inf"
+            f"ridgeprec {command[0]}: error: data overflow: Y'Y/n is not finite although "
+            "every data entry is; rescale the data"
         )
 
 
@@ -753,6 +758,24 @@ class TestIntegerFlags:
         last = err.splitlines()[-1]
         assert last.startswith(f"ridgeprec {args[0]}: error:")
         assert "must be a non-negative integer" in last
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cv", "--seed", "-1"],
+            ["estimate", "--auto-lambda", "--seed", "-1"],
+            ["ggm", "--auto-lambda", "--seed", "-1"],
+            ["simulate", "--p", "4", "--reps", "2", "--seed", "-1"],
+            ["moments", "--lambda", "1", "--mc-reps", "3", "--seed", "-1"],
+        ],
+    )
+    def test_seed_error_names_the_flag(self, args, data_file, sigma_file, capsys):
+        data = ["--data", data_file[0]]
+        inputs = {"moments": ["--sigma", sigma_file[0]], "simulate": []}
+        assert main(args + inputs.get(args[0], data)) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"ridgeprec {args[0]}: error: --seed must be a non-negative integer, got -1"
+        )
 
     def test_unused_grid_n_is_still_checked(self, data_file, capsys):
         assert main(["estimate", "--data", data_file[0], "--lambda", "1", "--grid-n", "0"]) == 1

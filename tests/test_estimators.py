@@ -22,6 +22,7 @@ from ridgeprec.estimators import (
     archetype2,
     default_diagonal_target,
     fit,
+    fit_data,
     loglik,
     penalty_map_1,
     penalty_map_2,
@@ -32,7 +33,14 @@ from ridgeprec.estimators import (
 )
 from ridgeprec.linalg import eig_sym_unchecked, inv_pd, symmetrize
 
-from oracles import fd_gradient_max_abs, is_pd, newton_max_penalized, same_bits, sample_cov_loop
+from oracles import (
+    fd_gradient_max_abs,
+    fit_omega_mp,
+    is_pd,
+    newton_max_penalized,
+    same_bits,
+    sample_cov_loop,
+)
 
 
 class TestSampleCov:
@@ -62,6 +70,22 @@ class TestSampleCov:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidMatrixError):
             sample_cov(np.array([[1.0, np.inf]]))
+
+    @pytest.mark.parametrize("center", [False, True])
+    def test_stack_equals_each_matrix(self, center, rng):
+        Y = rng.standard_normal((2, 3, 7, 5)) + 1.0
+        got = sample_cov(Y, center=center)
+        assert got.shape == (2, 3, 5, 5)
+        for i in range(2):
+            for j in range(3):
+                assert same_bits(got[i, j], sample_cov(Y[i, j], center=center))
+
+    def test_overflow_names_the_data(self):
+        # Every entry is finite, but Y'Y/n is not; no RuntimeWarning escapes.
+        with pytest.raises(InvalidMatrixError, match="data overflow"):
+            sample_cov(np.array([[1e200, 1.0], [2e200, 1.0]]))
+        with pytest.raises(InvalidMatrixError, match="data overflow"):
+            sample_cov(np.array([[[1.0, 1.0]], [[1e200, 1.0]]]))
 
 
 class TestTarget:
@@ -632,3 +656,130 @@ class TestStackSlices:
         assert estimators.stack_slices(7, 4) == [slice(0, 3), slice(3, 6), slice(6, 7)]
         assert estimators.stack_slices(3, 4) == [slice(0, 3)]
         assert estimators.stack_slices(2, 100) == [slice(0, 1), slice(1, 2)]
+
+
+class TestFitData:
+    """``fit_data`` goes thin for n < p and a scalar shift of S, and agrees with the dense fit."""
+
+    P = 8
+    TARGETS = {"zero": Target.zero(), "identity": Target.identity(), "scalar": Target.scalar(2.5)}
+
+    @staticmethod
+    def data(variant, n, p, rng):
+        if variant == "duplicated":
+            Y = rng.standard_normal((max(1, n - 1), p))
+            return np.vstack([Y, Y[:1]])[:n]
+        Y = rng.standard_normal((n, p))
+        return Y - Y.mean(axis=0) if variant == "centered" else Y
+
+    @staticmethod
+    def rel(a, b):
+        return np.abs(a - b).max() / np.abs(b).max()
+
+    @pytest.mark.parametrize("variant", ["plain", "duplicated", "centered"])
+    @pytest.mark.parametrize("n", [1, 4, 7], ids=["n=1", "n=p/2", "n=p-1"])
+    @pytest.mark.parametrize("target_name", ["zero", "identity", "scalar"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_thin_matches_dense_at_moderate_penalty(self, kind, target_name, n, variant, rng):
+        Y = self.data(variant, n, self.P, rng)
+        target = self.TARGETS[target_name]
+        S = sample_cov(Y)
+        lams = [0.5, 1.0] if kind == "archetype-1" else [1.0, 7.5, 1e4]
+        for lam in lams:
+            if kind == "archetype-1" and target_name == "zero":
+                with pytest.raises(InvalidTargetError):
+                    fit_data(kind, Y, lam, target)
+                with pytest.raises(InvalidTargetError):
+                    fit(kind, S, lam, target)
+                continue
+            thin, dense = fit_data(kind, Y, lam, target), fit(kind, S, lam, target)
+            assert thin.vectors.shape == (self.P, n) and thin.null_prec is not None
+            assert thin.kind == dense.kind and thin.target == dense.target and thin.p == self.P
+            assert self.rel(thin.omega, dense.omega) <= 1e-12
+            assert self.rel(thin.sigma, dense.sigma) <= 1e-12
+            assert same_bits(thin.omega, thin.omega.T)
+
+    @pytest.mark.parametrize("variant", ["plain", "duplicated", "centered"])
+    @pytest.mark.parametrize("n", [1, 4, 7], ids=["n=1", "n=p/2", "n=p-1"])
+    def test_thin_is_at_least_as_accurate_at_small_penalty(self, n, variant, rng):
+        # Below lam = 1 the dense fit's null eigenvalues of S carry noise of
+        # about eps*||S||; against a 40-digit fit of the exact Y'Y/n the thin
+        # fit is never further off than the dense one (beyond 1e-14).
+        Y = self.data(variant, n, self.P, rng)
+        S = sample_cov(Y)
+        for kind in KINDS:
+            for target in (Target.identity(), Target.scalar(2.5)):
+                for lam in (1e-10, 1e-2):
+                    psi = target.psi if kind in ("alt-1", "archetype-1") else 0.0
+                    want = fit_omega_mp(kind, Y, lam, psi)
+                    thin = fit_data(kind, Y, lam, target).omega
+                    dense = fit(kind, S, lam, target).omega
+                    assert self.rel(thin, want) <= max(self.rel(dense, want), 1e-14), (kind, psi, lam)
+
+    @pytest.mark.parametrize("target_name", ["zero", "identity", "scalar"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stack_and_grid_broadcast_like_fit(self, kind, target_name, rng):
+        target = self.TARGETS[target_name]
+        if kind == "archetype-1" and target_name == "zero":
+            return
+        Y = rng.standard_normal((2, 3, 5, self.P))
+        grid = np.array([0.5, 0.9, 1.0]) if kind == "archetype-1" else np.logspace(0, 3, 4)
+        thin = fit_data(kind, Y, grid, target)
+        dense = fit(kind, sample_cov(Y), grid, target)
+        assert thin.vectors.shape == (2, 3, grid.size, self.P, 5)
+        assert thin.null_prec.shape == thin.null_cov.shape == (2, 3, grid.size)
+        assert thin.omega.shape == dense.omega.shape == (2, 3, grid.size, self.P, self.P)
+        npt.assert_array_equal(thin.lam, grid)
+        for b in np.ndindex(2, 3):
+            for g, lam in enumerate(grid):
+                one = fit_data(kind, Y[b], float(lam), target)
+                assert same_bits(thin.omega[b + (g,)], one.omega)
+                assert same_bits(thin.sigma[b + (g,)], one.sigma)
+                assert self.rel(one.omega, dense.omega[b + (g,)]) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_other_cases_are_the_dense_fit(self, kind, rng, make_spd):
+        # n >= p, or a target that is not scalar: exactly fit(kind, sample_cov(Y)).
+        p = self.P
+        lam = 0.5
+        cases = [(rng.standard_normal((p, p)), Target.identity()), (rng.standard_normal((20, p)), "ddiag")]
+        if kind in ("alt-1", "archetype-1"):
+            Y = rng.standard_normal((3, p))
+            cases += [
+                (Y, "ddiag"),
+                (Y, Target.diagonal(rng.uniform(0.5, 2.0, size=p))),
+                (Y, Target.full(make_spd(p, rng))),
+                (np.stack([Y, Y + 1.0]), "ddiag"),
+            ]
+        for Y, target in cases:
+            got = fit_data(kind, Y, lam, target)
+            want = fit(kind, sample_cov(Y), lam, target)
+            assert got.null_prec is None and got.vectors.shape[-1] == p
+            for name in ("vectors", "prec", "cov", "omega", "sigma"):
+                assert same_bits(getattr(got, name), getattr(want, name)), name
+
+    def test_errors_match_the_dense_route(self):
+        Y = np.ones((2, 4))
+        with pytest.raises(InvalidPenaltyError):
+            fit_data("lasso", Y, 1.0)
+        with pytest.raises(InvalidTargetError):
+            fit_data("alt-1", Y, 1.0)
+        for bad in (0.0, -1.0, np.nan, [1.0, 0.0]):
+            with pytest.raises(InvalidPenaltyError):
+                fit_data("alt-2", Y, bad)
+        with pytest.raises(InvalidPenaltyError):
+            fit_data("archetype-1", Y, 1.5, Target.identity())
+        with pytest.raises(InvalidMatrixError):
+            fit_data("alt-2", np.array([[1.0, np.nan, 0.0]]), 1.0)
+        with pytest.raises(EmptyDataError):
+            fit_data("alt-2", np.empty((0, 3)), 1.0)
+        for Y in (np.array([[1e200, 1.0, 1.0]]), np.array([[1e200, 1.0], [1.0, 1.0], [2.0, 1.0]])):
+            with pytest.raises(InvalidMatrixError, match="data overflow"):
+                fit_data("alt-2", Y, 1.0)
+
+    def test_vanishing_singular_value_maps_onto_the_null_pair(self):
+        # Two identical rows: the second singular value vanishes, so its
+        # column carries the null pair and adds nothing to omega.
+        Y = np.array([[1.0, 2.0, 0.0, -1.0], [1.0, 2.0, 0.0, -1.0]])
+        est = fit_data("alt-2", Y, 4.0)
+        assert est.prec[-1] == est.null_prec and est.cov[-1] == est.null_cov

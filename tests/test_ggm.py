@@ -402,6 +402,19 @@ class TestFitWarnings:
         assert len(lines) == 2
         assert "lower bound" in lines[0] and "eta0 is clamped to 0" in lines[1]
 
+    def test_flat_likelihood_short_of_the_upper_bound(self):
+        # At lam = 1e6 every |partial correlation| is below 1e-6, the NLL is
+        # flat to rounding over the top of the interval, and the search stops
+        # just inside the upper bound.
+        Y = sample_mvn(inv_pd(population_precision(PopulationSpec("chain", 20))), 200, 0)
+        fit = extract_network(Y=Y, lam=1e6).fit
+        assert 0.0 < ggm.KAPPA_U_MAX - math.log(fit.kappa - 1.0) < 1e-5
+        assert ggm.KAPPA_U_MAX - math.log(fit.kappa - 1.0) > ggm.KAPPA_U_TOL
+        lines = fit.warnings()
+        assert len(lines) == 2 and "eta0 is clamped to 1" in lines[1]
+        assert lines[0].startswith(f"kappa {fit.kappa:.17g} fits no better than the upper bound")
+        assert extract_network(Y=Y, lam=1.0).fit.warnings() == []
+
 
 class TestLfdrValues:
     @staticmethod

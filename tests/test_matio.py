@@ -13,7 +13,9 @@ from ridgeprec.matio import (
     write_matrix,
 )
 
-from oracles import matrix_from_text
+from ridgeprec.linalg import check_symmetric, symmetrize
+
+from oracles import matrix_from_text, same_bits
 
 
 class TestFmt:
@@ -57,6 +59,19 @@ class TestReadMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidMatrixError):
             matrix_from_text("1,0.5\n0.4,1\n")
+
+    def test_same_symmetry_rule_as_check_symmetric(self):
+        # One ULP off symmetric at scale 1e8: an absolute asymmetry of about
+        # 6e-8 but a relative one of about 1e-16. check_symmetric accepts it,
+        # and so must the reader.
+        G = np.random.default_rng(5).standard_normal((5, 5))
+        A = symmetrize((G @ G.T) * 1e8)
+        A[0, 1] = np.nextafter(A[0, 1], np.inf)
+        assert abs(A[0, 1] - A[1, 0]) > 1e-9
+        got = matrix_from_text(matrix_to_csv(A))
+        assert same_bits(got, check_symmetric(A))
+        with pytest.raises(InvalidMatrixError, match="not symmetric"):
+            matrix_from_text(matrix_to_csv(A + np.triu(np.full((5, 5), 1e-7 * np.abs(A).max()), 1)))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidMatrixError):

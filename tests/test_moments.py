@@ -116,17 +116,42 @@ class TestMCMoments:
     def test_matches_per_replicate_loop_across_blocks(self, reps, target, make_spd, rng, monkeypatch):
         # Blocks of 4 replicates: 3, 4, 5 and 9 are below, at and above one block.
         Sigma = make_spd(3, rng)
-        monkeypatch.setattr(estimators, "STACK_BYTES", 4 * 8 * 3 * 3)
+        monkeypatch.setattr(estimators, "STACK_BYTES", 4 * 8 * 3 * 6)  # 4 replicates of 6 x 3 data
         got = mc_moments(Sigma, 6, 2.5, target=target, reps=reps, seed=11)
         want = mc_moments_loop(Sigma, 6, 2.5, target=target, reps=reps, seed=11)
         assert same_bits(got, want)
 
     def test_matches_per_replicate_loop_at_default_budget(self, make_spd, rng):
+        # n = 10 < p = 25: the fits are thin, so the mean agrees with one
+        # dense fit per replicate to rounding, not bit for bit.
         p = 25
         block = estimators.stack_slices(10**6, p)[0].stop
         Sigma = make_spd(p, rng)
         got = mc_moments(Sigma, 10, 50.0, reps=block + 1, seed=4)
-        assert same_bits(got, mc_moments_loop(Sigma, 10, 50.0, reps=block + 1, seed=4))
+        want = mc_moments_loop(Sigma, 10, 50.0, reps=block + 1, seed=4)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [25, 40], ids=["n=p", "n>p"])
+    def test_dense_matches_per_replicate_loop_at_default_budget(self, n, make_spd, rng):
+        p = 25
+        block = estimators.stack_slices(10**6, p, n)[0].stop
+        Sigma = make_spd(p, rng)
+        got = mc_moments(Sigma, n, 50.0, reps=block + 1, seed=4)
+        assert same_bits(got, mc_moments_loop(Sigma, n, 50.0, reps=block + 1, seed=4))
+
+    def test_draws_are_blocked_by_data_size(self, monkeypatch):
+        # A block holds at most STACK_BYTES of n x p draws, not just of p x p fits.
+        sizes = []
+        fit_data = estimators.fit_data
+
+        def recording(kind, Y, lam, target=None):
+            sizes.append(Y.shape[0])
+            return fit_data(kind, Y, lam, target)
+
+        monkeypatch.setattr(estimators, "fit_data", recording)
+        monkeypatch.setattr(estimators, "STACK_BYTES", 3 * 8 * 2 * 50)
+        mc_moments(np.eye(2), 50, 1.0, reps=7, seed=0)
+        assert sizes == [3, 3, 1]
 
     def test_rejects_bad_penalty(self):
         for lam in (0.0, -1.0, np.nan):

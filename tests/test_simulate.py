@@ -309,6 +309,22 @@ class TestRiskCurve:
                 assert same_bits(curve.medians[key], medians[key]), key
                 assert same_bits(curve.losses[key], losses[key]), key
 
+    @pytest.mark.parametrize("loss", ["quadratic", "frobenius"])
+    def test_stacked_losses_match_loop_on_a_split_grid(self, loss):
+        # p = 26 at the default STACK_BYTES: the 50-point grid runs in two
+        # blocks, and each block's losses are one stacked contraction.
+        p, grid = 26, np.logspace(-2, 2, 50)
+        assert len(estimators.stack_slices(grid.size, p)) == 2
+        cfg = RiskConfig(
+            PopulationSpec("star", p), (10,), grid, estimators=("alt-2", "archetype-2"),
+            target=Target.zero(), reps=2, loss=loss, base_seed=3,
+        )
+        curve = risk_curve(cfg)
+        medians, losses = risk_curve_loop(cfg)
+        for key in medians:
+            assert same_bits(curve.medians[key], medians[key]), key
+            assert same_bits(curve.losses[key], losses[key]), key
+
     def test_one_grid_decomposition_per_replicate_and_shared_kind(self, monkeypatch):
         # 4 kinds on a 50-point grid: alt-2 and archetype-2 decompose S once,
         # alt-1 (ddiag) and archetype-1 once per penalty: 102 matrices.
