@@ -11,10 +11,7 @@ __version__ = "0.1.0"
 from .cv import (
     CVConfig,
     CVResult,
-    approx_loocv_score,
     default_grid,
-    exact_loocv_score,
-    kfold_cv_score,
     make_folds,
     score_grid,
     select_lambda,
@@ -37,16 +34,10 @@ from .estimators import (
     KINDS,
     RidgeEstimate,
     Target,
-    alt_ridge1,
-    alt_ridge2,
-    archetype1,
-    archetype2,
-    default_diagonal_target,
     fit,
     fit_data,
     loglik,
     penalty_map_1,
-    penalty_map_2,
     sample_cov,
     shrunk_eigenvalues,
     stationarity_residual,
@@ -66,7 +57,7 @@ from .ggm import (
     stable_edges,
     support_metrics,
 )
-from .matio import read_data, read_matrix, write_matrix
+from .matio import read_data, read_matrix
 from .moments import WishartMoments, bias_approx_type2, mc_moments, wishart_moments
 from .simulate import (
     LOSSES,
@@ -106,25 +97,16 @@ __all__ = [
     "Target",
     "RidgeEstimate",
     "sample_cov",
-    "alt_ridge1",
-    "alt_ridge2",
-    "archetype1",
-    "archetype2",
     "fit",
     "fit_data",
-    "default_diagonal_target",
     "shrunk_eigenvalues",
     "penalty_map_1",
-    "penalty_map_2",
     "loglik",
     "stationarity_residual",
     # cv
     "CVConfig",
     "CVResult",
     "make_folds",
-    "kfold_cv_score",
-    "exact_loocv_score",
-    "approx_loocv_score",
     "score_grid",
     "select_lambda",
     "default_grid",
@@ -166,5 +148,4 @@ __all__ = [
     # io
     "read_data",
     "read_matrix",
-    "write_matrix",
 ]

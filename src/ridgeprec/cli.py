@@ -452,12 +452,19 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(argv)
+        expanded = _apply_config(argv)
     except (RidgeprecError, OSError) as exc:
         print(f"ridgeprec: error: {exc}", file=sys.stderr)
         return 2
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(expanded)
+        if getattr(args, "auto_lambda", False) and getattr(args, "lambda", None) is not None:
+            # One penalty choice typed on the command line beats the config's;
+            # typing both is left for _penalty to reject.
+            typed = parser.parse_args(argv)
+            if (getattr(typed, "lambda") is not None) != typed.auto_lambda:
+                setattr(args, "lambda", getattr(typed, "lambda"))
+                args.auto_lambda = typed.auto_lambda
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "command", None) is None:

@@ -94,7 +94,24 @@ def _held_out_term(Y_out, vectors, prec) -> float:
 
 
 def _aloocv_term(Y, vectors, prec) -> float:
-    """The approximate leave-one-out score of one full-data fit's eigenpairs."""
+    """The approximate leave-one-out score of one full-data fit's eigenpairs.
+
+    ``-(1/n) * L(omega; S) + (1/(2n(n-1))) * sum_i gamma_i`` where
+    ``L = (n/2) * loglik(omega; S)`` is the full-data Gaussian
+    log-likelihood (additive constants dropped) and ``gamma_i`` sums every
+    entry of the Hadamard product
+    ``[sigma - y_i y_i'] o [omega (S - y_i y_i') omega]``. The ``n/2``
+    scale on ``L`` keeps the base term and the correction on the same
+    per-observation half-log-likelihood scale that the expansion of the
+    leave-one-out score produces; dropping it lets the correction dominate
+    and drags the argmin. It needs one fit on the full data and no matrix
+    inversion, and reads the eigenpairs ``(V, prec)`` with no product of
+    the dense ``omega``, ``sigma`` and ``S``: with the n x n Gram
+    ``G = B B' = Y omega Y'`` of ``B = Y V diag(prec)^(1/2)`` and
+    ``q = diag(G)``, ``sigma omega = I`` gives ``-(1/2)(sum ln prec -
+    sum(q)/n) + (sum(q^2) - sum(G^2)/n) / (2n(n-1))``. When n > p the
+    same ``sum(G^2)`` is read from the smaller ``B'B``.
+    """
     n, p = Y.shape
     B = (Y @ vectors) * np.sqrt(prec)
     q = np.einsum("ij,ij->i", B, B)
@@ -140,43 +157,6 @@ def _score(Y, grid, config: CVConfig, scheme: str, threads: int = 1) -> np.ndarr
             for block, terms in zip(blocks, (pool.map if pooled else map)(block_terms, blocks)):
                 scores[block] += terms
     return scores
-
-
-def kfold_cv_score(Y, lam: float, config: CVConfig) -> float:
-    """K-fold predictive negative log-likelihood at one penalty value.
-
-    ``sum_k n_k * (-ln|omega_{-k}| + tr[omega_{-k} S_k])`` with ``S_k`` the
-    held-out sample covariance (divisor n_k, uncentered) and ``omega_{-k}``
-    fitted on the remaining rows.
-    """
-    return float(_score(Y, np.array([lam], dtype=float), config, "kfold")[0])
-
-
-def exact_loocv_score(Y, lam: float, config: CVConfig) -> float:
-    """Leave-one-out score: K-fold with every fold a single row."""
-    return float(_score(Y, np.array([lam], dtype=float), config, "loocv")[0])
-
-
-def approx_loocv_score(Y, lam: float, config: CVConfig) -> float:
-    """Closed-form approximation to the leave-one-out score.
-
-    ``-(1/n) * L(omega; S) + (1/(2n(n-1))) * sum_i gamma_i`` where
-    ``L = (n/2) * loglik(omega; S)`` is the full-data Gaussian
-    log-likelihood (additive constants dropped) and ``gamma_i`` sums every
-    entry of the Hadamard product
-    ``[sigma - y_i y_i'] o [omega (S - y_i y_i') omega]``. The ``n/2``
-    scale on ``L`` keeps the base term and the correction on the same
-    per-observation half-log-likelihood scale that the expansion of the
-    leave-one-out score produces; dropping it lets the correction dominate
-    and drags the argmin. Exactly one estimator fit (and no matrix
-    inversion) per call, evaluated from its eigenpairs ``(V, prec)`` with
-    no product of the dense ``omega``, ``sigma`` and ``S``: with the n x n
-    Gram ``G = B B' = Y omega Y'`` of ``B = Y V diag(prec)^(1/2)`` and
-    ``q = diag(G)``, ``sigma omega = I`` gives ``-(1/2)(sum ln prec -
-    sum(q)/n) + (sum(q^2) - sum(G^2)/n) / (2n(n-1))``. When n > p the
-    same ``sum(G^2)`` is read from the smaller ``B'B``.
-    """
-    return float(_score(Y, np.array([lam], dtype=float), config, "aloocv")[0])
 
 
 def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:

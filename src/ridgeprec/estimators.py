@@ -52,6 +52,9 @@ from .linalg import check_symmetric, eig_sym_unchecked, inv_pd, pd_tolerance, sy
 #: Canonical estimator kind names (also the CLI spelling).
 KINDS = ("archetype-1", "archetype-2", "alt-1", "alt-2")
 
+# The kinds that take a target.
+_TARGETED = ("alt-1", "archetype-1")
+
 #: Sentinel for the data-driven diagonal target, resolved per fit from S.
 DDIAG = "ddiag"
 
@@ -169,14 +172,6 @@ class Target:
 
             return f"scalar:{fmt(self.psi)}"
         return self.kind
-
-
-def default_diagonal_target(S) -> Target:
-    """Data-driven diagonal target with entries 1/diag(S).
-
-    Requires every diagonal entry of S to be strictly positive.
-    """
-    return resolve_target(DDIAG, check_symmetric(S, "S"))
 
 
 def resolve_target(target, S) -> Target:
@@ -331,49 +326,6 @@ def _eigen_map(kind: str, m: np.ndarray, lam):
     return cov, prec
 
 
-def alt_ridge1(S, target, lam: float) -> RidgeEstimate:
-    """Penalized-likelihood ridge precision estimator with target ``T``.
-
-    Maximizes ``ln|omega| - tr(S omega) - (lam/2)||omega - T||_F^2``. The
-    solution is positive definite for every symmetric S (singular included),
-    every ``lam > 0``, and every symmetric target. A zero target routes to
-    :func:`alt_ridge2`, which is the same estimator at ``T = 0``.
-
-    Parameters
-    ----------
-    S : array_like
-        Symmetric sample covariance (n.n.d. in intended use).
-    target : Target or "ddiag"
-        Precision-side target; ``"ddiag"`` resolves to ``diag(1/diag(S))``.
-    lam : float
-        Penalty, any positive value.
-    """
-    return fit("alt-1", S, lam, target)
-
-
-def alt_ridge2(S, lam: float) -> RidgeEstimate:
-    """Target-free alternative ridge: ``alt_ridge1`` at ``T = 0``.
-
-    ``omega = {[lam*I + (1/4)S^2]^(1/2) + (1/2)S}^-1``, positive definite for
-    every symmetric S and ``lam > 0``.
-    """
-    return fit("alt-2", S, lam)
-
-
-def archetype1(S, target, lam: float) -> RidgeEstimate:
-    """Convex-combination ridge ``omega = [(1-v)S + v*G]^-1``, ``v`` in (0,1].
-
-    ``G`` is the covariance-side target, the inverse of the precision-side
-    ``target`` (which therefore must be p.d.; the zero target is rejected).
-    """
-    return fit("archetype-1", S, lam, target)
-
-
-def archetype2(S, lam: float) -> RidgeEstimate:
-    """Plain diagonal ridge ``omega = (S + v*I)^-1``, ``v > 0``."""
-    return fit("archetype-2", S, lam)
-
-
 def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
     """Fit any estimator by kind name, over a penalty grid or a stack of ``S``.
 
@@ -394,15 +346,8 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
     eigenvalues by the kind's rule. The estimate keeps the eigenvectors and
     both mapped spectra.
     """
-    if kind not in KINDS:
-        raise InvalidPenaltyError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
-    targeted = kind in ("alt-1", "archetype-1")
-    if targeted and target is None:
-        raise InvalidTargetError(f"{kind} requires a target")
     S = check_symmetric(S, "S", stack=True)
-    lam = _check_penalty(lam, upper=1.0 if kind == "archetype-1" else np.inf)
-    target = resolve_target(target, S) if targeted else None
-    kind = _effective_kind(kind, target)
+    kind, lam, target = _resolve(kind, lam, target, S)
     p = S.shape[-1]
     grid = np.ndim(lam) == 1
     if grid:  # the grid axis follows S's stack axes
@@ -432,8 +377,7 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
                 M = (1.0 - lam_m) * S + 0.0
                 M[..., idx, idx] += lam_v * (1.0 / t)
         vals, vecs = eig_sym_unchecked(M)
-    cov, prec = _map_spectrum(kind, vals, lam_v)
-    return RidgeEstimate(vecs, prec, cov, kind, lam, Target.zero() if kind == "alt-2" else target)
+    return _estimate(kind, vals, vecs, lam, target)
 
 
 def fit_data(kind: str, Y, lam, target=None) -> RidgeEstimate:
@@ -455,12 +399,9 @@ def fit_data(kind: str, Y, lam, target=None) -> RidgeEstimate:
     Y = prepare_data(Y, stack=True)
     n, p = Y.shape[-2:]
     scalar = isinstance(target, Target) and target.kind == "scalar"
-    shift = kind in ("alt-2", "archetype-2") or (kind in ("alt-1", "archetype-1") and scalar)
-    if n >= p or not shift:
+    if n >= p or not (scalar or kind in ("alt-2", "archetype-2")):
         return fit(kind, sample_cov(Y), lam, target)
-    lam = _check_penalty(lam, upper=1.0 if kind == "archetype-1" else np.inf)
-    target = target if kind in ("alt-1", "archetype-1") else None
-    kind = _effective_kind(kind, target)
+    kind, lam, target = _resolve(kind, lam, target)
     _, s, vt = np.linalg.svd(Y / np.sqrt(n), full_matrices=False)
     with np.errstate(over="ignore"):
         d = s * s
@@ -472,34 +413,44 @@ def fit_data(kind: str, Y, lam, target=None) -> RidgeEstimate:
     if np.ndim(lam) == 1:
         d = d[..., None, :]
         vecs = np.broadcast_to(vecs[..., None, :, :], vecs.shape[:-2] + lam.shape + vecs.shape[-2:])
-    lam_v = np.asarray(lam)[..., None]
-    if kind == "alt-1":
-        d = d - lam_v * target.psi
-    elif kind == "archetype-1":
-        d = (1.0 - lam_v) * d + lam_v * (1.0 / target.psi)
-    cov, prec = _map_spectrum(kind, d, lam_v)
-    target = Target.zero() if kind == "alt-2" else target
-    return RidgeEstimate(
-        vecs, prec[..., :-1], cov[..., :-1], kind, lam, target, prec[..., -1], cov[..., -1]
-    )
+    return _estimate(kind, _shift(kind, d, np.asarray(lam)[..., None], target), vecs, lam, target)
 
 
-def _effective_kind(kind: str, target) -> str:
-    """alt-1 at a zero target is alt-2; archetype-1 has no zero-target form."""
-    if kind == "alt-1" and target.is_zero:
-        return "alt-2"
-    if kind == "archetype-1" and target.is_zero:
-        raise InvalidTargetError("archetype-1 requires a p.d. target, got zero")
-    return kind
+def _resolve(kind: str, lam, target, S=None):
+    """Checked ``(kind, lam, target)`` of a fit, the penalties in the kind's domain.
 
-
-def _map_spectrum(kind: str, vals, lam_v):
-    """Check a fit's descending spectrum ``vals`` for the kind, then map it.
-
-    Returns ``(cov, prec)`` from :func:`_eigen_map`. archetype-1 needs its
-    combined matrix p.d., and archetype-2 needs ``S + lam*I`` p.d.; the
-    smallest eigenvalue is the last.
+    alt-1 at a zero target is alt-2; archetype-1 has no zero-target form.
     """
+    if kind not in KINDS:
+        raise InvalidPenaltyError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
+    targeted = kind in _TARGETED
+    if targeted and target is None:
+        raise InvalidTargetError(f"{kind} requires a target")
+    lam = _check_penalty(lam, upper=1.0 if kind == "archetype-1" else np.inf)
+    target = resolve_target(target, S) if targeted else None
+    if targeted and target.is_zero:
+        if kind == "archetype-1":
+            raise InvalidTargetError("archetype-1 requires a p.d. target, got zero")
+        kind = "alt-2"
+    return kind, lam, target
+
+
+def _shift(kind: str, d, lam_v, target):
+    """Spectrum of the kind's matrix from the spectrum ``d`` of ``S``, scalar target."""
+    if kind == "alt-1":
+        return d - lam_v * target.psi
+    if kind == "archetype-1":
+        return (1.0 - lam_v) * d + lam_v * (1.0 / target.psi)
+    return d
+
+
+def _estimate(kind: str, vals, vecs, lam, target) -> RidgeEstimate:
+    """Check the descending spectrum ``vals`` of the kind's matrix, map it, hold the fit.
+
+    archetype-1 needs its combined matrix p.d., and archetype-2 needs
+    ``S + lam*I`` p.d. A thin fit's last value is its null space's.
+    """
+    lam_v = np.asarray(lam)[..., None]
     low = vals[..., -1]
     if kind == "archetype-1":
         bad = low <= pd_tolerance(vals)
@@ -513,7 +464,13 @@ def _map_spectrum(kind: str, vals, lam_v):
             raise NotPositiveDefiniteError(
                 f"S + lam*I not p.d. (min eigenvalue {np.extract(low <= 0, low)[0]:.3e})"
             )
-    return _eigen_map(kind, vals, lam_v)
+    cov, prec = _eigen_map(kind, vals, lam_v)
+    target = Target.zero() if kind == "alt-2" else target
+    if vals.shape[-1] == vecs.shape[-1]:
+        return RidgeEstimate(vecs, prec, cov, kind, lam, target)
+    return RidgeEstimate(
+        vecs, prec[..., :-1], cov[..., :-1], kind, lam, target, prec[..., -1], cov[..., -1]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,31 +495,16 @@ def shrunk_eigenvalues(kind: str, d, lam: float, psi: float = 1.0) -> np.ndarray
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.all(np.isfinite(d)):
         raise InvalidMatrixError("eigenvalues must be finite")
-    if kind not in KINDS:
-        raise InvalidPenaltyError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
-    lam = _check_penalty(lam, upper=1.0 if kind == "archetype-1" else np.inf)
-    psi = float(psi)
-    if kind == "alt-1":
-        if not np.isfinite(psi) or psi < 0:
-            raise InvalidTargetError(f"alt-1 scalar target needs psi >= 0, got {psi}")
-        d = d - lam * psi
-    elif kind == "archetype-1":
-        if not np.isfinite(psi) or psi <= 0:
-            raise InvalidTargetError(f"archetype-1 scalar target needs psi > 0, got {psi}")
-        d = (1.0 - lam) * d + lam / psi
-    return _eigen_map(kind, d, lam)[0]
+    target = Target.scalar(psi) if kind in _TARGETED else None
+    kind, lam, target = _resolve(kind, lam, target)
+    lam_v = np.asarray(lam)[..., None]
+    return _eigen_map(kind, _shift(kind, d, lam_v, target), lam_v)[0]
 
 
 def penalty_map_1(lam_a: float) -> float:
     """Map an alternative penalty to the archetype-1 scale: ``1 - 1/(lam_a + 1)``."""
     lam_a = _check_penalty(lam_a)
     return 1.0 - 1.0 / (lam_a + 1.0)
-
-
-def penalty_map_2(lam_2: float) -> float:
-    """Map an archetype-2 penalty to the alternative scale: ``lam_2^2``."""
-    lam_2 = _check_penalty(lam_2)
-    return lam_2 * lam_2
 
 
 # ---------------------------------------------------------------------------

@@ -31,16 +31,6 @@ def matrix_to_csv(a) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_matrix(path_or_file, a) -> None:
-    """Write a matrix as CSV to a path or an open text file."""
-    text = matrix_to_csv(a)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
-
-
 def _read_table(source, header: bool) -> np.ndarray:
     if hasattr(source, "read"):
         text = source.read()

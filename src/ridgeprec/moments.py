@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import estimators
-from .errors import InvalidPenaltyError, NotPositiveDefiniteError, whole
+from .errors import NotPositiveDefiniteError, whole
 from .estimators import Target
 from .linalg import check_symmetric, symmetrize
 
@@ -43,9 +43,7 @@ def bias_approx_type2(Sigma, n: int, lam: float) -> np.ndarray:
     """
     Sigma = check_symmetric(Sigma, "Sigma")
     n = whole(n, "n")
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0:
-        raise InvalidPenaltyError(f"lam must be positive, got {lam}")
+    lam = float(estimators._check_penalty(lam))
     p = Sigma.shape[0]
     _, mean_sq = wishart_moments(Sigma, n)
     return symmetrize(

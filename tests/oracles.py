@@ -340,7 +340,7 @@ def mc_moments_loop(Sigma, n: int, lam: float, target=None, reps: int = 1000, se
     for r in range(reps):
         rng = np.random.default_rng([int(seed), r])
         S = estimators.sample_cov(rng.standard_normal((n, p)) @ L.T)
-        acc += estimators.alt_ridge1(S, target, lam).sigma
+        acc += estimators.fit("alt-1", S, lam, target).sigma
     return symmetrize(acc / reps)
 
 

@@ -18,16 +18,14 @@ from scipy import integrate
 from ridgeprec import cv, estimators, ggm, matio, moments, simulate
 from ridgeprec.estimators import (
     Target,
-    alt_ridge1,
-    alt_ridge2,
-    archetype2,
-    default_diagonal_target,
+    fit,
     loglik,
+    resolve_target,
     sample_cov,
     shrunk_eigenvalues,
     stationarity_residual,
 )
-from ridgeprec.linalg import inv_pd
+from ridgeprec.linalg import check_symmetric, inv_pd
 
 from oracles import fd_gradient_max_abs, is_pd, newton_max_penalized
 
@@ -61,14 +59,14 @@ def fit_sweep():
         if kind == 0:
             target = Target.identity()
         elif kind == 1:
-            target = default_diagonal_target(S)
+            target = resolve_target("ddiag", check_symmetric(S))
         elif kind == 2:
             target = Target.scalar(float(10.0 ** rng.uniform(-1, 1)))
         else:
             B = rng.standard_normal((p, p))
             target = Target.full(B @ B.T / p + np.eye(p))
         cases.append(
-            (S, target, lam, n < p, alt_ridge1(S, target, lam), alt_ridge2(S, lam))
+            (S, target, lam, n < p, fit("alt-1", S, lam, target), fit("alt-2", S, lam))
         )
     return cases, time.perf_counter() - t0
 
@@ -95,16 +93,16 @@ def test_criterion_02_penalty_limits():
     B = rng.standard_normal((10, 10))
     S = B @ B.T / 10 + np.eye(10)
     Sinv = inv_pd(S)
-    target = default_diagonal_target(S)
+    target = resolve_target("ddiag", check_symmetric(S))
     rel_small_1 = np.linalg.norm(
-        alt_ridge1(S, target, 1e-10).omega - Sinv
+        fit("alt-1", S, 1e-10, target).omega - Sinv
     ) / np.linalg.norm(Sinv)
-    rel_small_2 = np.linalg.norm(alt_ridge2(S, 1e-10).omega - Sinv) / np.linalg.norm(
+    rel_small_2 = np.linalg.norm(fit("alt-2", S, 1e-10).omega - Sinv) / np.linalg.norm(
         Sinv
     )
     lam_big = 1e8 * np.linalg.norm(S)
     T = target.matrix(10)
-    rel_big = np.linalg.norm(alt_ridge1(S, target, lam_big).omega - T) / np.linalg.norm(
+    rel_big = np.linalg.norm(fit("alt-1", S, lam_big, target).omega - T) / np.linalg.norm(
         T
     )
     elapsed = time.perf_counter() - t0
@@ -131,7 +129,7 @@ def test_criterion_03_stationarity(fit_sweep):
         S = sample_cov(rng.standard_normal((8, 4)) @ A.T)
         lam = float(10.0 ** rng.uniform(-2, 2))
         target = Target.scalar(float(rng.uniform(0.5, 2.0)))
-        est = alt_ridge1(S, target, lam)
+        est = fit("alt-1", S, lam, target)
         worst_fd = max(worst_fd, fd_gradient_max_abs(est.omega, S, target.matrix(4), lam))
     _report(
         3,
@@ -181,8 +179,8 @@ def test_criterion_05_shrinkage_dominance():
         B = rng.standard_normal((p + 2, p))
         S = sample_cov(B)
         lam_2 = float(10.0 ** rng.uniform(-2, 2))
-        ll_alt = loglik(alt_ridge2(S, lam_2 * lam_2).omega, S)
-        ll_arch = loglik(archetype2(S, lam_2).omega, S)
+        ll_alt = loglik(fit("alt-2", S, lam_2 * lam_2).omega, S)
+        ll_arch = loglik(fit("archetype-2", S, lam_2).omega, S)
         order_bad += int(ll_alt < ll_arch - 1e-12)
     _report(
         5,
@@ -199,9 +197,9 @@ def test_criterion_06_scalar_newton_oracle():
         s = float(rng.uniform(0.0, 10.0))
         t = float(rng.uniform(0.0, 5.0))
         lam = float(10.0 ** rng.uniform(-4, 4))
-        got1 = alt_ridge1(np.array([[s]]), Target.scalar(t), lam).omega[0, 0]
+        got1 = fit("alt-1", np.array([[s]]), lam, Target.scalar(t)).omega[0, 0]
         ref1 = newton_max_penalized(s, t, lam)
-        got2 = alt_ridge2(np.array([[s]]), lam).omega[0, 0]
+        got2 = fit("alt-2", np.array([[s]]), lam).omega[0, 0]
         ref2 = newton_max_penalized(s, 0.0, lam)
         worst = max(worst, abs(got1 - ref1) / ref1, abs(got2 - ref2) / ref2)
     _report(6, worst <= 1e-10, f"max relative error vs Newton oracle {worst:.2e} (<= 1e-10)")
@@ -388,7 +386,7 @@ def test_criterion_12_empirical_consistency():
         for r in range(200):
             rng = np.random.default_rng([0, n, r])
             S = sample_cov(rng.standard_normal((n, 5)) @ L.T)
-            sigma_hat = alt_ridge1(S, Target.identity(), 1.0 / n).sigma
+            sigma_hat = fit("alt-1", S, 1.0 / n, Target.identity()).sigma
             errs.append(np.linalg.norm(sigma_hat - Sigma))
         medians[n] = float(np.median(errs))
     elapsed = time.perf_counter() - t0
@@ -410,7 +408,8 @@ def test_criterion_13_cli_determinism(tmp_path):
     data = tmp_path / "data.csv"
     np.savetxt(data, Y, delimiter=",", fmt="%.17g")
     sig = tmp_path / "sigma.csv"
-    matio.write_matrix(sig, np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]]))
+    moment_sigma = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
+    sig.write_text(matio.matrix_to_csv(moment_sigma))
     commands = [
         ["estimate", "--data", str(data), "--lambda", "0.2"],
         ["cv", "--data", str(data), "--grid-n", "8"],

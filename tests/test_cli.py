@@ -26,7 +26,7 @@ def data_file(tmp_path):
 def sigma_file(tmp_path):
     Sigma = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
     path = tmp_path / "sigma.csv"
-    matio.write_matrix(path, Sigma)
+    path.write_text(matio.matrix_to_csv(Sigma))
     return str(path), Sigma
 
 
@@ -39,7 +39,7 @@ class TestParseTarget:
 
     def test_file_spec(self, tmp_path):
         path = tmp_path / "t.csv"
-        matio.write_matrix(path, np.diag([2.0, 3.0]))
+        path.write_text(matio.matrix_to_csv(np.diag([2.0, 3.0])))
         t = parse_target(f"file:{path}")
         npt.assert_array_equal(t.matrix(2), np.diag([2.0, 3.0]))
 
@@ -147,7 +147,7 @@ class TestEstimate:
         path, _ = data_file
         names = ",".join(f"c{j}" for j in range(6)) + "\n"
         target = tmp_path / "target.csv"
-        matio.write_matrix(target, np.diag(np.arange(1.0, 7.0)))
+        target.write_text(matio.matrix_to_csv(np.diag(np.arange(1.0, 7.0))))
         named = {}
         for name, src in (("data", path), ("target", target)):
             named[name] = tmp_path / f"named_{name}.csv"
@@ -236,7 +236,7 @@ class TestCV:
         # numpy's overflow RuntimeWarning no longer escapes (pytest would
         # turn it into an error).
         path = tmp_path / "huge.csv"
-        matio.write_matrix(path, data_file[1] * 1e200)
+        path.write_text(matio.matrix_to_csv(data_file[1] * 1e200))
         assert main(command + ["--data", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -382,6 +382,52 @@ class TestConfigFile:
         from_config, _ = capsys.readouterr()
         assert main(argv) == 0
         assert from_config == capsys.readouterr()[0]
+
+    @pytest.mark.parametrize("typed", [["--lambda", "0.5"], ["--lambda=0.5"], ["--lam", "0.5"]])
+    @pytest.mark.parametrize("command", ["estimate", "ggm"])
+    def test_typed_lambda_beats_config_auto_lambda(
+        self, command, typed, data_file, tmp_path, capsys
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"auto_lambda": True}))
+        argv = [command, "--data", data_file[0]] + typed
+        assert main(argv + ["--config", str(path)]) == 0
+        from_config, _ = capsys.readouterr()
+        assert main(argv) == 0
+        assert from_config == capsys.readouterr()[0]
+
+    @pytest.mark.parametrize("command", ["estimate", "ggm"])
+    def test_typed_auto_lambda_beats_config_lambda(self, command, data_file, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lambda": 0.5}))
+        argv = [command, "--data", data_file[0], "--auto-lambda", "--grid-n", "5"]
+        assert main(argv + ["--config", str(path)]) == 0
+        from_config, _ = capsys.readouterr()
+        assert main(argv) == 0
+        assert from_config == capsys.readouterr()[0]
+
+    @pytest.mark.parametrize(
+        "config, typed",
+        [
+            ({}, ["--auto-lambda", "--lambda", "0.5"]),
+            ({"auto_lambda": True}, ["--auto-lambda", "--lambda", "0.5"]),
+            ({"lambda": 0.5}, ["--auto-lambda", "--lambda", "0.5"]),
+            ({"lambda": 0.5, "auto_lambda": True}, []),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["estimate", "ggm"])
+    def test_both_penalty_choices_from_one_source_exit_1(
+        self, command, config, typed, data_file, tmp_path, capsys
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--data", data_file[0], "--config", str(path)] + typed
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"ridgeprec {command}: error: give either --lambda or --auto-lambda, not both"
+        )
 
     def test_bad_config_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -673,7 +719,7 @@ class TestMoments:
 
     def test_indefinite_sigma_with_mc_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "indefinite.csv"
-        matio.write_matrix(path, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        path.write_text(matio.matrix_to_csv(np.array([[1.0, 2.0], [2.0, 1.0]])))
         code = main(["moments", "--sigma", str(path), "--lambda", "1", "--mc-reps", "5"])
         out, err = capsys.readouterr()
         assert code == 2

@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -11,10 +12,7 @@ import ridgeprec.estimators as estimators
 from ridgeprec.cv import (
     SCHEMES,
     CVConfig,
-    approx_loocv_score,
     default_grid,
-    exact_loocv_score,
-    kfold_cv_score,
     make_folds,
     score_grid,
     select_lambda,
@@ -95,7 +93,7 @@ class TestKFoldScore:
     def test_matches_from_scratch_oracle(self):
         Y = chain_data(8, p=3, seed=11)
         cfg = CVConfig(grid=[0.7], scheme="kfold", k=2, fold_seed=7, estimator="alt-1")
-        got = kfold_cv_score(Y, 0.7, cfg)
+        got = score_grid(Y, cfg)[0]
         want = kfold_score_oracle(Y, 0.7, "alt-1", "ddiag", k=2, seed=7)
         npt.assert_allclose(got, want, rtol=1e-12)
 
@@ -103,8 +101,8 @@ class TestKFoldScore:
         Y = chain_data(6, p=2, seed=5)
         cfg = CVConfig(grid=[0.3], scheme="kfold", k=6, estimator="alt-2", target=Target.zero())
         npt.assert_allclose(
-            kfold_cv_score(Y, 0.3, cfg),
-            exact_loocv_score(Y, 0.3, cfg),
+            score_grid(Y, cfg)[0],
+            score_grid(Y, replace(cfg, scheme="loocv"))[0],
             rtol=1e-12,
         )
 
@@ -118,19 +116,19 @@ class TestKFoldScore:
             est = estimators.fit("archetype-2", sample_cov(rest), lam, Target.zero())
             S_i = np.outer(Y[i], Y[i])
             total += -(np.linalg.slogdet(est.omega)[1] - np.trace(est.omega @ S_i))
-        npt.assert_allclose(exact_loocv_score(Y, lam, cfg), total, rtol=1e-12)
+        npt.assert_allclose(score_grid(Y, cfg)[0], total, rtol=1e-12)
 
     def test_zero_target_blows_up_at_huge_penalty(self):
         Y = chain_data(12, p=4, seed=2)
         cfg = CVConfig(grid=[1.0], scheme="kfold", k=3, estimator="alt-2", target=Target.zero())
-        scores = [kfold_cv_score(Y, lam, cfg) for lam in (1.0, 1e4, 1e8, 1e12)]
+        scores = [score_grid(Y, replace(cfg, grid=[lam]))[0] for lam in (1.0, 1e4, 1e8, 1e12)]
         assert np.all(np.diff(scores) > 100.0)
 
     def test_center_flag_changes_score(self):
         Y = chain_data(10, p=3, seed=4) + 3.0
         base = CVConfig(grid=[0.5], scheme="kfold", k=2, fold_seed=1)
         centered = CVConfig(grid=[0.5], scheme="kfold", k=2, fold_seed=1, center=True)
-        assert kfold_cv_score(Y, 0.5, base) != kfold_cv_score(Y, 0.5, centered)
+        assert score_grid(Y, base)[0] != score_grid(Y, centered)[0]
 
 
 class TestApproxLOOCV:
@@ -145,7 +143,7 @@ class TestApproxLOOCV:
             (sigma - y * y) * omega * (S - y * y) * omega for y in (1.0, 2.0)
         ]
         want = -0.5 * (math.log(omega) - S * omega) + sum(gammas) / 4.0
-        npt.assert_allclose(approx_loocv_score(Y, lam, cfg), want, rtol=1e-12)
+        npt.assert_allclose(score_grid(Y, cfg)[0], want, rtol=1e-12)
 
     def test_one_estimator_fit_per_call(self, monkeypatch):
         calls = {"n": 0}
@@ -158,13 +156,13 @@ class TestApproxLOOCV:
         monkeypatch.setattr(estimators, "fit", counting_fit)
         Y = chain_data(15, p=4, seed=8)
         cfg = CVConfig(grid=[0.2], scheme="aloocv")
-        approx_loocv_score(Y, 0.2, cfg)
+        score_grid(Y, cfg)
         assert calls["n"] == 1
 
     def test_needs_two_rows(self):
         cfg = CVConfig(grid=[1.0], scheme="aloocv")
         with pytest.raises(InvalidFoldsError):
-            approx_loocv_score(np.array([[1.0, 2.0]]), 1.0, cfg)
+            score_grid(np.array([[1.0, 2.0]]), cfg)
 
     def test_tracks_exact_loocv_argmin(self):
         Y = chain_data(40, p=5, seed=3)
@@ -277,7 +275,7 @@ class TestScoreGrid:
         grid = np.array([0.1, 1.0, 10.0])
         cfg = CVConfig(grid=grid, scheme="kfold", k=3, fold_seed=2)
         scores = score_grid(Y, cfg)
-        want = [kfold_cv_score(Y, lam, cfg) for lam in grid]
+        want = [score_grid(Y, replace(cfg, grid=[lam]))[0] for lam in grid]
         npt.assert_allclose(scores, want, rtol=1e-13)
 
     @pytest.mark.parametrize("scheme, penalties", [("kfold", 9), ("aloocv", 3)])
@@ -397,8 +395,8 @@ class TestFoldOuterLoop:
     def test_one_point_calls_keep_their_errors(self):
         Y = chain_data(10, p=3, seed=4)
         cfg = CVConfig(grid=[1.0], k=4)
-        for score in (kfold_cv_score, exact_loocv_score, approx_loocv_score):
+        for scheme in SCHEMES:
             with pytest.raises(InvalidPenaltyError):
-                score(Y, -1.0, cfg)
+                cv._score(Y, np.array([-1.0]), cfg, scheme)
             with pytest.raises(InvalidPenaltyError):
-                score(Y, np.nan, cfg)
+                cv._score(Y, np.array([np.nan]), cfg, scheme)

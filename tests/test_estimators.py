@@ -16,22 +16,16 @@ from ridgeprec.estimators import (
     RidgeEstimate,
     Target,
     _eigen_map,
-    alt_ridge1,
-    alt_ridge2,
-    archetype1,
-    archetype2,
-    default_diagonal_target,
     fit,
     fit_data,
     loglik,
     penalty_map_1,
-    penalty_map_2,
     resolve_target,
     sample_cov,
     shrunk_eigenvalues,
     stationarity_residual,
 )
-from ridgeprec.linalg import eig_sym_unchecked, inv_pd, symmetrize
+from ridgeprec.linalg import check_symmetric, eig_sym_unchecked, inv_pd, symmetrize
 
 from oracles import (
     fd_gradient_max_abs,
@@ -144,19 +138,20 @@ class TestTarget:
         assert Target.diagonal([1.0, 2.0]).label() == "diagonal"
 
     def test_default_diagonal_target(self):
-        T = default_diagonal_target(np.diag([2.0, 4.0]))
+        T = resolve_target("ddiag", check_symmetric(np.diag([2.0, 4.0])))
         npt.assert_array_equal(T.values, [0.5, 0.25])
-        npt.assert_array_equal(default_diagonal_target(np.eye(3)).values, np.ones(3))
+        T = resolve_target("ddiag", check_symmetric(np.eye(3)))
+        npt.assert_array_equal(T.values, np.ones(3))
 
     def test_default_diagonal_unit_diag(self, rng):
         B = rng.standard_normal((4, 4)) * 0.2
         S = 0.5 * (B + B.T)
         np.fill_diagonal(S, 1.0)
-        npt.assert_array_equal(default_diagonal_target(S).values, np.ones(4))
+        npt.assert_array_equal(resolve_target("ddiag", check_symmetric(S)).values, np.ones(4))
 
     def test_default_diagonal_rejects_nonpositive(self):
         with pytest.raises(InvalidTargetError):
-            default_diagonal_target(np.diag([1.0, 0.0]))
+            resolve_target("ddiag", check_symmetric(np.diag([1.0, 0.0])))
 
     def test_resolve_target(self):
         t = Target.identity()
@@ -170,55 +165,55 @@ class TestTarget:
 class TestArchetype1:
     def test_full_penalty_returns_target(self):
         S = np.array([[4.0, 1.0], [1.0, 3.0]])
-        est = archetype1(S, Target.identity(), 1.0)
+        est = fit("archetype-1", S, 1.0, Target.identity())
         npt.assert_allclose(est.omega, np.eye(2), atol=1e-14)
 
     def test_scalar_example(self):
-        est = archetype1(np.array([[2.0]]), Target.identity(), 0.5)
+        est = fit("archetype-1", np.array([[2.0]]), 0.5, Target.identity())
         npt.assert_allclose(est.omega, [[1.0 / 1.5]], rtol=1e-15)
 
     def test_singular_sample_cov_is_pd(self, rng):
         Y = rng.standard_normal((3, 6))
         S = sample_cov(Y)
-        est = archetype1(S, "ddiag", 0.1)
+        est = fit("archetype-1", S, 0.1, "ddiag")
         assert is_pd(est.omega, tol=0.0)
 
     def test_penalty_domain(self):
         S = np.eye(2)
         for bad in (0.0, -1.0, 1.5, np.inf):
             with pytest.raises(InvalidPenaltyError):
-                archetype1(S, Target.identity(), bad)
+                fit("archetype-1", S, bad, Target.identity())
 
     def test_zero_target_rejected(self):
         with pytest.raises(InvalidTargetError):
-            archetype1(np.eye(2), Target.zero(), 0.5)
+            fit("archetype-1", np.eye(2), 0.5, Target.zero())
 
 
 class TestArchetype2:
     def test_zero_matrix(self):
-        est = archetype2(np.zeros((3, 3)), 2.0)
+        est = fit("archetype-2", np.zeros((3, 3)), 2.0)
         npt.assert_allclose(est.omega, 0.5 * np.eye(3), atol=1e-15)
 
     def test_scalar_example(self):
-        npt.assert_allclose(archetype2(np.array([[2.0]]), 3.0).omega, [[0.2]], rtol=1e-15)
+        npt.assert_allclose(fit("archetype-2", np.array([[2.0]]), 3.0).omega, [[0.2]], rtol=1e-15)
 
     def test_singular_sample_cov_is_pd(self, rng):
         S = sample_cov(rng.standard_normal((2, 5)))
-        assert is_pd(archetype2(S, 1e-3).omega, tol=0.0)
+        assert is_pd(fit("archetype-2", S, 1e-3).omega, tol=0.0)
 
     def test_penalty_domain(self):
         with pytest.raises(InvalidPenaltyError):
-            archetype2(np.eye(2), 0.0)
+            fit("archetype-2", np.eye(2), 0.0)
 
 
 class TestAltRidge1:
     def test_identity_fixed_point(self):
         for lam in (0.1, 1.0, 100.0):
-            est = alt_ridge1(np.eye(3), Target.identity(), lam)
+            est = fit("alt-1", np.eye(3), lam, Target.identity())
             npt.assert_allclose(est.omega, np.eye(3), atol=1e-12)
 
     def test_scalar_example_closed_form(self):
-        est = alt_ridge1(np.array([[2.0]]), Target.identity(), 1.0)
+        est = fit("alt-1", np.array([[2.0]]), 1.0, Target.identity())
         npt.assert_allclose(est.omega[0, 0], (math.sqrt(5.0) - 1.0) / 2.0, rtol=1e-14)
 
     def test_scalar_matches_newton_oracle(self, rng):
@@ -226,13 +221,13 @@ class TestAltRidge1:
             s = float(rng.uniform(0.0, 8.0))
             t = float(rng.uniform(0.1, 4.0))
             lam = float(10.0 ** rng.uniform(-3, 3))
-            est = alt_ridge1(np.array([[s]]), Target.scalar(t), lam)
+            est = fit("alt-1", np.array([[s]]), lam, Target.scalar(t))
             ref = newton_max_penalized(s, t, lam)
             npt.assert_allclose(est.omega[0, 0], ref, rtol=1e-12)
 
     def test_large_penalty_reaches_target(self, rng, make_spd):
         S = make_spd(5, rng)
-        est = alt_ridge1(S, Target.scalar(2.0), 1e8)
+        est = fit("alt-1", S, 1e8, Target.scalar(2.0))
         T = 2.0 * np.eye(5)
         assert np.linalg.norm(est.omega - T) <= 1e-3 * np.linalg.norm(T)
 
@@ -240,7 +235,7 @@ class TestAltRidge1:
         S = make_spd(4, rng)
         Sinv = inv_pd(S)
         errs = [
-            np.linalg.norm(alt_ridge1(S, "ddiag", lam).omega - Sinv)
+            np.linalg.norm(fit("alt-1", S, lam, "ddiag").omega - Sinv)
             for lam in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
         ]
         assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -248,9 +243,9 @@ class TestAltRidge1:
 
     def test_inversion_free_route_agrees(self, rng):
         S = sample_cov(rng.standard_normal((4, 6)))
-        t = default_diagonal_target(S)
+        t = resolve_target("ddiag", check_symmetric(S))
         lam = 0.37
-        est = alt_ridge1(S, t, lam)
+        est = fit("alt-1", S, lam, t)
         M = S - lam * t.matrix(6)
         route_b = (est.sigma - M) / lam
         assert np.linalg.norm(route_b - est.omega) <= 1e-9 * np.linalg.norm(est.omega)
@@ -258,58 +253,58 @@ class TestAltRidge1:
 
     def test_zero_target_routes_to_type2(self):
         S = np.array([[2.0, 0.3], [0.3, 1.0]])
-        est = alt_ridge1(S, Target.zero(), 0.8)
+        est = fit("alt-1", S, 0.8, Target.zero())
         assert est.kind == "alt-2"
-        npt.assert_array_equal(est.omega, alt_ridge2(S, 0.8).omega)
+        npt.assert_array_equal(est.omega, fit("alt-2", S, 0.8).omega)
 
     def test_rotation_equivariance_scalar_target(self, rng, make_spd):
         S = make_spd(5, rng)
         Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         lam, psi = 0.9, 1.7
-        direct = alt_ridge1(Q @ S @ Q.T, Target.scalar(psi), lam).omega
-        rotated = Q @ alt_ridge1(S, Target.scalar(psi), lam).omega @ Q.T
+        direct = fit("alt-1", Q @ S @ Q.T, lam, Target.scalar(psi)).omega
+        rotated = Q @ fit("alt-1", S, lam, Target.scalar(psi)).omega @ Q.T
         assert np.linalg.norm(direct - rotated) <= 1e-9 * np.linalg.norm(direct)
 
     def test_penalty_domain(self):
         with pytest.raises(InvalidPenaltyError):
-            alt_ridge1(np.eye(2), Target.identity(), -0.5)
+            fit("alt-1", np.eye(2), -0.5, Target.identity())
 
 
 class TestAltRidge2:
     def test_zero_matrix(self):
-        npt.assert_allclose(alt_ridge2(np.zeros((2, 2)), 4.0).omega, 0.5 * np.eye(2), atol=1e-15)
+        npt.assert_allclose(fit("alt-2", np.zeros((2, 2)), 4.0).omega, 0.5 * np.eye(2), atol=1e-15)
 
     def test_scalar_example(self):
-        est = alt_ridge2(np.array([[2.0]]), 4.0)
+        est = fit("alt-2", np.array([[2.0]]), 4.0)
         npt.assert_allclose(est.omega[0, 0], (math.sqrt(5.0) - 1.0) / 4.0, rtol=1e-14)
 
     def test_scalar_matches_newton_oracle(self, rng):
         for _ in range(25):
             s = float(rng.uniform(0.0, 8.0))
             lam = float(10.0 ** rng.uniform(-3, 3))
-            est = alt_ridge2(np.array([[s]]), lam)
+            est = fit("alt-2", np.array([[s]]), lam)
             npt.assert_allclose(est.omega[0, 0], newton_max_penalized(s, 0.0, lam), rtol=1e-12)
 
     def test_huge_penalty_norm_bound(self, rng, make_spd):
         S = make_spd(6, rng)
         lam = 1e10
-        assert np.linalg.norm(alt_ridge2(S, lam).omega) <= 2.0 * 6 / math.sqrt(lam)
+        assert np.linalg.norm(fit("alt-2", S, lam).omega) <= 2.0 * 6 / math.sqrt(lam)
 
     def test_singular_sample_cov_is_pd(self, rng):
         S = sample_cov(rng.standard_normal((2, 7)))
-        assert is_pd(alt_ridge2(S, 1e-6).omega, tol=0.0)
+        assert is_pd(fit("alt-2", S, 1e-6).omega, tol=0.0)
 
 
 class TestSharedInvariants:
     @pytest.fixture()
     def fits(self, rng):
         S = sample_cov(rng.standard_normal((5, 8)))  # singular, p > n
-        t = default_diagonal_target(S)
+        t = resolve_target("ddiag", check_symmetric(S))
         return S, t, [
-            alt_ridge1(S, t, 0.42),
-            alt_ridge2(S, 0.42),
-            archetype1(S, t, 0.42),
-            archetype2(S, 0.42),
+            fit("alt-1", S, 0.42, t),
+            fit("alt-2", S, 0.42),
+            fit("archetype-1", S, 0.42, t),
+            fit("archetype-2", S, 0.42),
         ]
 
     def test_omega_sigma_mutually_inverse(self, fits):
@@ -389,16 +384,9 @@ class TestPenaltyMaps:
         assert penalty_map_1(1e-9) == pytest.approx(1e-9, rel=1e-6)
         assert penalty_map_1(1e6) == pytest.approx(1.0, abs=2e-6)
 
-    def test_map2_values(self):
-        assert penalty_map_2(1.0) == 1.0
-        assert penalty_map_2(2.0) == 4.0
-        assert penalty_map_2(0.5) == 0.25
-
     def test_domains(self):
         with pytest.raises(InvalidPenaltyError):
             penalty_map_1(0.0)
-        with pytest.raises(InvalidPenaltyError):
-            penalty_map_2(-1.0)
 
 
 class TestStationarityResidual:
@@ -413,7 +401,7 @@ class TestStationarityResidual:
     def test_fit_is_near_zero_and_perturbation_larger(self, rng, make_spd):
         S = make_spd(4, rng)
         lam = 0.9
-        est = alt_ridge1(S, "ddiag", lam)
+        est = fit("alt-1", S, lam, "ddiag")
         base = stationarity_residual(est.omega, S, "ddiag", lam)
         assert base <= 1e-7 * np.linalg.norm(S)
         bumped = est.omega.copy()
@@ -440,8 +428,8 @@ class TestLoglik:
         for _ in range(20):
             S = make_spd(4, rng)
             lam2 = float(10.0 ** rng.uniform(-2, 2))
-            arch = loglik(archetype2(S, lam2).omega, S)
-            alt = loglik(alt_ridge2(S, lam2 * lam2).omega, S)
+            arch = loglik(fit("archetype-2", S, lam2).omega, S)
+            alt = loglik(fit("alt-2", S, lam2 * lam2).omega, S)
             assert arch <= alt + 1e-12
 
 
@@ -479,7 +467,7 @@ class TestGradientAtOptimum:
         S = make_spd(4, rng)
         t = Target.identity()
         lam = 1.3
-        est = alt_ridge1(S, t, lam)
+        est = fit("alt-1", S, lam, t)
         assert fd_gradient_max_abs(est.omega, S, np.eye(4), lam) <= 1e-5
 
 

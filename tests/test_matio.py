@@ -10,7 +10,6 @@ from ridgeprec.matio import (
     matrix_to_csv,
     read_data,
     read_matrix,
-    write_matrix,
 )
 
 from ridgeprec.linalg import check_symmetric, symmetrize
@@ -28,20 +27,9 @@ class TestFmt:
 
 
 class TestRoundTrip:
-    def test_write_then_read(self, tmp_path, rng, make_spd):
-        A = make_spd(4, rng)
-        path = tmp_path / "m.csv"
-        write_matrix(path, A)
-        npt.assert_array_equal(read_matrix(path), A)
-
     def test_text_round_trip(self, rng, make_spd):
         A = make_spd(3, rng)
         npt.assert_array_equal(matrix_from_text(matrix_to_csv(A)), A)
-
-    def test_write_to_open_file(self):
-        buf = io.StringIO()
-        write_matrix(buf, np.eye(2))
-        assert buf.getvalue() == "1,0\n0,1\n"
 
 
 class TestReadMatrix:

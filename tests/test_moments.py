@@ -8,7 +8,7 @@ from ridgeprec.errors import (
     InvalidPenaltyError,
     NotPositiveDefiniteError,
 )
-from ridgeprec.estimators import Target, alt_ridge2, sample_cov
+from ridgeprec.estimators import Target, fit, sample_cov
 from ridgeprec import estimators
 from ridgeprec.moments import bias_approx_type2, mc_moments, wishart_moments
 
@@ -89,7 +89,7 @@ class TestMCMoments:
         got = mc_moments(Sigma, n, lam, reps=1, seed=seed)
         rng = np.random.default_rng([seed, 0])
         Y = rng.standard_normal((n, 2)) @ np.linalg.cholesky(Sigma).T
-        want = alt_ridge2(sample_cov(Y), lam).sigma
+        want = fit("alt-2", sample_cov(Y), lam).sigma
         npt.assert_allclose(got, 0.5 * (want + want.T), rtol=1e-15)
 
     def test_deterministic(self, make_spd, rng):
