@@ -52,7 +52,6 @@ from .ggm import (
     null_density,
     offdiagonal_values,
     partial_correlations,
-    select_edges,
     sparsify,
     stable_edges,
     support_metrics,
@@ -66,7 +65,6 @@ from .simulate import (
     RiskConfig,
     RiskCurve,
     coefficient_paths,
-    default_risk_grid,
     figure1_inverse,
     figure1_matrix,
     loss_frobenius,
@@ -123,7 +121,6 @@ __all__ = [
     "fit_lfdr",
     "lfdr_values",
     "edge_probabilities",
-    "select_edges",
     "sparsify",
     "support_metrics",
     "stable_edges",
@@ -141,7 +138,6 @@ __all__ = [
     "RiskCurve",
     "risk_curve",
     "penalty_in_kind_scale",
-    "default_risk_grid",
     "figure1_inverse",
     "figure1_matrix",
     "coefficient_paths",

@@ -14,6 +14,7 @@ import numpy as np
 from . import __version__, cv, estimators, ggm, matio, moments, simulate
 from .errors import InvalidParameterError, RidgeprecError, whole
 from .estimators import Target
+from .linalg import inv_pd
 from .matio import fmt
 
 
@@ -93,9 +94,7 @@ def _grid_from_flags(args, S=None, Omega=None, kind=None) -> np.ndarray:
         if args.grid_min <= 0 or args.grid_max <= args.grid_min:
             raise UsageError("grid bounds must satisfy 0 < min < max")
         return np.logspace(np.log10(args.grid_min), np.log10(args.grid_max), args.grid_n)
-    if S is not None:
-        return cv.default_grid(S, num=args.grid_n, kind=kind)
-    return simulate.default_risk_grid(Omega, num=args.grid_n)
+    return cv.default_grid(inv_pd(Omega) if S is None else S, num=args.grid_n, kind=kind)
 
 
 def _select(args, Y, S, target, scheme: str = "aloocv", k: int = 5) -> cv.CVResult:
@@ -157,10 +156,8 @@ def cmd_cv(args) -> int:
     Y = matio.read_data(args.data, header=args.header)
     S = estimators.sample_cov(Y, center=args.center)
     result = _select(args, Y, S, parse_target(args.target, args.header), args.scheme, args.k)
-    lines = ["lambda,score"]
-    lines += [f"{fmt(la)},{fmt(sc)}" for la, sc in zip(result.grid, result.scores)]
-    lines.append(f"lambda_star,{fmt(result.lambda_star)}")
-    _emit("\n".join(lines) + "\n", args.output)
+    table = matio.matrix_to_csv(np.column_stack([result.grid, result.scores]))
+    _emit(f"lambda,score\n{table}lambda_star,{fmt(result.lambda_star)}\n", args.output)
     return 0
 
 
@@ -194,11 +191,10 @@ def cmd_ggm(args) -> int:
     )
     for line in res.fit.warnings():
         print(f"warning: {line}", file=sys.stderr)
-    edge_lines = ["i,j,partial_corr,one_minus_lfdr,selected"]
-    for i, j, prob in zip(*np.triu_indices(res.partials.shape[0], k=1), res.probabilities):
-        sel = 1 if (i, j) in res.selected else 0
-        edge_lines.append(f"{i},{j},{fmt(res.partials[i, j])},{fmt(prob)},{sel}")
-    edges_csv = "\n".join(edge_lines) + "\n"
+    iu = np.triu_indices(res.partials.shape[0], k=1)
+    edges_csv = "i,j,partial_corr,one_minus_lfdr,selected\n" + matio.matrix_to_csv(
+        np.column_stack([*iu, res.partials[iu], res.probabilities, res.selected])
+    )
     sparse_csv = matio.matrix_to_csv(res.sparsified)
     report_lines = [
         f"eta0,{fmt(res.fit.eta0)}",
@@ -476,10 +472,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"ridgeprec {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except RidgeprecError as exc:
-        print(f"ridgeprec {args.command}: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RidgeprecError, OSError) as exc:
         print(f"ridgeprec {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

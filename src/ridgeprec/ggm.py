@@ -356,7 +356,7 @@ def fit_lfdr(values) -> LfdrFit:
 
 
 # ---------------------------------------------------------------------------
-# Per-edge lFDR, selection, sparsification
+# Per-edge lFDR and sparsification
 
 
 def lfdr_values(values, fit: LfdrFit) -> np.ndarray:
@@ -377,38 +377,24 @@ def edge_probabilities(P, fit: LfdrFit) -> np.ndarray:
     return 1.0 - lfdr_values(offdiagonal_values(P), fit)
 
 
-def select_edges(probs, p: int, threshold: float = 0.99) -> set:
-    """Pairs whose :func:`edge_probabilities` entry reaches ``threshold``."""
-    threshold = float(threshold)
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidParameterError(f"threshold must be in [0, 1], got {threshold}")
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (p * (p - 1) // 2,):
-        raise InvalidParameterError(f"need {p * (p - 1) // 2} probabilities for p={p}")
-    pairs = np.transpose(np.triu_indices(p, k=1))
-    return {(i, j) for i, j in pairs[probs >= threshold].tolist()}
+def sparsify(omega, selected):
+    """Zero the off-diagonal entries of the pairs outside ``selected``.
 
-
-def sparsify(omega, edges):
-    """Zero the off-diagonal entries outside ``edges``.
-
-    Returns ``(sparsified, min_eigenvalue)``; the smallest eigenvalue is
-    reported because support-based truncation can leave the p.d. cone.
+    ``selected`` is a boolean mask over the pairs j < j' in
+    ``np.triu_indices`` order, as in :attr:`GgmResult.selected`. Returns
+    ``(sparsified, min_eigenvalue)``; the smallest eigenvalue is reported
+    because support-based truncation can leave the p.d. cone.
     """
     omega = check_symmetric(omega, "omega")
     p = omega.shape[0]
-    pairs = np.array(list(edges), dtype=int)
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise InvalidParameterError("edges must be (i, j) pairs")
-    bad = np.any((pairs < 0) | (pairs >= p), axis=1) | (pairs[:, 0] == pairs[:, 1])
-    if np.any(bad):
-        i, j = pairs[bad][0].tolist()
-        raise InvalidParameterError(f"edge ({i}, {j}) out of range for p={p}")
-    keep = np.zeros((p, p), dtype=bool)
-    keep[pairs[:, 0], pairs[:, 1]] = keep[pairs[:, 1], pairs[:, 0]] = True
-    np.fill_diagonal(keep, True)
+    selected = np.asarray(selected)
+    if selected.dtype != bool or selected.shape != (p * (p - 1) // 2,):
+        raise InvalidParameterError(
+            f"selected must be a boolean mask over the {p * (p - 1) // 2} pairs for p={p}"
+        )
+    keep = np.eye(p, dtype=bool)
+    keep[np.triu_indices(p, k=1)] = selected
+    keep |= keep.T
     out = np.where(keep, omega, 0.0)
     return out, float(np.linalg.eigvalsh(out)[0])
 
@@ -464,7 +450,7 @@ class GgmResult:
     partials: np.ndarray
     fit: LfdrFit
     probabilities: np.ndarray
-    selected: set
+    selected: np.ndarray  # probabilities >= threshold
     sparsified: np.ndarray
     min_eigenvalue: float
     lambda_used: float | None
@@ -487,6 +473,9 @@ def extract_network(
     """
     if (Y is None) == (omega is None):
         raise InvalidParameterError("provide exactly one of data and precision input")
+    threshold = float(threshold)
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidParameterError(f"threshold must be in [0, 1], got {threshold}")
     lambda_used = None
     if Y is not None:
         if lam is None:
@@ -501,7 +490,7 @@ def extract_network(
     P = partial_correlations(omega, spectrum)
     fit = fit_lfdr(offdiagonal_values(P))
     probs = edge_probabilities(P, fit)
-    selected = select_edges(probs, P.shape[0], threshold)
+    selected = probs >= threshold
     sparsified, min_eig = sparsify(omega, selected)
     return GgmResult(
         omega=omega,

@@ -27,8 +27,8 @@ def matrix_to_csv(a) -> str:
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[None, :]
-    lines = [",".join(fmt(v) for v in row) for row in a]
-    return "\n".join(lines) + "\n"
+    row = ",".join([FLOAT_FMT] * a.shape[1]) + "\n"
+    return "".join(row % tuple(values.tolist()) for values in a)
 
 
 def _read_table(source, header: bool) -> np.ndarray:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cv, estimators as _est
+from . import estimators as _est
 from .errors import (
     ConstructionFailedError,
     InvalidParameterError,
@@ -196,11 +196,6 @@ def penalty_in_kind_scale(kind: str, lam_a):
     if kind == "archetype-2":
         return np.sqrt(lam_a)
     return lam_a
-
-
-def default_risk_grid(Omega, num: int = 50) -> np.ndarray:
-    """:func:`ridgeprec.cv.default_grid` of ``Omega^-1``: anchored at g = tr(Omega^-1)/p."""
-    return cv.default_grid(inv_pd(Omega), num)
 
 
 def risk_curve(config: RiskConfig) -> RiskCurve:

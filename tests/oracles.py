@@ -6,12 +6,13 @@ Newton instead of the matrix square-root formula, explicit loops instead of
 vectorized linear algebra, an exact kernel sum instead of the binned KDE,
 one fit per penalty, replicate or (penalty, fold) instead of one broadcast
 fit per stack, scipy's Beta functions and bounded Brent search instead of
-the package's continued fraction and golden-section search, and mpmath
-quadrature at 30 digits for the kappa likelihood.
+the package's continued fraction and golden-section search, mpmath
+quadrature at 30 digits for the kappa likelihood, and one ``fmt`` call per
+CSV value instead of one format operation per row.
 Values produced by these helpers are what the
-tests trust. The last three helpers, ``is_pd``, ``same_bits`` and
-``matrix_from_text``, are small test conveniences that the package itself
-never needs.
+tests trust. The last four helpers, ``is_pd``, ``same_bits``,
+``matrix_from_text`` and ``edge_set``, are small test conveniences that the
+package itself never needs.
 """
 
 import io
@@ -475,6 +476,14 @@ def kappa_nll_mp(values, cutoff: float, kappas) -> list:
         return out
 
 
+def csv_per_value(a) -> str:
+    """CSV text of a 1-D or 2-D array, one ``matio.fmt`` call per value."""
+    from ridgeprec.matio import fmt
+
+    rows = np.atleast_2d(np.asarray(a, dtype=float))
+    return "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+
+
 def is_pd(a, tol: float = 0.0) -> bool:
     """True iff the smallest eigenvalue of symmetric ``a`` exceeds ``tol``."""
     a = np.asarray(a, dtype=float)
@@ -496,3 +505,8 @@ def matrix_from_text(text: str, header: bool = False) -> np.ndarray:
     from ridgeprec.matio import read_matrix
 
     return read_matrix(io.StringIO(text), header=header)
+
+
+def edge_set(mask, p: int) -> set:
+    """The pairs (i, j) that a boolean mask in ``np.triu_indices(p, k=1)`` order selects."""
+    return {(i, j) for i, j in np.transpose(np.triu_indices(p, k=1))[mask].tolist()}

@@ -27,7 +27,7 @@ from ridgeprec.estimators import (
 )
 from ridgeprec.linalg import check_symmetric, inv_pd
 
-from oracles import fd_gradient_max_abs, is_pd, newton_max_penalized
+from oracles import edge_set, fd_gradient_max_abs, is_pd, newton_max_penalized
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -266,7 +266,7 @@ def test_criterion_09_risk_curves_desk_scale():
     t0 = time.perf_counter()
     pop = simulate.PopulationSpec("star", 25)
     Omega = simulate.population_precision(pop)
-    grid = simulate.default_risk_grid(Omega, 50)
+    grid = cv.default_grid(inv_pd(Omega), 50)
     config = simulate.RiskConfig(
         population=pop,
         sample_sizes=(5, 10, 25),
@@ -358,12 +358,11 @@ def test_criterion_11_ggm_pipeline(aloocv_lambda):
     for s in range(20):
         Y = simulate.sample_mvn(Sigma, 200, s)
         res = ggm.extract_network(Y=Y, estimator="alt-1", lam=aloocv_lambda(Y), threshold=0.99)
-        m = ggm.support_metrics(res.selected, truth, 20)
+        m = ggm.support_metrics(edge_set(res.selected, 20), truth, 20)
         sens.append(m.sensitivity)
         spec.append(m.specificity)
-        loose = ggm.select_edges(res.probabilities, 20, threshold=0.5)
-        mid = ggm.select_edges(res.probabilities, 20, threshold=0.9)
-        antitone_ok &= res.selected <= mid <= loose
+        loose, mid = res.probabilities >= 0.5, res.probabilities >= 0.9
+        antitone_ok &= bool(np.all(res.selected <= mid) and np.all(mid <= loose))
     med_sens = float(np.median(sens))
     med_spec = float(np.median(spec))
     _report(

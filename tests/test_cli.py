@@ -499,8 +499,10 @@ class TestGgm:
         res = ggm.extract_network(Y=Y, lam=lam)
         fmt = matio.fmt
         edges = ["i,j,partial_corr,one_minus_lfdr,selected"] + [
-            f"{i},{j},{fmt(res.partials[i, j])},{fmt(prob)},{int((i, j) in res.selected)}"
-            for i, j, prob in zip(*np.triu_indices(Y.shape[1], k=1), res.probabilities)
+            f"{i},{j},{fmt(res.partials[i, j])},{fmt(prob)},{int(sel)}"
+            for i, j, prob, sel in zip(
+                *np.triu_indices(Y.shape[1], k=1), res.probabilities, res.selected
+            )
         ]
         report = [
             f"eta0,{fmt(res.fit.eta0)}",

@@ -9,6 +9,7 @@ import pytest
 
 from ridgeprec import cv, moments, simulate
 from ridgeprec.errors import InvalidFoldsError, InvalidParameterError, RidgeprecError, whole
+from ridgeprec.linalg import inv_pd
 
 SIGMA = np.array([[2.0, 0.3], [0.3, 1.0]])
 CHAIN = simulate.PopulationSpec("chain", 3)
@@ -42,7 +43,7 @@ COUNTS = {
         lambda v: simulate.RiskConfig(CHAIN, (5, v), [1.0]), 1, InvalidParameterError
     ),
     "default_risk_grid.num": (
-        lambda v: simulate.default_risk_grid(np.eye(3), v), 1, InvalidParameterError
+        lambda v: cv.default_grid(inv_pd(np.eye(3)), v), 1, InvalidParameterError
     ),
 }
 

@@ -28,7 +28,6 @@ from ridgeprec.ggm import (
     null_density,
     offdiagonal_values,
     partial_correlations,
-    select_edges,
     sparsify,
     stable_edges,
     support_metrics,
@@ -37,6 +36,7 @@ from ridgeprec.linalg import inv_pd
 from ridgeprec.simulate import PopulationSpec, population_precision, sample_mvn
 
 from oracles import (
+    edge_set,
     fit_kappa_scipy,
     kappa_nll_mp,
     log_null_density_scipy,
@@ -258,9 +258,9 @@ class TestBinnedMixtureDensity:
             res = extract_network(Y=Y, estimator="alt-1", lam=aloocv_lambda(Y), threshold=0.99)
             exact = oracle_probabilities(offdiagonal_values(res.partials), res.fit)
             for threshold in (0.5, 0.9, 0.99):
-                assert select_edges(res.probabilities, 20, threshold) == select_edges(
-                    exact, 20, threshold
-                ), (s, threshold)
+                npt.assert_array_equal(
+                    res.probabilities >= threshold, exact >= threshold, err_msg=f"{s} {threshold}"
+                )
 
     def test_tiny_bandwidth_hits_the_node_cap(self):
         # The interquartile range is 5e-8, so the bandwidth is about 1e-8
@@ -369,9 +369,9 @@ class TestKappaFit:
             want = scipy_null_probabilities(fit, oracle)
             p = res.partials.shape[0]
             for threshold in (0.5, 0.9, 0.99):
-                assert select_edges(res.probabilities, p, threshold) == select_edges(
-                    want, p, threshold
-                ), threshold
+                npt.assert_array_equal(
+                    res.probabilities >= threshold, want >= threshold, err_msg=str(threshold)
+                )
 
     def test_no_worse_a_likelihood_than_the_scipy_fit(self, kappa_cases):
         for res, oracle in kappa_cases:
@@ -454,83 +454,73 @@ class TestEdgeSelection:
     def test_pure_null_fit_selects_nothing(self):
         P, _ = self.planted_matrix_and_fit()
         null_fit = LfdrFit(1.0, 10.0, offdiagonal_values(P), 0.1, 0.75)
-        assert select_edges(edge_probabilities(P, null_fit), 10, threshold=0.5) == set()
+        assert not np.any(edge_probabilities(P, null_fit) >= 0.5)
 
     def test_threshold_nesting(self):
         P, f = self.planted_matrix_and_fit()
         probs = edge_probabilities(P, f)
-        loose = select_edges(probs, 10, threshold=0.5)
-        mid = select_edges(probs, 10, threshold=0.9)
-        tight = select_edges(probs, 10, threshold=0.99)
-        assert tight <= mid <= loose
-        assert loose  # the spikes are found at the loose threshold
+        loose, mid, tight = probs >= 0.5, probs >= 0.9, probs >= 0.99
+        assert np.all(tight <= mid) and np.all(mid <= loose)
+        assert loose.any()  # the spikes are found at the loose threshold
 
     def test_threshold_domain(self):
-        P, f = self.planted_matrix_and_fit()
-        probs = edge_probabilities(P, f)
-        with pytest.raises(InvalidParameterError):
-            select_edges(probs, 10, threshold=1.5)
-        with pytest.raises(InvalidParameterError):
-            select_edges(probs, 10, threshold=-0.1)
+        Y, _ = TestExtractNetwork.chain_draw(0, n=100, p=8)
+        omega = extract_network(Y=Y, lam=0.05).omega
+        for threshold in (1.5, -0.1, np.nan):
+            with pytest.raises(InvalidParameterError, match="threshold must be in"):
+                extract_network(Y=Y, lam=0.05, threshold=threshold)
+            with pytest.raises(InvalidParameterError, match="threshold must be in"):
+                extract_network(omega=omega, threshold=threshold)
 
     def test_selects_pairs_at_or_above_threshold(self):
         probs = np.array([0.5, 0.99, 0.98, 1.0, 0.0, 0.99])
-        assert select_edges(probs, 4, threshold=0.99) == {(0, 2), (1, 2), (2, 3)}
-
-    def test_rejects_probabilities_of_wrong_length(self):
-        with pytest.raises(InvalidParameterError):
-            select_edges(np.ones(5), 4)
+        assert edge_set(probs >= 0.99, 4) == {(0, 2), (1, 2), (2, 3)}
 
 
 class TestSparsify:
     def test_full_support_unchanged(self, rng, make_spd):
         omega = make_spd(4, rng)
-        edges = {(i, j) for i in range(4) for j in range(i + 1, 4)}
-        out, mineig = sparsify(omega, edges)
+        out, mineig = sparsify(omega, np.ones(6, dtype=bool))
         npt.assert_array_equal(out, omega)
         npt.assert_allclose(mineig, np.linalg.eigvalsh(omega)[0], rtol=1e-12)
 
     def test_empty_support_keeps_diagonal(self, rng, make_spd):
         omega = make_spd(3, rng)
-        out, mineig = sparsify(omega, set())
+        out, mineig = sparsify(omega, np.zeros(3, dtype=bool))
         npt.assert_array_equal(out, np.diag(np.diag(omega)))
         assert mineig > 0
 
     def test_diagonally_dominant_stays_pd(self):
         omega = np.eye(4) + 0.1 * (np.ones((4, 4)) - np.eye(4))
-        out, mineig = sparsify(omega, {(0, 1)})
+        out, mineig = sparsify(omega, np.arange(6) == 0)  # pair (0, 1) only
         assert mineig > 0
 
     def test_idempotent(self, rng, make_spd):
         omega = make_spd(5, rng)
-        edges = {(0, 1), (2, 3)}
-        once, _ = sparsify(omega, edges)
-        twice, _ = sparsify(once, edges)
+        selected = np.arange(10) % 3 == 0
+        once, _ = sparsify(omega, selected)
+        twice, _ = sparsify(once, selected)
         npt.assert_array_equal(once, twice)
 
-    def test_rejects_out_of_range_edge(self):
+    def test_rejects_mask_of_wrong_length(self):
+        with pytest.raises(InvalidParameterError, match="boolean mask over the 3 pairs"):
+            sparsify(np.eye(3), np.ones(4, dtype=bool))
         with pytest.raises(InvalidParameterError):
-            sparsify(np.eye(3), {(0, 7)})
+            sparsify(np.eye(3), np.ones((3, 1), dtype=bool))
 
-    def test_rejects_self_loop(self):
+    def test_rejects_non_boolean_mask(self):
         with pytest.raises(InvalidParameterError):
-            sparsify(np.eye(3), {(1, 1)})
-
-    def test_rejects_negative_index_and_names_the_edge(self):
-        with pytest.raises(InvalidParameterError, match=r"edge \(-1, 2\)"):
-            sparsify(np.eye(3), [(0, 1), (-1, 2)])
-
-    def test_rejects_edges_that_are_not_pairs(self):
+            sparsify(np.eye(3), np.array([1, 0, 1]))
         with pytest.raises(InvalidParameterError):
-            sparsify(np.eye(3), [(0, 1, 2), (1, 2, 0)])
+            sparsify(np.eye(3), [0.0, 1.0, 1.0])
 
     def test_matches_edge_loop(self, rng, make_spd):
         omega = make_spd(7, rng)
-        edges = {(0, 3), (5, 2), (6, 1), (1, 6)}
+        selected = rng.random(21) < 0.3
         keep = np.eye(7, dtype=bool)
-        for i, j in edges:
+        for i, j in edge_set(selected, 7):
             keep[i, j] = keep[j, i] = True
-        out, mineig = sparsify(omega, edges)
+        out, mineig = sparsify(omega, selected)
         npt.assert_array_equal(out, np.where(keep, omega, 0.0))
         assert mineig == float(np.linalg.eigvalsh(out)[0])
 
@@ -613,7 +603,7 @@ class TestExtractNetwork:
         Y, _ = self.chain_draw(1, n=100, p=8)
         a = extract_network(Y=Y, lam=0.05)
         b = extract_network(Y=Y, lam=0.05)
-        assert a.selected == b.selected
+        npt.assert_array_equal(a.selected, b.selected)
         npt.assert_array_equal(a.sparsified, b.sparsified)
         npt.assert_array_equal(a.probabilities, b.probabilities)
 
@@ -636,7 +626,7 @@ class TestExtractNetwork:
         Y, _ = self.chain_draw(2, n=100, p=8)
         from_data = extract_network(Y=Y, lam=0.05)
         from_omega = extract_network(omega=from_data.omega)
-        assert from_data.selected == from_omega.selected
+        npt.assert_array_equal(from_data.selected, from_omega.selected)
         assert from_omega.lambda_used is None
 
     def test_result_fields_consistent(self, aloocv_lambda):
@@ -647,9 +637,9 @@ class TestExtractNetwork:
         assert res.lambda_used == lam
         iu = np.triu_indices(10, k=1)
         above = {(int(i), int(j)) for i, j, pr in zip(*iu, res.probabilities) if pr >= 0.99}
-        assert res.selected == above
+        assert edge_set(res.selected, 10) == above
         kept = {(i, j) for i in range(10) for j in range(10) if res.sparsified[i, j] != 0 and i < j}
-        assert kept == res.selected
+        assert kept == edge_set(res.selected, 10)
         npt.assert_allclose(
             res.min_eigenvalue, np.linalg.eigvalsh(res.sparsified)[0], rtol=1e-12
         )
@@ -689,6 +679,6 @@ class TestExtractNetwork:
         for s in range(5):
             Y, _ = self.chain_draw(s)
             res = extract_network(Y=Y, lam=aloocv_lambda(Y), threshold=0.9)
-            sel = res.selected
+            sel = edge_set(res.selected, 20)
             jacs.append(len(sel & truth) / max(1, len(sel | truth)))
         assert np.median(jacs) >= 0.3

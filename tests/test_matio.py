@@ -14,7 +14,11 @@ from ridgeprec.matio import (
 
 from ridgeprec.linalg import check_symmetric, symmetrize
 
-from oracles import matrix_from_text, same_bits
+from oracles import csv_per_value, matrix_from_text, same_bits
+
+#: Values whose text is easy to get wrong: signed zero, the smallest
+#: subnormal, huge and infinite magnitudes, NaN, 2**53 and integral floats.
+SPECIAL = [-0.0, 0.0, 5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan, 2.0**53, 3.0, -7.0, 1 / 3]
 
 
 class TestFmt:
@@ -24,6 +28,26 @@ class TestFmt:
 
     def test_17_significant_digits(self):
         assert fmt(1.0 / 3.0) == "0.33333333333333331"
+
+
+class TestMatrixToCsv:
+    def test_matches_per_value_writer_on_special_values(self):
+        a = np.reshape(SPECIAL, (3, 4))
+        assert matrix_to_csv(a) == csv_per_value(a)
+        assert matrix_to_csv(a) == (
+            "-0,0,4.9406564584124654e-324,1.0000000000000001e+300\n"
+            "-1.0000000000000001e+300,inf,-inf,nan\n"
+            "9007199254740992,3,-7,0.33333333333333331\n"
+        )
+
+    def test_one_dimensional_input_is_one_row(self):
+        assert matrix_to_csv(SPECIAL) == csv_per_value(SPECIAL)
+        assert matrix_to_csv(SPECIAL).count("\n") == 1
+
+    def test_one_column(self):
+        column = np.reshape(SPECIAL, (-1, 1))
+        assert matrix_to_csv(column) == csv_per_value(column)
+        assert matrix_to_csv(column).count("\n") == len(SPECIAL)
 
 
 class TestRoundTrip:

@@ -14,7 +14,6 @@ from ridgeprec.simulate import (
     PopulationSpec,
     RiskConfig,
     coefficient_paths,
-    default_risk_grid,
     figure1_inverse,
     figure1_matrix,
     loss_frobenius,
@@ -182,7 +181,7 @@ class TestPenaltyScale:
     @pytest.mark.parametrize("kind", estimators.KINDS)
     @pytest.mark.parametrize("which", ["default", "custom"])
     def test_grid_map_matches_elementwise_map_bit_for_bit(self, kind, which):
-        grid = default_risk_grid(figure1_inverse(), 50) if which == "default" else CUSTOM_GRID
+        grid = cv.default_grid(inv_pd(figure1_inverse()), 50) if which == "default" else CUSTOM_GRID
         want = penalty_in_kind_scale_loop(kind, grid)
         assert same_bits(penalty_in_kind_scale(kind, grid), want)
         assert [penalty_in_kind_scale(kind, la) for la in grid] == want.tolist()
@@ -209,7 +208,7 @@ class TestPenaltyScale:
 class TestDefaultRiskGrid:
     def test_endpoints(self):
         Omega = np.diag([0.5, 0.25])  # Sigma = diag(2, 4), g = 3
-        grid = default_risk_grid(Omega, 10)
+        grid = cv.default_grid(inv_pd(Omega), 10)
         assert grid.size == 10
         npt.assert_allclose(grid[0], 3e-4, rtol=1e-12)
         npt.assert_allclose(grid[-1], 3e4, rtol=1e-12)
@@ -217,7 +216,9 @@ class TestDefaultRiskGrid:
     @pytest.mark.parametrize("num", [50, 7])
     def test_matches_closed_form_bit_for_bit(self, num):
         for Omega in (figure1_inverse(), population_precision(PopulationSpec("star", 25))):
-            assert same_bits(default_risk_grid(Omega, num), default_risk_grid_closed_form(Omega, num))
+            assert same_bits(
+                cv.default_grid(inv_pd(Omega), num), default_risk_grid_closed_form(Omega, num)
+            )
 
 
 class TestRiskCurve:
@@ -237,7 +238,7 @@ class TestRiskCurve:
     def test_true_precision_target_wins_at_heavy_shrinkage(self):
         pop = PopulationSpec("chain", 5)
         Omega = population_precision(pop)
-        grid = default_risk_grid(Omega, 12)
+        grid = cv.default_grid(inv_pd(Omega), 12)
         kw = dict(
             sample_sizes=(20,),
             grid=grid,
