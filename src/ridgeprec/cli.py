@@ -86,7 +86,7 @@ def _seed(args) -> int:
     return whole(args.seed, "--seed", 0)
 
 
-def _grid_from_flags(args, S=None, Omega=None, kind=None) -> np.ndarray:
+def _grid_from_flags(args, S, kind=None) -> np.ndarray:
     given = (args.grid_min is not None, args.grid_max is not None)
     if any(given) and not all(given):
         raise UsageError("--grid-min and --grid-max must be given together")
@@ -94,7 +94,7 @@ def _grid_from_flags(args, S=None, Omega=None, kind=None) -> np.ndarray:
         if args.grid_min <= 0 or args.grid_max <= args.grid_min:
             raise UsageError("grid bounds must satisfy 0 < min < max")
         return np.logspace(np.log10(args.grid_min), np.log10(args.grid_max), args.grid_n)
-    return cv.default_grid(inv_pd(Omega) if S is None else S, num=args.grid_n, kind=kind)
+    return cv.default_grid(S, num=args.grid_n, kind=kind)
 
 
 def _select(args, Y, S, target, scheme: str = "aloocv", k: int = 5) -> cv.CVResult:
@@ -103,7 +103,7 @@ def _select(args, Y, S, target, scheme: str = "aloocv", k: int = 5) -> cv.CVResu
     One stderr line warns when the choice is the first or last grid point.
     """
     config = cv.CVConfig(
-        grid=_grid_from_flags(args, S=S, kind=args.estimator),
+        grid=_grid_from_flags(args, S, kind=args.estimator),
         scheme=scheme,
         k=k,
         fold_seed=_seed(args),
@@ -122,12 +122,13 @@ def _select(args, Y, S, target, scheme: str = "aloocv", k: int = 5) -> cv.CVResu
     return result
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(parts: list[str], path: str | None) -> None:
+    """Write ``parts`` in order to ``path``, or to stdout when no path is given."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def cmd_estimate(args) -> int:
     if lam is None:
         raise UsageError("a penalty is required: --lambda or --auto-lambda")
     est = estimators.fit(args.estimator, S, lam, target)
-    _emit(matio.matrix_to_csv(est.omega), args.output)
+    _emit([matio.matrix_to_csv(est.omega)], args.output)
     return 0
 
 
@@ -157,7 +158,7 @@ def cmd_cv(args) -> int:
     S = estimators.sample_cov(Y, center=args.center)
     result = _select(args, Y, S, parse_target(args.target, args.header), args.scheme, args.k)
     table = matio.matrix_to_csv(np.column_stack([result.grid, result.scores]))
-    _emit(f"lambda,score\n{table}lambda_star,{fmt(result.lambda_star)}\n", args.output)
+    _emit(["lambda,score\n", table, f"lambda_star,{fmt(result.lambda_star)}\n"], args.output)
     return 0
 
 
@@ -170,56 +171,45 @@ def cmd_ggm(args) -> int:
     if args.omega and (lam is not None or args.auto_lambda):
         raise UsageError("--lambda/--auto-lambda apply only with --data")
     target = parse_target(args.target, args.header)
-    Y = omega = None
     if args.data:
         Y = matio.read_data(args.data, header=args.header)
-        if args.auto_lambda:
-            S = estimators.sample_cov(Y, center=args.center)
-            lam = _select(args, Y, S, target).lambda_star
-        if lam is None:
+        if lam is None and not args.auto_lambda:
             raise UsageError("a penalty is required: --lambda or --auto-lambda")
+        S = estimators.sample_cov(Y, center=args.center)
+        if args.auto_lambda:
+            lam = _select(args, Y, S, target).lambda_star
+        est = estimators.fit(args.estimator, S, lam, target)
+        res = ggm.extract_network(est.omega, args.threshold, est.prec)
     else:
-        omega = matio.read_matrix(args.omega, header=args.header)
-    res = ggm.extract_network(
-        Y=Y,
-        omega=omega,
-        estimator=args.estimator,
-        target=target,
-        lam=lam,
-        threshold=args.threshold,
-        center=args.center,
-    )
+        res = ggm.extract_network(matio.read_matrix(args.omega, header=args.header), args.threshold)
     for line in res.fit.warnings():
         print(f"warning: {line}", file=sys.stderr)
     iu = np.triu_indices(res.partials.shape[0], k=1)
-    edges_csv = "i,j,partial_corr,one_minus_lfdr,selected\n" + matio.matrix_to_csv(
+    edges = matio.matrix_to_csv(
         np.column_stack([*iu, res.partials[iu], res.probabilities, res.selected])
     )
-    sparse_csv = matio.matrix_to_csv(res.sparsified)
-    report_lines = [
-        f"eta0,{fmt(res.fit.eta0)}",
-        f"kappa,{fmt(res.fit.kappa)}",
-        f"min_eigenvalue,{fmt(res.min_eigenvalue)}",
-        f"lambda,{fmt(res.lambda_used) if res.lambda_used is not None else 'NA'}",
-    ]
-    report = "\n".join(report_lines) + "\n"
+    report = (
+        f"eta0,{fmt(res.fit.eta0)}\n"
+        f"kappa,{fmt(res.fit.kappa)}\n"
+        f"min_eigenvalue,{fmt(res.min_eigenvalue)}\n"
+        f"lambda,{fmt(lam) if lam is not None else 'NA'}\n"
+    )
     if res.min_eigenvalue <= 0:
         print(
             "warning: sparsified precision is not positive definite "
             f"(min eigenvalue {fmt(res.min_eigenvalue)})",
             file=sys.stderr,
         )
-    if args.edges_out:
-        _emit(edges_csv, args.edges_out)
-    if args.sparsified_out:
-        _emit(sparse_csv, args.sparsified_out)
     out = []
-    if not args.edges_out:
-        out.append("# edges\n" + edges_csv)
-    if not args.sparsified_out:
-        out.append("# sparsified_precision\n" + sparse_csv)
-    out.append("# report\n" + report)
-    _emit("".join(out), args.output)
+    for name, parts, path in (
+        ("edges", ["i,j,partial_corr,one_minus_lfdr,selected\n", edges], args.edges_out),
+        ("sparsified_precision", [matio.matrix_to_csv(res.sparsified)], args.sparsified_out),
+    ):
+        if path:
+            _emit(parts, path)
+        else:
+            out += [f"# {name}\n", *parts]
+    _emit(out + ["# report\n", report], args.output)
     return 0
 
 
@@ -239,7 +229,7 @@ def cmd_simulate(args) -> int:
         offdiag=args.offdiag,
     )
     Omega = simulate.population_precision(spec)
-    grid = _grid_from_flags(args, Omega=Omega)
+    grid = _grid_from_flags(args, inv_pd(Omega))
     config = simulate.RiskConfig(
         population=spec,
         sample_sizes=sizes,
@@ -251,16 +241,16 @@ def cmd_simulate(args) -> int:
         base_seed=seed,
     )
     curve = simulate.risk_curve(config)
-    lines = ["estimator,target,n,lambda,median_loss"]
+    lines = ["estimator,target,n,lambda,median_loss\n"]
     for kind in kinds:
         label = "none" if kind in ("alt-2", "archetype-2") else curve.target_label
         for n in sizes:
             med = curve.medians[(kind, n)]
             lines += [
-                f"{kind},{label},{n},{fmt(la)},{fmt(m)}"
+                f"{kind},{label},{n},{fmt(la)},{fmt(m)}\n"
                 for la, m in zip(curve.grid, med)
             ]
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(lines, args.output)
     return 0
 
 
@@ -272,11 +262,11 @@ def cmd_moments(args) -> int:
         raise UsageError("--lambda is required")
     Sigma = matio.read_matrix(args.sigma, header=args.header)
     approx = moments.bias_approx_type2(Sigma, args.n, lam)
-    out = ["# approximation\n" + matio.matrix_to_csv(approx)]
+    out = ["# approximation\n", matio.matrix_to_csv(approx)]
     if args.mc_reps is not None:
         mc = moments.mc_moments(Sigma, args.n, lam, reps=args.mc_reps, seed=_seed(args))
-        out.append("# mc_estimate\n" + matio.matrix_to_csv(mc))
-    _emit("".join(out), args.output)
+        out += ["# mc_estimate\n", matio.matrix_to_csv(mc)]
+    _emit(out, args.output)
     return 0
 
 

@@ -120,14 +120,20 @@ def _aloocv_term(Y, vectors, prec) -> float:
     return float(-0.5 * (np.sum(np.log(prec)) - q.sum() / n) + correction)
 
 
-def _score(Y, grid, config: CVConfig, scheme: str, threads: int = 1) -> np.ndarray:
-    """Scores of ``scheme`` at every penalty of ``grid``, part by part.
+def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
+    """Evaluate the configured scheme's score at every grid value.
 
-    Terms are added in part order, as a loop over parts per penalty adds
-    them, so every score equals that loop's bit for bit.
+    Scoring runs fold by fold: one held-in covariance per fold and one
+    broadcast fit per grid block. ``threads=0`` means one worker per CPU
+    and ``threads <= 1`` runs inline; otherwise an order-preserving thread
+    pool fits a fold's grid blocks, so a grid that is one block (every grid
+    at small p) runs inline. Scores do not depend on ``threads``. Terms are
+    added in part order, as a loop over parts per penalty adds them, so
+    every score equals that loop's bit for bit.
     """
     Y = prepare_data(Y, config.center)
     n, p = Y.shape
+    grid, scheme = config.grid, config.scheme
     if scheme == "kfold":
         parts = make_folds(n, config.k, config.fold_seed)
     elif n < 2:
@@ -157,18 +163,6 @@ def _score(Y, grid, config: CVConfig, scheme: str, threads: int = 1) -> np.ndarr
             for block, terms in zip(blocks, (pool.map if pooled else map)(block_terms, blocks)):
                 scores[block] += terms
     return scores
-
-
-def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
-    """Evaluate the configured scheme's score at every grid value.
-
-    Scoring runs fold by fold: one held-in covariance per fold and one
-    broadcast fit per grid block. ``threads=0`` means one worker per CPU
-    and ``threads <= 1`` runs inline; otherwise an order-preserving thread
-    pool fits a fold's grid blocks, so a grid that is one block (every grid
-    at small p) runs inline. Scores do not depend on ``threads``.
-    """
-    return _score(Y, config.grid, config, config.scheme, threads)
 
 
 def select_lambda(Y, config: CVConfig, threads: int = 1) -> CVResult:

@@ -2,8 +2,9 @@
 
 Pipeline: precision matrix -> partial correlations -> two-component mixture
 fit on the off-diagonal values -> per-edge local false discovery rates ->
-edge selection and support sparsification. The pipeline takes the penalty
-it is given: choosing one is :func:`ridgeprec.cv.select_lambda`'s job.
+edge selection and support sparsification. The pipeline starts from a
+precision matrix: fitting one is :func:`ridgeprec.estimators.fit`'s job,
+and choosing its penalty :func:`ridgeprec.cv.select_lambda`'s.
 
 The null density for a partial correlation r under kappa effective degrees
 of freedom is ``f0(r; kappa) = |r| * B(r^2; 1/2, (kappa-1)/2)`` with B the
@@ -43,12 +44,11 @@ probability when the alternative density is recovered as
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import estimators
 from .errors import (
     DegenerateFitError,
     InsufficientDataError,
@@ -106,7 +106,7 @@ def offdiagonal_values(P) -> np.ndarray:
     """The p(p-1)/2 nonredundant off-diagonal entries (upper triangle, row-major)."""
     P = np.asarray(P, dtype=float)
     iu = np.triu_indices(P.shape[0], k=1)
-    return P[iu].copy()
+    return P[iu]
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +233,6 @@ def _kappa_nll(values: np.ndarray, cutoff: float):
     return nll
 
 
-def _fit_kappa(values: np.ndarray, cutoff: float) -> float:
-    """Truncated ML for kappa on the |values| <= cutoff subset (see :func:`_kappa_nll`)."""
-    nll = _kappa_nll(values, cutoff)
-    return 1.0 + math.exp(_golden_section(nll, KAPPA_U_MIN, KAPPA_U_MAX, KAPPA_U_TOL))
-
-
 @dataclass(frozen=True)
 class LfdrFit:
     """Fitted two-component mixture over partial-correlation values."""
@@ -345,14 +339,15 @@ def fit_lfdr(values) -> LfdrFit:
         )
     if np.ptp(kept) == 0.0:
         raise DegenerateFitError("central-region values are all identical")
-    kappa = _fit_kappa(values, cutoff)
+    nll = _kappa_nll(values, cutoff)
+    kappa = 1.0 + math.exp(_golden_section(nll, KAPPA_U_MIN, KAPPA_U_MAX, KAPPA_U_TOL))
     sd = float(np.std(values))
     iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
     scale = min(sd, iqr / 1.34) if iqr > 0 else sd
     bandwidth = 0.9 * scale * values.size ** (-0.2)
     fit = LfdrFit(1.0, kappa, values.copy(), bandwidth, cutoff)
     eta0 = float(np.clip(fit.mixture_density(0.0) / null_density(0.0, kappa), 0.0, 1.0))
-    return LfdrFit(eta0, kappa, values.copy(), bandwidth, cutoff)
+    return replace(fit, eta0=eta0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,40 +448,21 @@ class GgmResult:
     selected: np.ndarray  # probabilities >= threshold
     sparsified: np.ndarray
     min_eigenvalue: float
-    lambda_used: float | None
 
 
-def extract_network(
-    Y=None,
-    omega=None,
-    estimator: str = "alt-1",
-    target=estimators.DDIAG,
-    lam: float | None = None,
-    threshold: float = 0.99,
-    center: bool = False,
-) -> GgmResult:
-    """Run the full pipeline from data (or a precision matrix) to a graph.
+def extract_network(omega, threshold: float = 0.99, spectrum=None) -> GgmResult:
+    """Run the graph pipeline on a p.d. precision matrix.
 
-    Exactly one of ``Y`` (n x p data) and ``omega`` (p.d. precision) must be
-    given. With data, ``lam`` is the penalty; to choose it by cross-validation,
-    pass the ``lambda_star`` of :func:`ridgeprec.cv.select_lambda`.
+    ``spectrum`` is the eigenvalues of ``omega`` when they are known
+    already (a dense fit's ``prec``), which spares the p.d. check its
+    ``eigvalsh``. To start from data, fit first: ``est = fit(kind,
+    sample_cov(Y), lam, target)``, then ``extract_network(est.omega,
+    threshold, est.prec)``.
     """
-    if (Y is None) == (omega is None):
-        raise InvalidParameterError("provide exactly one of data and precision input")
     threshold = float(threshold)
     if not 0.0 <= threshold <= 1.0:
         raise InvalidParameterError(f"threshold must be in [0, 1], got {threshold}")
-    lambda_used = None
-    if Y is not None:
-        if lam is None:
-            raise InvalidParameterError("a penalty lam is required with data")
-        S = estimators.sample_cov(np.asarray(Y, dtype=float), center=center)
-        est = estimators.fit(estimator, S, lam, target)
-        # A dense fit: prec is the whole spectrum of omega (a thin one's is not).
-        omega, spectrum = est.omega, est.prec
-        lambda_used = float(lam)
-    else:
-        omega, spectrum = check_symmetric(omega, "omega"), None
+    omega = check_symmetric(omega, "omega")
     P = partial_correlations(omega, spectrum)
     fit = fit_lfdr(offdiagonal_values(P))
     probs = edge_probabilities(P, fit)
@@ -500,5 +476,4 @@ def extract_network(
         selected=selected,
         sparsified=sparsified,
         min_eigenvalue=min_eig,
-        lambda_used=lambda_used,
     )

@@ -10,9 +10,9 @@ the package's continued fraction and golden-section search, mpmath
 quadrature at 30 digits for the kappa likelihood, and one ``fmt`` call per
 CSV value instead of one format operation per row.
 Values produced by these helpers are what the
-tests trust. The last four helpers, ``is_pd``, ``same_bits``,
-``matrix_from_text`` and ``edge_set``, are small test conveniences that the
-package itself never needs.
+tests trust. The last five helpers, ``is_pd``, ``same_bits``,
+``matrix_from_text``, ``edge_set`` and ``network_from_data``, are small
+test conveniences that the package itself never needs.
 """
 
 import io
@@ -510,3 +510,11 @@ def matrix_from_text(text: str, header: bool = False) -> np.ndarray:
 def edge_set(mask, p: int) -> set:
     """The pairs (i, j) that a boolean mask in ``np.triu_indices(p, k=1)`` order selects."""
     return {(i, j) for i, j in np.transpose(np.triu_indices(p, k=1))[mask].tolist()}
+
+
+def network_from_data(Y, lam: float, threshold: float = 0.99):
+    """``extract_network`` on the alt-1 fit of data ``Y`` with the ``ddiag`` target."""
+    from ridgeprec import estimators, ggm
+
+    est = estimators.fit("alt-1", estimators.sample_cov(Y), lam, estimators.DDIAG)
+    return ggm.extract_network(est.omega, threshold, est.prec)

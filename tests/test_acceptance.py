@@ -27,7 +27,13 @@ from ridgeprec.estimators import (
 )
 from ridgeprec.linalg import check_symmetric, inv_pd
 
-from oracles import edge_set, fd_gradient_max_abs, is_pd, newton_max_penalized
+from oracles import (
+    edge_set,
+    fd_gradient_max_abs,
+    is_pd,
+    network_from_data,
+    newton_max_penalized,
+)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -357,7 +363,7 @@ def test_criterion_11_ggm_pipeline(aloocv_lambda):
     antitone_ok = True
     for s in range(20):
         Y = simulate.sample_mvn(Sigma, 200, s)
-        res = ggm.extract_network(Y=Y, estimator="alt-1", lam=aloocv_lambda(Y), threshold=0.99)
+        res = network_from_data(Y, aloocv_lambda(Y), 0.99)
         m = ggm.support_metrics(edge_set(res.selected, 20), truth, 20)
         sens.append(m.sensitivity)
         spec.append(m.specificity)

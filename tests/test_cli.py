@@ -11,6 +11,8 @@ from ridgeprec.cli import build_parser, main, parse_target
 from ridgeprec.estimators import Target
 from ridgeprec.simulate import PopulationSpec, population_precision, sample_mvn
 
+from oracles import network_from_data
+
 
 @pytest.fixture()
 def data_file(tmp_path):
@@ -496,7 +498,7 @@ class TestGgm:
         assert main(["ggm", "--data", path, "--auto-lambda"]) == 0
         out, _ = capsys.readouterr()
         lam = aloocv_lambda(Y)
-        res = ggm.extract_network(Y=Y, lam=lam)
+        res = network_from_data(Y, lam)
         fmt = matio.fmt
         edges = ["i,j,partial_corr,one_minus_lfdr,selected"] + [
             f"{i},{j},{fmt(res.partials[i, j])},{fmt(prob)},{int(sel)}"

@@ -50,7 +50,7 @@ class TestCVConfig:
             CVConfig(grid=[1.0], estimator="lasso")
 
     def test_bad_grid(self):
-        for grid in ([], [0.0], [-1.0], [np.inf], [2.0, 1.0], [1.0, 1.0]):
+        for grid in ([], [0.0], [-1.0], [np.inf], [np.nan], [2.0, 1.0], [1.0, 1.0]):
             with pytest.raises(InvalidParameterError):
                 CVConfig(grid=grid)
 
@@ -394,9 +394,7 @@ class TestFoldOuterLoop:
 
     def test_one_point_calls_keep_their_errors(self):
         Y = chain_data(10, p=3, seed=4)
-        cfg = CVConfig(grid=[1.0], k=4)
         for scheme in SCHEMES:
+            cfg = CVConfig(grid=[1.5], scheme=scheme, k=4, estimator="archetype-1")
             with pytest.raises(InvalidPenaltyError):
-                cv._score(Y, np.array([-1.0]), cfg, scheme)
-            with pytest.raises(InvalidPenaltyError):
-                cv._score(Y, np.array([np.nan]), cfg, scheme)
+                score_grid(Y, cfg)

@@ -28,3 +28,20 @@ def test_no_duplicate_exports():
 
 def test_exports_are_the_imported_names():
     assert set(ridgeprec.__all__) - {"__version__"} == _imported_names()
+
+
+def test_graph_layer_imports_only_errors_and_linalg():
+    # ggm takes a precision matrix: fitting one (estimators) and choosing
+    # its penalty (cv) happen above it.
+    package = Path(ridgeprec.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    named = set()
+    for node in ast.walk(ast.parse((package / "ggm.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ridgeprec")):
+            named |= set((node.module or "").split(".")) | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            named |= {
+                part for alias in node.names if alias.name.startswith("ridgeprec")
+                for part in alias.name.split(".")
+            }
+    assert named & modules == {"errors", "linalg"}

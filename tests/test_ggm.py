@@ -40,6 +40,7 @@ from oracles import (
     fit_kappa_scipy,
     kappa_nll_mp,
     log_null_density_scipy,
+    network_from_data,
     null_partial_corr_draws,
     reflected_kde_exact,
 )
@@ -255,7 +256,7 @@ class TestBinnedMixtureDensity:
         Sigma = inv_pd(population_precision(PopulationSpec("chain", 20)))
         for s in range(20):
             Y = sample_mvn(Sigma, 200, s)
-            res = extract_network(Y=Y, estimator="alt-1", lam=aloocv_lambda(Y), threshold=0.99)
+            res = network_from_data(Y, aloocv_lambda(Y), 0.99)
             exact = oracle_probabilities(offdiagonal_values(res.partials), res.fit)
             for threshold in (0.5, 0.9, 0.99):
                 npt.assert_array_equal(
@@ -327,7 +328,7 @@ def kappa_cases(aloocv_lambda):
     draws += [sample_mvn(chain, 200, s) for s in range(20)]
     cases = []
     for Y in draws:
-        res = extract_network(Y=Y, estimator="alt-1", lam=aloocv_lambda(Y), threshold=0.99)
+        res = network_from_data(Y, aloocv_lambda(Y), 0.99)
         cases.append((res, fit_kappa_scipy(res.fit.values, res.fit.cutoff)))
     return cases
 
@@ -407,13 +408,13 @@ class TestFitWarnings:
         # flat to rounding over the top of the interval, and the search stops
         # just inside the upper bound.
         Y = sample_mvn(inv_pd(population_precision(PopulationSpec("chain", 20))), 200, 0)
-        fit = extract_network(Y=Y, lam=1e6).fit
+        fit = network_from_data(Y, 1e6).fit
         assert 0.0 < ggm.KAPPA_U_MAX - math.log(fit.kappa - 1.0) < 1e-5
         assert ggm.KAPPA_U_MAX - math.log(fit.kappa - 1.0) > ggm.KAPPA_U_TOL
         lines = fit.warnings()
         assert len(lines) == 2 and "eta0 is clamped to 1" in lines[1]
         assert lines[0].startswith(f"kappa {fit.kappa:.17g} fits no better than the upper bound")
-        assert extract_network(Y=Y, lam=1.0).fit.warnings() == []
+        assert network_from_data(Y, 1.0).fit.warnings() == []
 
 
 class TestLfdrValues:
@@ -465,12 +466,12 @@ class TestEdgeSelection:
 
     def test_threshold_domain(self):
         Y, _ = TestExtractNetwork.chain_draw(0, n=100, p=8)
-        omega = extract_network(Y=Y, lam=0.05).omega
+        omega = network_from_data(Y, 0.05).omega
         for threshold in (1.5, -0.1, np.nan):
             with pytest.raises(InvalidParameterError, match="threshold must be in"):
-                extract_network(Y=Y, lam=0.05, threshold=threshold)
+                network_from_data(Y, 0.05, threshold)
             with pytest.raises(InvalidParameterError, match="threshold must be in"):
-                extract_network(omega=omega, threshold=threshold)
+                extract_network(omega, threshold=threshold)
 
     def test_selects_pairs_at_or_above_threshold(self):
         probs = np.array([0.5, 0.99, 0.98, 1.0, 0.0, 0.99])
@@ -588,21 +589,10 @@ class TestExtractNetwork:
         Sigma = np.linalg.inv(Omega)
         return sample_mvn(0.5 * (Sigma + Sigma.T), n, seed), Omega
 
-    def test_requires_exactly_one_input(self):
-        with pytest.raises(InvalidParameterError):
-            extract_network()
-        with pytest.raises(InvalidParameterError):
-            extract_network(Y=np.eye(3), omega=np.eye(3))
-
-    def test_data_requires_lam(self):
-        Y, _ = self.chain_draw(0, n=50, p=6)
-        with pytest.raises(InvalidParameterError):
-            extract_network(Y=Y)
-
     def test_deterministic(self):
         Y, _ = self.chain_draw(1, n=100, p=8)
-        a = extract_network(Y=Y, lam=0.05)
-        b = extract_network(Y=Y, lam=0.05)
+        a = network_from_data(Y, 0.05)
+        b = network_from_data(Y, 0.05)
         npt.assert_array_equal(a.selected, b.selected)
         npt.assert_array_equal(a.sparsified, b.sparsified)
         npt.assert_array_equal(a.probabilities, b.probabilities)
@@ -617,24 +607,22 @@ class TestExtractNetwork:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        fitted = extract_network(Y=Y, lam=0.05)
+        fitted = network_from_data(Y, 0.05)
         assert len(calls) == 1  # sparsify's smallest eigenvalue only
-        extract_network(omega=fitted.omega)
+        extract_network(fitted.omega)
         assert len(calls) == 3  # the --omega path keeps its p.d. check
 
     def test_data_path_matches_omega_path(self):
         Y, _ = self.chain_draw(2, n=100, p=8)
-        from_data = extract_network(Y=Y, lam=0.05)
-        from_omega = extract_network(omega=from_data.omega)
+        from_data = network_from_data(Y, 0.05)
+        from_omega = extract_network(from_data.omega)
         npt.assert_array_equal(from_data.selected, from_omega.selected)
-        assert from_omega.lambda_used is None
 
     def test_result_fields_consistent(self, aloocv_lambda):
         Y, _ = self.chain_draw(3, n=150, p=10)
         lam = aloocv_lambda(Y)
-        res = extract_network(Y=Y, estimator="alt-1", lam=lam)
+        res = network_from_data(Y, lam)
         assert isinstance(res, GgmResult)
-        assert res.lambda_used == lam
         iu = np.triu_indices(10, k=1)
         above = {(int(i), int(j)) for i, j, pr in zip(*iu, res.probabilities) if pr >= 0.99}
         assert edge_set(res.selected, 10) == above
@@ -654,14 +642,14 @@ class TestExtractNetwork:
 
         monkeypatch.setattr(LfdrFit, "mixture_density", counting)
         Y, _ = self.chain_draw(1, n=150, p=10)
-        res = extract_network(Y=Y, lam=0.05)
+        res = network_from_data(Y, 0.05)
         assert 0.0 < res.fit.eta0 < 1.0  # eta0 = 1 would skip the KDE
         assert sorted(sizes) == [1, 45]  # eta0 at r = 0, then every pair once
 
     def test_thousand_variables(self):
         Omega = population_precision(PopulationSpec("clique", 1000, blocks=50, offdiag=0.5))
         Y = sample_mvn(inv_pd(Omega), 500, 1000)
-        res = extract_network(Y=Y, lam=0.05)
+        res = network_from_data(Y, 0.05)
         assert res.probabilities.shape == (499500,)
         assert np.all((res.probabilities >= 0.0) & (res.probabilities <= 1.0))
         assert res.fit.eta0 < 1.0  # eta0 = 1 would skip the KDE
@@ -670,7 +658,7 @@ class TestExtractNetwork:
     def test_exact_zero_offdiagonals_degenerate(self):
         Omega = population_precision(PopulationSpec("chain", 20))
         with pytest.raises(DegenerateFitError):
-            extract_network(omega=Omega)
+            extract_network(Omega)
 
     def test_recovers_chain_support_reasonably(self, aloocv_lambda):
         Omega = population_precision(PopulationSpec("chain", 20))
@@ -678,7 +666,7 @@ class TestExtractNetwork:
         jacs = []
         for s in range(5):
             Y, _ = self.chain_draw(s)
-            res = extract_network(Y=Y, lam=aloocv_lambda(Y), threshold=0.9)
+            res = network_from_data(Y, aloocv_lambda(Y), 0.9)
             sel = edge_set(res.selected, 20)
             jacs.append(len(sel & truth) / max(1, len(sel | truth)))
         assert np.median(jacs) >= 0.3
