@@ -230,7 +230,14 @@ class TestCV:
         assert "unrecognized arguments: --fold-seed=1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command", [["cv"], ["estimate", "--auto-lambda"], ["estimate", "--lambda", "0.5"]]
+        "command",
+        [
+            ["cv"],
+            ["estimate", "--auto-lambda"],
+            ["estimate", "--lambda", "0.5"],
+            ["ggm", "--auto-lambda"],
+            ["ggm", "--lambda", "0.5"],
+        ],
     )
     def test_overflowing_data_names_the_grid_anchor(self, command, data_file, tmp_path, capsys):
         # S = Y'Y/n overflows although every entry is finite. sample_cov says
@@ -245,6 +252,16 @@ class TestCV:
         assert err.splitlines()[-1] == (
             f"ridgeprec {command[0]}: error: data overflow: Y'Y/n is not finite although "
             "every data entry is; rescale the data"
+        )
+
+    def test_ggm_overflowing_data_without_penalty_is_usage_error(self, data_file, tmp_path, capsys):
+        # ggm finds the missing penalty (exit 1) before sample_cov runs, so
+        # overflowing data cannot turn the usage error into exit 2.
+        path = tmp_path / "huge.csv"
+        path.write_text(matio.matrix_to_csv(data_file[1] * 1e200))
+        assert main(["ggm", "--data", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "ridgeprec ggm: error: a penalty is required: --lambda or --auto-lambda"
         )
 
 

@@ -618,6 +618,16 @@ class TestExtractNetwork:
         from_omega = extract_network(from_data.omega)
         npt.assert_array_equal(from_data.selected, from_omega.selected)
 
+    def test_omega_is_the_symmetrized_input(self):
+        # An asymmetry within check_symmetric's tolerance is accepted, and
+        # the result carries (omega + omega')/2, not the input as given.
+        Y, _ = self.chain_draw(2, n=100, p=8)
+        omega = network_from_data(Y, 0.05).omega.copy()
+        omega[0, 1] += 1e-12
+        res = extract_network(omega)
+        npt.assert_array_equal(res.omega, 0.5 * (omega + omega.T))
+        npt.assert_array_equal(res.omega, res.omega.T)
+
     def test_result_fields_consistent(self, aloocv_lambda):
         Y, _ = self.chain_draw(3, n=150, p=10)
         lam = aloocv_lambda(Y)
