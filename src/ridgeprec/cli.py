@@ -7,6 +7,7 @@ stderr. Exit codes: 0 success, 1 usage error, 2 data/numeric error.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -97,6 +98,32 @@ def _grid_from_flags(args, S, kind=None) -> np.ndarray:
     return cv.default_grid(S, num=args.grid_n, kind=kind)
 
 
+#: The environment variables that set the BLAS thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _cv_threads(args) -> int:
+    """CV scoring workers: ``--threads`` when given, else one per CPU only with BLAS pinned.
+
+    BLAS counts as pinned when at least one of :data:`BLAS_THREAD_VARS` is
+    set and every one that is set is ``1``; only the environment is read, not
+    the loaded BLAS. One stderr line warns when a typed pool of workers
+    meets an unpinned BLAS.
+    """
+    values = [os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ]
+    pinned = bool(values) and all(value == "1" for value in values)
+    if args.threads is None:
+        return 0 if pinned else 1
+    if args.threads != 1 and not pinned:
+        print(
+            f"warning: --threads {args.threads} with BLAS not pinned to one thread (only "
+            f"{', '.join(BLAS_THREAD_VARS)} in the environment were read); CV workers "
+            "and BLAS threads may compete for the CPUs",
+            file=sys.stderr,
+        )
+    return args.threads
+
+
 def _select(args, Y, S, target, scheme: str = "aloocv", k: int = 5) -> cv.CVResult:
     """Choose the penalty over the flag grid, folds seeded by ``--seed``.
 
@@ -111,7 +138,7 @@ def _select(args, Y, S, target, scheme: str = "aloocv", k: int = 5) -> cv.CVResu
         target=target,
         center=args.center,
     )
-    result = cv.select_lambda(Y, config, threads=args.threads)
+    result = cv.select_lambda(Y, config, threads=_cv_threads(args))
     grid = result.grid
     if result.lambda_star in (grid[0], grid[-1]):
         print(
@@ -140,12 +167,12 @@ def cmd_estimate(args) -> int:
         raise UsageError("--data FILE is required")
     lam = _penalty(args)
     Y = matio.read_data(args.data, header=args.header)
+    if lam is None and not args.auto_lambda:
+        raise UsageError("a penalty is required: --lambda or --auto-lambda")
     S = estimators.sample_cov(Y, center=args.center)
     target = parse_target(args.target, args.header)
     if args.auto_lambda:
         lam = _select(args, Y, S, target).lambda_star
-    if lam is None:
-        raise UsageError("a penalty is required: --lambda or --auto-lambda")
     est = estimators.fit(args.estimator, S, lam, target)
     _emit([matio.matrix_to_csv(est.omega)], args.output)
     return 0
@@ -289,10 +316,11 @@ def _count(low: int):
 def _add_common(sp) -> None:
     sp.add_argument("--seed", type=int, default=0, help="base RNG seed, a non-negative integer")
     sp.add_argument(
-        "--threads", type=_count(0), default=1,
-        help="CV scoring threads, 0 means one per CPU; they split each fold's grid blocks, "
-        "so a one-block grid (small p) runs inline; faster only with BLAS pinned to "
-        "one thread; simulate and moments ignore it",
+        "--threads", type=_count(0),
+        help="CV scoring threads, 0 means one per usable CPU; default 0 when "
+        "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS pin BLAS to one "
+        "thread, else 1; they split each fold's grid blocks, so a one-block grid "
+        "(small p) runs inline; simulate and moments ignore it",
     )
     sp.add_argument("--config", help="JSON file mirroring the flags; flags override it")
     sp.add_argument("--header", action="store_true", help="input CSV has a header row")

@@ -124,8 +124,9 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
     """Evaluate the configured scheme's score at every grid value.
 
     Scoring runs fold by fold: one held-in covariance per fold and one
-    broadcast fit per grid block. ``threads=0`` means one worker per CPU
-    and ``threads <= 1`` runs inline; otherwise an order-preserving thread
+    broadcast fit per grid block. ``threads=0`` means one worker per usable
+    CPU (the process's CPU affinity where the platform reports it) and
+    ``threads <= 1`` runs inline; otherwise an order-preserving thread
     pool fits a fold's grid blocks, so a grid that is one block (every grid
     at small p) runs inline. Scores do not depend on ``threads``. Terms are
     added in part order, as a loop over parts per penalty adds them, so
@@ -145,7 +146,7 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
         parts = [None]
     blocks = estimators.stack_slices(grid.size, p)
     scores = np.zeros(grid.size)
-    threads = threads or os.cpu_count() or 1
+    threads = threads or _usable_cpus()
     pooled = threads > 1 and len(blocks) > 1
     with ThreadPoolExecutor(max_workers=threads) if pooled else nullcontext() as pool:
         for held_out in parts:
@@ -163,6 +164,12 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
             for block, terms in zip(blocks, (pool.map if pooled else map)(block_terms, blocks)):
                 scores[block] += terms
     return scores
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def select_lambda(Y, config: CVConfig, threads: int = 1) -> CVResult:

@@ -344,7 +344,9 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
     to the diagonal only; decompose it in one ``eigh`` call (alt-2 and
     archetype-2 decompose ``S`` once for the whole grid); and map its
     eigenvalues by the kind's rule. The estimate keeps the eigenvectors and
-    both mapped spectra.
+    both mapped spectra. When the call has one matrix per penalty (a scalar
+    ``lam``, or a one-point grid), the kind's matrix is built in place in
+    the checked copy of ``S``; the caller's ``S`` is never written.
     """
     S = check_symmetric(S, "S", stack=True)
     kind, lam, target = _resolve(kind, lam, target, S)
@@ -358,25 +360,29 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
         vals, vecs = eig_sym_unchecked(S)
         if grid:
             vecs = np.broadcast_to(vecs, vecs.shape[:-3] + lam.shape + (p, p))
-    else:
-        if target.kind == "full":
-            if kind == "alt-1":
-                M = S - lam_m * target.matrix(p)
-            else:
-                M = (1.0 - lam_m) * S + lam_m * target.gamma(p)
+        return _estimate(kind, vals, vecs, lam, target)
+    shape = np.broadcast_shapes(S.shape, lam_m.shape)
+    # The checked copy is this call's own; reuse it when no grid axis widens it.
+    M = S if shape == S.shape else np.array(np.broadcast_to(S, shape))
+    if kind == "archetype-1":
+        M *= 1.0 - lam_m
+    if target.kind == "full":
+        if kind == "alt-1":
+            M -= lam_m * target.matrix(p)
         else:
-            t = target.diagonal_entries(p)
-            if grid:
-                t = t[..., None, :]
-            idx = np.arange(p)
-            if kind == "alt-1":
-                M = np.array(np.broadcast_to(S, np.broadcast_shapes(S.shape, lam_m.shape)))
-                M[..., idx, idx] -= lam_v * t
-            else:
-                # lam*G is +0.0 off the diagonal; adding it turns -0.0 into +0.0.
-                M = (1.0 - lam_m) * S + 0.0
-                M[..., idx, idx] += lam_v * (1.0 / t)
-        vals, vecs = eig_sym_unchecked(M)
+            M += lam_m * target.gamma(p)
+    else:
+        t = target.diagonal_entries(p)
+        if grid:
+            t = t[..., None, :]
+        idx = np.arange(p)
+        if kind == "alt-1":
+            M[..., idx, idx] -= lam_v * t
+        else:
+            # lam*G is +0.0 off the diagonal; adding it turns -0.0 into +0.0.
+            M += 0.0
+            M[..., idx, idx] += lam_v * (1.0 / t)
+    vals, vecs = eig_sym_unchecked(M)
     return _estimate(kind, vals, vecs, lam, target)
 
 

@@ -235,13 +235,19 @@ def _kappa_nll(values: np.ndarray, cutoff: float):
 
 @dataclass(frozen=True)
 class LfdrFit:
-    """Fitted two-component mixture over partial-correlation values."""
+    """Fitted two-component mixture over partial-correlation values.
+
+    ``density`` holds the mixture density on :func:`kde_nodes` once
+    :func:`fit_lfdr` has convolved it; a fit built without it convolves on
+    every :meth:`mixture_density` call.
+    """
 
     eta0: float
     kappa: float
     values: np.ndarray = field(compare=False)
     bandwidth: float
     cutoff: float
+    density: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def warnings(self) -> list[str]:
         """One line per sign of a degenerate fit.
@@ -284,26 +290,32 @@ class LfdrFit:
         interpolation.
         """
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        nodes = kde_nodes(self.bandwidth)
-        n = nodes.size - 1
-        delta = 2.0 / n
-        pos = (self.values + 1.0) / delta
-        left = np.clip(np.floor(pos).astype(np.intp), 0, n - 1)
-        frac = pos - left
-        counts = np.bincount(left, 1.0 - frac, n + 1) + np.bincount(left + 1, frac, n + 1)
-        extended = np.zeros(3 * n + 1)
-        extended[: n + 1] += counts[::-1]
-        extended[n : 2 * n + 1] += counts
-        extended[2 * n :] += counts[::-1]
-        reach = math.ceil(KDE_KERNEL_REACH * self.bandwidth / delta)
-        z = np.arange(-reach, reach + 1) * (delta / self.bandwidth)
-        kernel = np.exp(-0.5 * z * z)
-        kernel /= kernel.sum() * delta * self.values.size
-        size = 1 << (extended.size + kernel.size - 2).bit_length()
-        conv = np.fft.irfft(np.fft.rfft(extended, size) * np.fft.rfft(kernel, size), size)
-        density = np.maximum(conv[n + reach : 2 * n + reach + 1], 0.0)
-        out = np.interp(arr, nodes, density)
+        density = self.density
+        if density is None:
+            density = _node_density(self.values, self.bandwidth)
+        out = np.interp(arr, kde_nodes(self.bandwidth), density)
         return out if np.ndim(r) else float(out[0])
+
+
+def _node_density(values: np.ndarray, bandwidth: float) -> np.ndarray:
+    """The reflected-KDE density on :func:`kde_nodes`; see :meth:`LfdrFit.mixture_density`."""
+    n = kde_nodes(bandwidth).size - 1
+    delta = 2.0 / n
+    pos = (values + 1.0) / delta
+    left = np.clip(np.floor(pos).astype(np.intp), 0, n - 1)
+    frac = pos - left
+    counts = np.bincount(left, 1.0 - frac, n + 1) + np.bincount(left + 1, frac, n + 1)
+    extended = np.zeros(3 * n + 1)
+    extended[: n + 1] += counts[::-1]
+    extended[n : 2 * n + 1] += counts
+    extended[2 * n :] += counts[::-1]
+    reach = math.ceil(KDE_KERNEL_REACH * bandwidth / delta)
+    z = np.arange(-reach, reach + 1) * (delta / bandwidth)
+    kernel = np.exp(-0.5 * z * z)
+    kernel /= kernel.sum() * delta * values.size
+    size = 1 << (extended.size + kernel.size - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(extended, size) * np.fft.rfft(kernel, size), size)
+    return np.maximum(conv[n + reach : 2 * n + reach + 1], 0.0)
 
 
 def kde_nodes(bandwidth: float) -> np.ndarray:
@@ -345,7 +357,8 @@ def fit_lfdr(values) -> LfdrFit:
     iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
     scale = min(sd, iqr / 1.34) if iqr > 0 else sd
     bandwidth = 0.9 * scale * values.size ** (-0.2)
-    fit = LfdrFit(1.0, kappa, values.copy(), bandwidth, cutoff)
+    density = _node_density(values, bandwidth)
+    fit = LfdrFit(1.0, kappa, values.copy(), bandwidth, cutoff, density)
     eta0 = float(np.clip(fit.mixture_density(0.0) / null_density(0.0, kappa), 0.0, 1.0))
     return replace(fit, eta0=eta0)
 

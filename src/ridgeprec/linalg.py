@@ -1,8 +1,8 @@
 """Symmetric-matrix primitives used by every estimator.
 
 All public functions validate their inputs and return exactly symmetric
-arrays: results are passed through :func:`symmetrize`, which guarantees the
-(i, j) and (j, i) entries are the same float, not merely close. The one
+arrays: results are computed as :func:`symmetrize` computes them, which
+guarantees the (i, j) and (j, i) entries are the same float, not merely close. The one
 exception is :func:`eig_sym_unchecked`, which validates nothing: callers
 pass it a matrix they have checked already, and read its eigenvectors only
 through products that do not depend on their signs.
@@ -25,20 +25,29 @@ def check_symmetric(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Validate that ``a`` is a finite, square, symmetric 2-D array.
 
     With ``stack`` set, ``a`` may also be a stack ``(..., p, p)`` and each
-    matrix is held to the same test. Returns the exactly-symmetrized copy.
-    Raises :class:`~ridgeprec.errors.InvalidMatrixError` otherwise.
+    matrix is held to the same test. Returns the exactly-symmetrized copy,
+    a new array that the caller owns and may overwrite; it equals
+    :func:`symmetrize` of ``a`` bit for bit, and is the only array of
+    ``a``'s size allocated here. Raises
+    :class:`~ridgeprec.errors.InvalidMatrixError` otherwise.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-2] != a.shape[-1]:
         raise InvalidMatrixError(f"{name} must be square, got shape {a.shape}")
     if a.size == 0:
         raise InvalidMatrixError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(a)):
+    # max |a| without an |a| temporary; max, min and maximum propagate NaN,
+    # so a finite scale means finite entries.
+    scale = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
+    if not np.all(np.isfinite(scale)):
         raise InvalidMatrixError(f"{name} contains non-finite entries")
-    scale = np.abs(a).max(axis=(-2, -1))
-    if np.any(np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1)) > _ASYM_RTOL * (1.0 + scale)):
+    out = np.subtract(a, a.swapaxes(-1, -2))
+    np.abs(out, out=out)
+    if np.any(out.max(axis=(-2, -1)) > _ASYM_RTOL * (1.0 + scale)):
         raise InvalidMatrixError(f"{name} is not symmetric")
-    return symmetrize(a)
+    np.add(a, a.swapaxes(-1, -2), out=out)
+    out *= 0.5
+    return out
 
 
 def eig_sym_unchecked(a: np.ndarray) -> tuple:

@@ -1,12 +1,14 @@
 import argparse
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ridgeprec import cv, estimators, ggm, matio, moments
+from ridgeprec import cli, cv, estimators, ggm, matio, moments
 from ridgeprec.cli import build_parser, main, parse_target
 from ridgeprec.estimators import Target
 from ridgeprec.simulate import PopulationSpec, population_precision, sample_mvn
@@ -263,6 +265,116 @@ class TestCV:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "ridgeprec ggm: error: a penalty is required: --lambda or --auto-lambda"
         )
+
+    def test_estimate_overflowing_data_without_penalty_is_usage_error(
+        self, data_file, tmp_path, capsys
+    ):
+        path = tmp_path / "huge.csv"
+        path.write_text(matio.matrix_to_csv(data_file[1] * 1e200))
+        assert main(["estimate", "--data", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "ridgeprec estimate: error: a penalty is required: --lambda or --auto-lambda"
+        )
+
+
+def _blas_env(monkeypatch, values: dict) -> None:
+    """Set the BLAS thread variables named in ``values``; unset the others."""
+    for var in cli.BLAS_THREAD_VARS:
+        if var in values:
+            monkeypatch.setenv(var, values[var])
+        else:
+            monkeypatch.delenv(var, raising=False)
+
+
+PINNED = {var: "1" for var in cli.BLAS_THREAD_VARS}
+
+
+class TestDefaultThreads:
+    """Without --threads, CV scoring runs one worker per usable CPU only when BLAS is pinned."""
+
+    @pytest.fixture()
+    def argv(self, data_file, monkeypatch):
+        # 8 grid points in 4 blocks of 2 at p = 6, in a process that may use 2 CPUs.
+        monkeypatch.setattr(estimators, "STACK_BYTES", 2 * 8 * 6 * 6)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return ["cv", "--data", data_file[0], "--scheme", "aloocv", "--grid-n", "8"]
+
+    @staticmethod
+    def record_fit_threads(monkeypatch, meet: bool) -> list:
+        """Thread ids of every fit; with ``meet`` the first two fits wait for each other."""
+        real_fit = estimators.fit
+        barrier = threading.Barrier(2, timeout=30)
+        lock = threading.Lock()
+        threads = []
+
+        def recording_fit(*args, **kwargs):
+            with lock:
+                threads.append(threading.get_ident())
+                first = len(threads) <= 2
+            if meet and first:
+                barrier.wait()
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "fit", recording_fit)
+        return threads
+
+    def test_pinned_blas_scores_on_every_cpu(self, argv, monkeypatch, capsys):
+        _blas_env(monkeypatch, PINNED)
+        assert main(argv + ["--threads", "1"]) == 0
+        inline = capsys.readouterr().out
+        threads = self.record_fit_threads(monkeypatch, meet=True)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == inline
+        assert len(set(threads)) == 2
+
+    @pytest.mark.parametrize(
+        "env", [{}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}], ids=["unset", "mixed"]
+    )
+    def test_unpinned_blas_scores_inline(self, env, argv, monkeypatch, capsys):
+        _blas_env(monkeypatch, env)
+        threads = self.record_fit_threads(monkeypatch, meet=False)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert set(threads) == {threading.get_ident()}
+
+    @pytest.mark.parametrize(
+        "threads, env, warned",
+        [
+            ("2", {}, True),
+            ("0", {}, True),
+            ("2", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+            ("1", {}, False),
+            (None, {}, False),
+            ("2", PINNED, False),
+            ("0", {"MKL_NUM_THREADS": "1"}, False),
+        ],
+    )
+    def test_warns_when_workers_meet_unpinned_blas(self, threads, env, warned, argv, monkeypatch, capsys):
+        _blas_env(monkeypatch, env)
+        assert main(argv + ["--threads", "1"]) == 0
+        inline = capsys.readouterr().out
+        assert main(argv + (["--threads", threads] if threads else [])) == 0
+        out, err = capsys.readouterr()
+        assert out == inline
+        lines = [line for line in err.splitlines() if line.startswith("warning: --threads")]
+        if warned:
+            assert lines == [
+                f"warning: --threads {threads} with BLAS not pinned to one thread (only "
+                "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS in the environment "
+                "were read); CV workers and BLAS threads may compete for the CPUs"
+            ]
+        else:
+            assert lines == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [["estimate", "--lambda", "0.5"], ["simulate", "--p", "4", "--reps", "2"]],
+    )
+    def test_no_warning_without_cv_scoring(self, command, data_file, monkeypatch, capsys):
+        _blas_env(monkeypatch, {})
+        data = ["--data", data_file[0]] if command[0] == "estimate" else []
+        assert main(command + data + ["--threads", "2"]) == 0
+        assert "warning: --threads" not in capsys.readouterr().err
 
 
 @pytest.fixture()

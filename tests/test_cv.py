@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import threading
 from dataclasses import replace
 
@@ -334,6 +335,28 @@ class TestScoreGrid:
             npt.assert_array_equal(score_grid(Y, cfg, threads=2), inline)
             assert len(set(fit_threads)) == 2
             npt.assert_array_equal(score_grid(Y, cfg, threads=0), inline)
+
+    @pytest.mark.parametrize("source", ["affinity", "cpu_count"])
+    def test_threads_zero_counts_usable_cpus(self, source, monkeypatch):
+        # One usable CPU runs inline, whatever the machine's CPU count.
+        if source == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(estimators, "STACK_BYTES", 2 * 8 * 4 * 4)  # 4 blocks of 2
+        real_fit = estimators.fit
+        fit_threads = set()
+
+        def recording_fit(*args, **kwargs):
+            fit_threads.add(threading.get_ident())
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "fit", recording_fit)
+        Y = chain_data(15, p=4, seed=21)
+        score_grid(Y, CVConfig(grid=default_grid(sample_cov(Y), 8), scheme="aloocv"), threads=0)
+        assert fit_threads == {threading.get_ident()}
 
 
 class TestFoldOuterLoop:

@@ -462,6 +462,16 @@ class TestFitDispatch:
         assert est.p == 5
 
 
+    @pytest.mark.parametrize("kind", ["alt-1", "archetype-1"])
+    @pytest.mark.parametrize("lam", [0.4, np.array([0.4])], ids=["scalar", "one-point-grid"])
+    def test_input_is_not_written(self, kind, lam, rng, make_spd):
+        # fit builds the kind's matrix in place in its own checked copy of S.
+        S = make_spd(6, rng)
+        kept = S.copy()
+        fit(kind, S, lam, "ddiag")
+        assert S.tobytes() == kept.tobytes()
+
+
 class TestGradientAtOptimum:
     def test_finite_difference_gradient_vanishes(self, rng, make_spd):
         S = make_spd(4, rng)

@@ -656,6 +656,23 @@ class TestExtractNetwork:
         assert 0.0 < res.fit.eta0 < 1.0  # eta0 = 1 would skip the KDE
         assert sorted(sizes) == [1, 45]  # eta0 at r = 0, then every pair once
 
+    def test_mixture_density_convolved_once(self, monkeypatch):
+        # fit_lfdr convolves the node density once (two rfft calls) and both
+        # mixture_density calls, eta0's and the edges', read it off the fit.
+        calls = []
+        rfft = np.fft.rfft
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return rfft(*args, **kwargs)
+
+        Y, _ = self.chain_draw(1, n=150, p=10)
+        omega = network_from_data(Y, 0.05).omega
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        res = extract_network(omega)
+        assert 0.0 < res.fit.eta0 < 1.0  # eta0 = 1 would skip the edges' density
+        assert len(calls) == 2
+
     def test_thousand_variables(self):
         Omega = population_precision(PopulationSpec("clique", 1000, blocks=50, offdiag=0.5))
         Y = sample_mvn(inv_pd(Omega), 500, 1000)
