@@ -256,7 +256,8 @@ def cmd_simulate(args) -> int:
         offdiag=args.offdiag,
     )
     Omega = simulate.population_precision(spec)
-    grid = _grid_from_flags(args, inv_pd(Omega))
+    Sigma = inv_pd(Omega)
+    grid = _grid_from_flags(args, Sigma)
     config = simulate.RiskConfig(
         population=spec,
         sample_sizes=sizes,
@@ -267,7 +268,7 @@ def cmd_simulate(args) -> int:
         loss=args.loss,
         base_seed=seed,
     )
-    curve = simulate.risk_curve(config)
+    curve = simulate.risk_curve(config, Omega, Sigma)
     lines = ["estimator,target,n,lambda,median_loss\n"]
     for kind in kinds:
         label = "none" if kind in ("alt-2", "archetype-2") else curve.target_label

@@ -18,13 +18,14 @@ recipe is pinned:
   the truncation so the estimate is consistent when the data really are
   null. The quantile keeps the fit on the central bulk when shrinkage
   concentrates every value near zero; the 0.75 cap keeps alternative mass
-  near the domain edges out of the null fit when it is abundant. The Beta
-  normalizer cancels between the density and the truncation mass, so the
-  negative log-likelihood of the m kept values is
-  ``-(kappa-3)/2 * sum(ln(1 - r^2)) + m ln B(c^2; 1/2, (kappa-1)/2)`` with
-  the unnormalized incomplete beta B(x; a, b) from its continued fraction.
-  It is minimized by golden-section search over ``u = ln(kappa - 1)`` in
-  [ln 1e-2, ln 1e7] down to a bracket of 1e-8;
+  near the domain edges out of the null fit when it is abundant. With
+  ``b = (kappa - 1)/2`` the likelihood's score in b is zero where the
+  truncated null mean ``E_b[ln(1 - s^2) | 0 <= s <= c]``, under the density
+  proportional to ``(1 - s^2)^(b-1)``, equals the kept values' mean of
+  ``ln(1 - r^2)``. That mean rises with b (its derivative is a variance),
+  so bisection in ``u = ln(kappa - 1)`` over [ln 1e-2, ln 1e7] finds the
+  one root to adjacent floats, or returns the bound a one-signed score
+  (a flat likelihood included) points to;
 * eta0: central matching, the ratio of the mixture density to the fitted
   null density at r = 0, clamped to [0, 1];
 * mixture density: Gaussian kernel density estimate with Silverman's
@@ -45,6 +46,7 @@ probability when the alternative density is recovered as
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -72,8 +74,6 @@ KDE_KERNEL_REACH = 40
 #: Search interval of the kappa fit in ``u = ln(kappa - 1)``.
 KAPPA_U_MIN = math.log(1e-2)
 KAPPA_U_MAX = math.log(1e7)
-#: The kappa search stops once its bracket in ``u`` is narrower than this.
-KAPPA_U_TOL = 1e-8
 #: ``B_2k / (2k (2k - 1))``, the first six Stirling-series coefficients of ln Gamma.
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
@@ -154,83 +154,56 @@ def _log_beta_half(b: float) -> float:
     return 0.5 * math.log(math.pi) + 0.5 - 0.5 * math.log(b) - b * math.log1p(0.5 / b) + series
 
 
-def _beta_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction of the incomplete beta, by the modified Lentz method.
+@cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-point Gauss-Legendre nodes and weights on [0, 1].
 
-    ``B(x; a, b) = x^a (1 - x)^b / a * cf``; it converges fast for
-    ``x < (a + 1)/(a + b + 2)``.
+    Five Newton steps on the three-term Legendre recurrence, from the
+    asymptotic guess for each root, reach rounding level.
     """
-    tiny = 1e-300
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    cf = d
-    for m in range(1, 1000):
-        even = m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m))
-        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m))
-        for coef in (even, odd):
-            d = 1.0 + coef * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + coef / c
-            c = c if abs(c) > tiny else tiny
-            step = c * d
-            cf *= step
-        if abs(step - 1.0) < 1e-16:
-            break
-    return cf
+    n = 64
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(5):
+        prev, poly = np.ones(n), x
+        for j in range(2, n + 1):
+            prev, poly = poly, ((2 * j - 1) * x * poly - (j - 1) * prev) / j
+        slope = n * (x * poly - prev) / (x * x - 1.0)
+        x = x - poly / slope
+    return 0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * slope * slope)
 
 
-def _log_central_mass(b: float, x: float) -> float:
-    """``ln B(x; 1/2, b)``, the unnormalized incomplete beta, for 0 < x < 1.
+def _truncated_null_mean(b: float, cutoff: float) -> float:
+    """``E_b[ln(1 - s^2) | 0 <= s <= cutoff]`` under the density ``(1 - s^2)^(b-1)``.
 
-    Direct continued fraction for small x; otherwise through
-    ``B(x; 1/2, b) = B(1/2, b) - B(1 - x; b, 1/2)``, each fraction in the
-    range where it converges fast.
+    Gauss-Legendre on [0, min(cutoff, sqrt(80/b))]; beyond ``sqrt(80/b)``
+    the density is below ``e^-79`` of its value at zero.
     """
-    if x < 1.5 / (b + 2.5):
-        return 0.5 * math.log(x) + b * math.log1p(-x) + math.log(2.0 * _beta_fraction(0.5, b, x))
-    log_whole = _log_beta_half(b)
-    log_tail = (
-        b * math.log1p(-x) + 0.5 * math.log(x) - math.log(b)
-        + math.log(_beta_fraction(b, 0.5, 1.0 - x))
-    )
-    return log_whole + math.log1p(-math.exp(log_tail - log_whole))
+    nodes, weights = _legendre_rule()
+    s = min(cutoff, math.sqrt(80.0 / b)) * nodes
+    log_1ms2 = np.log1p(-s * s)
+    mass = weights * np.exp((b - 1.0) * log_1ms2)
+    return float(np.sum(mass * log_1ms2) / np.sum(mass))
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of the first golden-section bracket narrower than ``tol``."""
-    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
-    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo >= tol:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - ratio * (hi - lo)
-            fc = f(c)
+def _fit_kappa(kept: np.ndarray, cutoff: float) -> float:
+    """Bisect ``E_b[ln(1 - s^2)] - mean(ln(1 - r^2))``, increasing in ``u = ln(kappa - 1)``.
+
+    A score of one sign over the interval returns the bound it points to.
+    """
+    mean = float(np.mean(np.log1p(-kept * kept)))
+
+    def score(u: float) -> float:
+        return _truncated_null_mean(0.5 * math.exp(u), cutoff) - mean
+
+    lo, hi = KAPPA_U_MIN, KAPPA_U_MAX
+    u = lo if score(lo) >= 0.0 else hi if score(hi) <= 0.0 else 0.5 * (lo + hi)
+    while lo < u < hi:
+        if score(u) < 0.0:
+            lo = u
         else:
-            lo, c, fc = c, d, fd
-            d = lo + ratio * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
-def _kappa_nll(values: np.ndarray, cutoff: float):
-    """The kappa fit's objective: truncated negative log-likelihood in ``u = ln(kappa - 1)``.
-
-    The log-likelihood of the |values| <= cutoff subset under f0 restricted
-    to the central region subtracts ``m * ln P0(|r| <= cutoff; kappa)``, so
-    the estimate stays consistent under truncation. The Beta normalizer of
-    f0 cancels against that of P0, which leaves the unnormalized mass.
-    """
-    kept = values[np.abs(values) <= cutoff]
-    m = kept.size
-    log_sum = float(np.sum(np.log1p(-kept * kept)))
-    x = cutoff * cutoff
-
-    def nll(u: float) -> float:
-        b = 0.5 * math.exp(u)
-        return -(b - 1.0) * log_sum + m * _log_central_mass(b, x)
-
-    return nll
+            hi = u
+        u = 0.5 * (lo + hi)
+    return 1.0 + math.exp(u)
 
 
 @dataclass(frozen=True)
@@ -250,28 +223,14 @@ class LfdrFit:
     density: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def warnings(self) -> list[str]:
-        """One line per sign of a degenerate fit.
-
-        Signs: kappa at a search bound; kappa inside the interval but on a
-        likelihood that is flat up to the nearer bound (no higher there,
-        to within 1e-12 relative); eta0 clamped.
-        """
+        """One line per sign of a degenerate fit: kappa exactly on a bound, or eta0 clamped."""
         out = []
-        u = math.log(self.kappa - 1.0)
-        lower = u - KAPPA_U_MIN < KAPPA_U_MAX - u
-        bound, side = (KAPPA_U_MIN, "lower") if lower else (KAPPA_U_MAX, "upper")
-        interval = f"[{1.0 + math.exp(KAPPA_U_MIN):g}, {1.0 + math.exp(KAPPA_U_MAX):g}]"
-        if abs(u - bound) <= KAPPA_U_TOL:
-            out.append(
-                f"kappa {self.kappa:.17g} is at the {side} bound of its search interval {interval}"
-            )
-        else:
-            nll = _kappa_nll(self.values, self.cutoff)
-            at_u = nll(u)
-            if nll(bound) <= at_u + 1e-12 * abs(at_u):
+        lower, upper = 1.0 + math.exp(KAPPA_U_MIN), 1.0 + math.exp(KAPPA_U_MAX)
+        for bound, side in ((lower, "lower"), (upper, "upper")):
+            if self.kappa == bound:
                 out.append(
-                    f"kappa {self.kappa:.17g} fits no better than the {side} bound of its search "
-                    f"interval {interval}; the likelihood is flat between them"
+                    f"kappa {self.kappa:.17g} is at the {side} bound of its search interval "
+                    f"[{lower:g}, {upper:g}]"
                 )
         if self.eta0 in (0.0, 1.0):
             out.append(f"eta0 is clamped to {self.eta0:g}; the mixture fit is degenerate")
@@ -351,8 +310,7 @@ def fit_lfdr(values) -> LfdrFit:
         )
     if np.ptp(kept) == 0.0:
         raise DegenerateFitError("central-region values are all identical")
-    nll = _kappa_nll(values, cutoff)
-    kappa = 1.0 + math.exp(_golden_section(nll, KAPPA_U_MIN, KAPPA_U_MAX, KAPPA_U_TOL))
+    kappa = _fit_kappa(kept, cutoff)
     sd = float(np.std(values))
     iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
     scale = min(sd, iqr / 1.34) if iqr > 0 else sd

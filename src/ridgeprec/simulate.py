@@ -198,7 +198,7 @@ def penalty_in_kind_scale(kind: str, lam_a):
     return lam_a
 
 
-def risk_curve(config: RiskConfig) -> RiskCurve:
+def risk_curve(config: RiskConfig, Omega=None, Sigma=None) -> RiskCurve:
     """Median loss per (estimator, sample size, grid penalty) over replicates.
 
     Replicate r at sample size n uses the RNG stream seeded by
@@ -210,9 +210,12 @@ def risk_curve(config: RiskConfig) -> RiskCurve:
     one stacked contraction; the losses equal those of one fit and one loss
     call per grid penalty, bit for bit. The per-replicate losses are kept
     in :attr:`RiskCurve.losses`.
+
+    ``Omega`` and ``Sigma``, the population precision and its inverse, are
+    built from ``config.population`` unless the caller passes them.
     """
-    Omega = population_precision(config.population)
-    Sigma = inv_pd(Omega)
+    Omega = population_precision(config.population) if Omega is None else Omega
+    Sigma = inv_pd(Omega) if Sigma is None else Sigma
     L = np.linalg.cholesky(Sigma)
     p = Omega.shape[0]
     kinds = config.estimators

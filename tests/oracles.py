@@ -6,8 +6,8 @@ Newton instead of the matrix square-root formula, explicit loops instead of
 vectorized linear algebra, an exact kernel sum instead of the binned KDE,
 one fit per penalty, replicate or (penalty, fold) instead of one broadcast
 fit per stack, scipy's Beta functions and bounded Brent search instead of
-the package's continued fraction and golden-section search, mpmath
-quadrature at 30 digits for the kappa likelihood, and one ``fmt`` call per
+the package's Gauss-Legendre score root, mpmath quadrature at 30 digits
+for the kappa likelihood and its truncated null mean, and one ``fmt`` call per
 CSV value instead of one format operation per row.
 Values produced by these helpers are what the
 tests trust. The last five helpers, ``is_pd``, ``same_bits``,
@@ -474,6 +474,26 @@ def kappa_nll_mp(values, cutoff: float, kappas) -> list:
             J = 2 * mpmath.quad(lambda s: mpmath.exp((b - 1) * mpmath.log1p(-s * s)), points + [c])
             out.append(-(b - 1) * log_sum + len(kept) * mpmath.log(J))
         return out
+
+
+def truncated_null_mean_mp(b: float, cutoff: float) -> float:
+    """``E_b[ln(1 - s^2) | 0 <= s <= cutoff]`` under ``(1 - s^2)^(b-1)``, by 30-digit quadrature.
+
+    Both integrals run over the whole of [0, cutoff], with breakpoints at
+    multiples of the null's scale ``1/sqrt(b)`` as in :func:`kappa_nll_mp`.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        b, c = mpmath.mpf(b), mpmath.mpf(cutoff)
+        scale = 1 / mpmath.sqrt(b)
+        points = [0] + [k * scale for k in (0.25, 0.5, 1, 2, 4, 8, 16, 32) if k * scale < c] + [c]
+
+        def density(s):
+            return mpmath.exp((b - 1) * mpmath.log1p(-s * s))
+
+        num = mpmath.quad(lambda s: density(s) * mpmath.log1p(-s * s), points)
+        return float(num / mpmath.quad(density, points))
 
 
 def csv_per_value(a) -> str:

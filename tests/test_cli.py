@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -8,12 +10,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ridgeprec import cli, cv, estimators, ggm, matio, moments
+from ridgeprec import cli, cv, estimators, ggm, matio, moments, simulate
 from ridgeprec.cli import build_parser, main, parse_target
 from ridgeprec.estimators import Target
 from ridgeprec.simulate import PopulationSpec, population_precision, sample_mvn
 
-from oracles import network_from_data
+from oracles import matrix_from_text, network_from_data
 
 
 @pytest.fixture()
@@ -375,6 +377,58 @@ class TestDefaultThreads:
         data = ["--data", data_file[0]] if command[0] == "estimate" else []
         assert main(command + data + ["--threads", "2"]) == 0
         assert "warning: --threads" not in capsys.readouterr().err
+
+
+def _at_blas_threads(argv, threads: int) -> str:
+    """Stdout of ``python -m ridgeprec argv`` with only ``OPENBLAS_NUM_THREADS`` set."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "ridgeprec", *argv], capture_output=True, text=True, env=env,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def _sections(text: str) -> dict:
+    """A ``ggm`` stdout split at its ``# name`` lines."""
+    out, name = {}, None
+    for line in text.splitlines():
+        if line.startswith("# "):
+            name = line[2:]
+            out[name] = []
+        else:
+            out[name].append(line)
+    return out
+
+
+def test_values_agree_across_blas_thread_counts(tmp_path):
+    # Stdout bits may move with the BLAS thread count; the values must not,
+    # beyond rounding, and the selected edges not at all.
+    Omega = population_precision(PopulationSpec("clique", 150, blocks=5, offdiag=0.95))
+    path = tmp_path / "clique.csv"
+    np.savetxt(path, sample_mvn(np.linalg.inv(Omega), 200, 1), delimiter=",", fmt="%.17g")
+    estimate = ["estimate", "--data", str(path), "--lambda", "0.5"]
+    one, two = (matrix_from_text(_at_blas_threads(estimate, t)) for t in (1, 2))
+    assert one.shape == (150, 150)
+    assert np.abs(one - two).max() <= 1e-13 * np.abs(one).max()
+
+    argv = ["ggm", "--data", str(path), "--lambda", "0.05"]
+    one, two = (_sections(_at_blas_threads(argv, t)) for t in (1, 2))
+    edges = [np.loadtxt(run["edges"][1:], delimiter=",", ndmin=2) for run in (one, two)]
+    npt.assert_array_equal(edges[0][:, [0, 1, 4]], edges[1][:, [0, 1, 4]])
+    assert edges[0][:, 4].any()
+    npt.assert_allclose(edges[0][:, 2], edges[1][:, 2], rtol=0.0, atol=1e-13)
+    npt.assert_allclose(edges[0][:, 3], edges[1][:, 3], rtol=0.0, atol=1e-12)
+    sparse = [matrix_from_text("\n".join(run["sparsified_precision"])) for run in (one, two)]
+    assert np.abs(sparse[0] - sparse[1]).max() <= 1e-13 * np.abs(sparse[0]).max()
+    report = [dict(line.split(",") for line in run["report"]) for run in (one, two)]
+    for key in ("kappa", "eta0"):
+        assert float(report[1][key]) == pytest.approx(float(report[0][key]), rel=1e-12, abs=0.0)
+    assert 0.0 < float(report[0]["eta0"]) < 1.0
 
 
 @pytest.fixture()
@@ -777,6 +831,28 @@ class TestSimulate:
             rows[sizes] = out.splitlines()[1:]
         assert len(rows["5,10"]) == 2 * 2 * 4  # kinds * sizes * grid
         assert set(rows["5,10"]) == set(rows["5"]) | set(rows["10"])
+
+    @pytest.mark.parametrize("topology", ["random", "star"])
+    def test_population_is_built_once(self, topology, monkeypatch, capsys):
+        counts = {"population": 0, "inverse": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            simulate, "population_precision", counted("population", simulate.population_precision)
+        )
+        inverse = counted("inverse", simulate.inv_pd)
+        monkeypatch.setattr(simulate, "inv_pd", inverse)
+        monkeypatch.setattr(cli, "inv_pd", inverse)
+        args = ["simulate", "--topology", topology, "--p", "6", "--reps", "2", "--grid-n", "3"]
+        assert main(args) == 0
+        assert counts == {"population": 1, "inverse": 1}
+        capsys.readouterr()
 
     def test_unknown_estimator(self, capsys):
         assert main(["simulate", "--estimators", "lasso"]) == 1

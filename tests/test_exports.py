@@ -1,6 +1,9 @@
 """The package's export list matches what ``__init__`` imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ridgeprec
@@ -45,3 +48,21 @@ def test_graph_layer_imports_only_errors_and_linalg():
                 for part in alias.name.split(".")
             }
     assert named & modules == {"errors", "linalg"}
+
+
+def test_importing_the_cli_loads_no_scipy_and_no_numpy_polynomial():
+    # Both cost a command's start-up time and no command needs them.
+    code = (
+        "import sys\n"
+        "import ridgeprec.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m == 'numpy.polynomial' or m.startswith('numpy.polynomial.')))\n"
+    )
+    src = str(Path(ridgeprec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["[]"]

@@ -43,6 +43,7 @@ from oracles import (
     network_from_data,
     null_partial_corr_draws,
     reflected_kde_exact,
+    truncated_null_mean_mp,
 )
 
 
@@ -352,13 +353,12 @@ class TestKappaFit:
         ours = np.array([ggm._log_beta_half(v) for v in b])
         npt.assert_allclose(ours, special.betaln(0.5, b), rtol=rtol, atol=rtol)
 
-    @pytest.mark.parametrize("low, high, rtol", [(5e-3, 100.0, 1e-13), (100.0, 5e6, 1e-9)])
-    def test_log_central_mass_matches_betainc(self, low, high, rtol):
-        b, c = np.meshgrid(np.geomspace(low, high, 60), np.geomspace(1e-3, 0.75, 25))
-        b, x = b.ravel(), (c * c).ravel()
-        ours = np.array([ggm._log_central_mass(bi, xi) for bi, xi in zip(b, x)])
-        want = np.log(special.betainc(0.5, b, x)) + special.betaln(0.5, b)
-        npt.assert_allclose(ours, want, rtol=rtol, atol=rtol)
+    @pytest.mark.parametrize("low, high", [(5e-3, 100.0), (100.0, 5e6)])
+    def test_truncated_null_mean_matches_mpmath(self, low, high):
+        b, c = np.meshgrid(np.geomspace(low, high, 9), np.geomspace(1e-3, 0.75, 5))
+        ours = [ggm._truncated_null_mean(bi, ci) for bi, ci in zip(b.ravel(), c.ravel())]
+        want = [truncated_null_mean_mp(bi, ci) for bi, ci in zip(b.ravel(), c.ravel())]
+        npt.assert_allclose(ours, want, rtol=1e-13, atol=0.0)
 
     def test_kappa_matches_the_scipy_fit(self, kappa_cases):
         for res, oracle in kappa_cases:
@@ -380,18 +380,25 @@ class TestKappaFit:
             ours, theirs = kappa_nll_mp(fit.values, fit.cutoff, (fit.kappa, oracle))
             assert float(ours - theirs) <= 1e-9
 
-    def test_golden_section_finds_a_parabola_minimum_and_an_edge(self):
-        calls = []
+    def test_one_ulp_moves_kappa_by_rounding_only(self):
+        # Weak clique data: the likelihood is flat to its last bit over
+        # |du| ~ 1e-7 here, so only a root of the score is well conditioned.
+        Y = sample_mvn(inv_pd(population_precision(PopulationSpec("clique", 150))), 200, 1)
+        values = offdiagonal_values(network_from_data(Y, 0.05).partials)
+        kappa = fit_lfdr(values).kappa
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            toward = rng.choice([-1.0, 1.0], values.size)
+            moved = np.where(rng.random(values.size) < 0.5, np.nextafter(values, toward), values)
+            assert fit_lfdr(moved).kappa == pytest.approx(kappa, rel=1e-12, abs=0.0)
 
-        def parabola(u):
-            calls.append(u)
-            return (u - 0.3) ** 2
-
-        got = ggm._golden_section(parabola, ggm.KAPPA_U_MIN, ggm.KAPPA_U_MAX, ggm.KAPPA_U_TOL)
-        assert got == pytest.approx(0.3, abs=1e-8)
-        assert len(calls) <= 50
-        edge = ggm._golden_section(lambda u: -u, ggm.KAPPA_U_MIN, ggm.KAPPA_U_MAX, 1e-8)
-        assert ggm.KAPPA_U_MAX - edge <= 1e-8
+    def test_kappa_solves_the_score_equation(self, kappa_cases):
+        for res, _ in kappa_cases:
+            fit = res.fit
+            kept = fit.values[np.abs(fit.values) <= fit.cutoff]
+            mean = float(np.mean(np.log1p(-kept * kept)))
+            got = ggm._truncated_null_mean(0.5 * (fit.kappa - 1.0), fit.cutoff)
+            assert got == pytest.approx(mean, rel=1e-13, abs=0.0)
 
 
 class TestFitWarnings:
@@ -403,17 +410,16 @@ class TestFitWarnings:
         assert len(lines) == 2
         assert "lower bound" in lines[0] and "eta0 is clamped to 0" in lines[1]
 
-    def test_flat_likelihood_short_of_the_upper_bound(self):
+    def test_flat_likelihood_lands_on_the_upper_bound(self):
         # At lam = 1e6 every |partial correlation| is below 1e-6, the NLL is
-        # flat to rounding over the top of the interval, and the search stops
-        # just inside the upper bound.
+        # flat to rounding over the top of the interval, and the score stays
+        # negative up to the upper bound, which the fit returns exactly.
         Y = sample_mvn(inv_pd(population_precision(PopulationSpec("chain", 20))), 200, 0)
         fit = network_from_data(Y, 1e6).fit
-        assert 0.0 < ggm.KAPPA_U_MAX - math.log(fit.kappa - 1.0) < 1e-5
-        assert ggm.KAPPA_U_MAX - math.log(fit.kappa - 1.0) > ggm.KAPPA_U_TOL
+        assert fit.kappa == 1.0 + math.exp(ggm.KAPPA_U_MAX)
         lines = fit.warnings()
         assert len(lines) == 2 and "eta0 is clamped to 1" in lines[1]
-        assert lines[0].startswith(f"kappa {fit.kappa:.17g} fits no better than the upper bound")
+        assert lines[0].startswith(f"kappa {fit.kappa:.17g} is at the upper bound")
         assert network_from_data(Y, 1.0).fit.warnings() == []
 
 
