@@ -103,7 +103,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def _cv_threads(args) -> int:
-    """CV scoring workers: ``--threads`` when given, else one per CPU only with BLAS pinned.
+    """Concurrent CV fits: ``--threads`` when given, else one per CPU only with BLAS pinned.
 
     BLAS counts as pinned when at least one of :data:`BLAS_THREAD_VARS` is
     set and every one that is set is ``1``; only the environment is read, not
@@ -318,13 +318,16 @@ def _add_common(sp) -> None:
     sp.add_argument("--seed", type=int, default=0, help="base RNG seed, a non-negative integer")
     sp.add_argument(
         "--threads", type=_count(0),
-        help="CV scoring threads, 0 means one per usable CPU; default 0 when "
-        "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS pin BLAS to one "
-        "thread, else 1; they split each fold's grid blocks, so a one-block grid "
-        "(small p) runs inline; simulate and moments ignore it",
+        help="concurrent CV fits, the calling thread included, 0 means one per usable "
+        "CPU; default 0 when OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS "
+        "pin BLAS to one thread, else 1; they split each fold's grid blocks, so a "
+        "one-block grid (small p) runs inline; simulate and moments ignore it",
     )
     sp.add_argument("--config", help="JSON file mirroring the flags; flags override it")
-    sp.add_argument("--header", action="store_true", help="input CSV has a header row")
+    sp.add_argument(
+        "--header", action=argparse.BooleanOptionalAction, default=False,
+        help="input CSV has a header row",
+    )
     sp.add_argument("--output", help="write the main output here instead of stdout")
 
 
@@ -351,7 +354,8 @@ def _add_estimator_flags(sp) -> None:
     )
     _add_target_flag(sp)
     sp.add_argument(
-        "--center", action="store_true", help="subtract column means before S = Y'Y/n"
+        "--center", action=argparse.BooleanOptionalAction, default=False,
+        help="subtract column means before S = Y'Y/n",
     )
 
 

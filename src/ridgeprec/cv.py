@@ -8,12 +8,14 @@ All three schemes share one loop that runs fold by fold. Each part (a
 fold, a left-out row, or the whole data for the approximation) builds its
 held-in sample covariance once and fits the whole grid in broadcast
 :func:`~ridgeprec.estimators.fit` calls, one per
-:func:`~ridgeprec.estimators.stack_slices` block. A thread pool, when asked
-for, fits a part's blocks concurrently, so a grid that is one block (every
-grid at small p) runs inline.
+:func:`~ridgeprec.estimators.stack_slices` block. With ``threads = N > 1``
+the calling thread and a pool of at most N - 1 workers fit a part's blocks
+concurrently, N fits at a time; a grid that is one block (every grid at
+small p) runs inline.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -124,13 +126,17 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
     """Evaluate the configured scheme's score at every grid value.
 
     Scoring runs fold by fold: one held-in covariance per fold and one
-    broadcast fit per grid block. ``threads=0`` means one worker per usable
+    broadcast fit per grid block. ``threads`` is the number of concurrent
+    fits, the calling thread included: ``threads=0`` means one per usable
     CPU (the process's CPU affinity where the platform reports it) and
-    ``threads <= 1`` runs inline; otherwise an order-preserving thread
-    pool fits a fold's grid blocks, so a grid that is one block (every grid
-    at small p) runs inline. Scores do not depend on ``threads``. Terms are
-    added in part order, as a loop over parts per penalty adds them, so
-    every score equals that loop's bit for bit.
+    ``threads <= 1`` runs inline. Otherwise the caller and a pool of N - 1
+    workers, N being ``threads`` capped by the block count, take each
+    part's blocks in turn until none is left, so a grid that is one block
+    (every grid at small p) runs inline and starts no thread. Scores do not
+    depend on ``threads``: blocks are disjoint, and each part's terms are
+    added before the next part starts, in part order as a loop over parts
+    per penalty adds them, so every score equals that loop's bit for bit.
+    A failing fit raises the error of the first failing block, as inline.
     """
     Y = prepare_data(Y, config.center)
     n, p = Y.shape
@@ -146,9 +152,8 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
         parts = [None]
     blocks = estimators.stack_slices(grid.size, p)
     scores = np.zeros(grid.size)
-    threads = threads or _usable_cpus()
-    pooled = threads > 1 and len(blocks) > 1
-    with ThreadPoolExecutor(max_workers=threads) if pooled else nullcontext() as pool:
+    fits = min(max(threads or _usable_cpus(), 1), len(blocks))
+    with ThreadPoolExecutor(max_workers=fits - 1) if fits > 1 else nullcontext() as pool:
         for held_out in parts:
             if held_out is None:
                 S, rows, term = sample_cov(Y), Y, _aloocv_term
@@ -161,8 +166,25 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
                 est = estimators.fit(config.estimator, S, grid[block], config.target)
                 return [term(rows, v, w) for v, w in zip(est.vectors, est.prec)]
 
-            for block, terms in zip(blocks, (pool.map if pooled else map)(block_terms, blocks)):
-                scores[block] += terms
+            pending, claim = iter(range(len(blocks))), threading.Lock()
+
+            def score_share():
+                """Score unclaimed blocks until none is left; the first failure's (index, error)."""
+                while True:
+                    with claim:
+                        i = next(pending, len(blocks))
+                    if i == len(blocks):
+                        return i, None
+                    try:
+                        scores[blocks[i]] += block_terms(blocks[i])
+                    except Exception as exc:
+                        return i, exc
+
+            shares = [pool.submit(score_share) for _ in range(1, fits)]
+            outcomes = [score_share()] + [share.result() for share in shares]
+            _, error = min(outcomes, key=lambda outcome: outcome[0])
+            if error is not None:
+                raise error
     return scores
 
 

@@ -290,10 +290,14 @@ def sample_cov(Y, center: bool = False) -> np.ndarray:
     """
     Y = prepare_data(Y, center, stack=True)
     with np.errstate(over="ignore"):
-        S = Y.swapaxes(-1, -2) @ Y / Y.shape[-2]
+        S = Y.swapaxes(-1, -2) @ Y
+        S /= Y.shape[-2]
     if not np.all(np.isfinite(S)):
         raise InvalidMatrixError(_OVERFLOW)
-    return symmetrize(S)
+    # symmetrize(S) with one temporary fewer; the same operations, so the same bits.
+    out = S + S.swapaxes(-1, -2)
+    out *= 0.5
+    return out
 
 
 def _eigen_map(kind: str, m: np.ndarray, lam):

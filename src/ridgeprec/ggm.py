@@ -90,7 +90,11 @@ def partial_correlations(omega, spectrum=None) -> np.ndarray:
     check reads ``spectrum``, the eigenvalues of ``omega`` when they are
     known already (a fit's ``prec``), and runs ``eigvalsh`` otherwise.
     """
-    omega = check_symmetric(omega, "omega")
+    return _partial_correlations(check_symmetric(omega, "omega"), spectrum)
+
+
+def _partial_correlations(omega: np.ndarray, spectrum) -> np.ndarray:
+    """:func:`partial_correlations` of an ``omega`` that ``check_symmetric`` returned."""
     vals = np.sort(spectrum) if spectrum is not None else np.linalg.eigvalsh(omega)
     if vals[0] <= pd_tolerance(vals):
         raise NotPositiveDefiniteError(
@@ -358,6 +362,12 @@ def sparsify(omega, selected):
         raise InvalidParameterError(
             f"selected must be a boolean mask over the {p * (p - 1) // 2} pairs for p={p}"
         )
+    return _sparsify(omega, selected)
+
+
+def _sparsify(omega: np.ndarray, selected: np.ndarray):
+    """:func:`sparsify` of a checked ``omega`` and a boolean mask of the right shape."""
+    p = omega.shape[0]
     keep = np.eye(p, dtype=bool)
     keep[np.triu_indices(p, k=1)] = selected
     keep |= keep.T
@@ -434,11 +444,11 @@ def extract_network(omega, threshold: float = 0.99, spectrum=None) -> GgmResult:
     if not 0.0 <= threshold <= 1.0:
         raise InvalidParameterError(f"threshold must be in [0, 1], got {threshold}")
     omega = check_symmetric(omega, "omega")
-    P = partial_correlations(omega, spectrum)
+    P = _partial_correlations(omega, spectrum)
     fit = fit_lfdr(offdiagonal_values(P))
     probs = edge_probabilities(P, fit)
     selected = probs >= threshold
-    sparsified, min_eig = sparsify(omega, selected)
+    sparsified, min_eig = _sparsify(omega, selected)
     return GgmResult(
         omega=omega,
         partials=P,

@@ -614,6 +614,18 @@ class TestConfigFile:
             f"ridgeprec {command}: error: give either --lambda or --auto-lambda, not both"
         )
 
+    @pytest.mark.parametrize("flag", ["center", "header"])
+    def test_negative_flag_undoes_config_true(self, flag, data_file, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({flag: True}))
+        argv = ["estimate", "--data", data_file[0], "--lambda", "0.5"]
+        assert main(argv + ["--config", str(path), f"--no-{flag}"]) == 0
+        undone = capsys.readouterr()[0]
+        assert main(argv) == 0
+        assert undone == capsys.readouterr()[0]
+        assert main(argv + [f"--{flag}"]) == 0
+        assert undone != capsys.readouterr()[0]
+
     def test_bad_config_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")

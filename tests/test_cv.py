@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import sys
 import threading
 from dataclasses import replace
 
@@ -357,6 +358,115 @@ class TestScoreGrid:
         Y = chain_data(15, p=4, seed=21)
         score_grid(Y, CVConfig(grid=default_grid(sample_cov(Y), 8), scheme="aloocv"), threads=0)
         assert fit_threads == {threading.get_ident()}
+
+
+class TestCallerThreadPool:
+    """``threads = N`` fits N blocks at a time: the caller and N - 1 pool workers."""
+
+    @staticmethod
+    def case(monkeypatch, grid_n=8):
+        monkeypatch.setattr(estimators, "STACK_BYTES", 2 * 8 * 4 * 4)  # blocks of 2
+        Y = chain_data(15, p=4, seed=21)
+        return Y, default_grid(sample_cov(Y), grid_n)
+
+    @staticmethod
+    def record_fits(monkeypatch, parties):
+        """Record each fit's thread; the first ``parties`` fits wait for each other."""
+        real_fit = estimators.fit
+        barrier = threading.Barrier(parties, timeout=30)
+        lock = threading.Lock()
+        fit_threads = []
+
+        def recording_fit(*args, **kwargs):
+            with lock:
+                fit_threads.append(threading.get_ident())
+                first = len(fit_threads) <= parties
+            if first:
+                barrier.wait()
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "fit", recording_fit)
+        return fit_threads
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_scores_equal_inline_bit_for_bit(self, scheme, threads, monkeypatch):
+        Y, grid = self.case(monkeypatch, grid_n=7)  # 4 blocks, the last of one penalty
+        cfg = CVConfig(grid=grid, scheme=scheme, k=4)
+        assert same_bits(score_grid(Y, cfg, threads=threads), score_grid(Y, cfg, threads=1))
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_fits_run_on_threads_threads_one_the_caller(self, threads, monkeypatch):
+        Y, grid = self.case(monkeypatch)
+        fit_threads = self.record_fits(monkeypatch, threads)
+        score_grid(Y, CVConfig(grid=grid, scheme="kfold", k=3), threads=threads)
+        assert len(set(fit_threads)) == threads
+        assert threading.get_ident() in fit_threads
+        assert len(fit_threads) == 3 * 4  # every block of every fold, once
+
+    @pytest.mark.parametrize(
+        "threads, grid_n, workers",
+        [(1, 8, None), (2, 8, 1), (3, 8, 2), (0, 8, 2), (64, 4, 1), (64, 2, None)],
+    )
+    def test_pool_has_threads_minus_one_workers_capped_by_blocks(
+        self, threads, grid_n, workers, monkeypatch
+    ):
+        Y, grid = self.case(monkeypatch, grid_n)
+        monkeypatch.setattr(cv, "_usable_cpus", lambda: 3)
+        sizes = []
+
+        class RecordingExecutor(cv.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cv, "ThreadPoolExecutor", RecordingExecutor)
+        start = threading.active_count()
+        got = score_grid(Y, CVConfig(grid=grid, scheme="aloocv"), threads=threads)
+        assert sizes == ([] if workers is None else [workers])
+        assert threading.active_count() == start  # no thread left running
+        assert same_bits(got, score_grid(Y, CVConfig(grid=grid, scheme="aloocv")))
+
+    def test_more_threads_than_cores_switching_often(self, monkeypatch):
+        # Threads write disjoint slices of one score array; a lost update
+        # would change a score.
+        monkeypatch.setattr(estimators, "STACK_BYTES", 8 * 4 * 4)  # blocks of 1
+        Y = chain_data(15, p=4, seed=21)
+        cfg = CVConfig(grid=default_grid(sample_cov(Y), 24), scheme="kfold", k=3)
+        inline = score_grid(Y, cfg, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = score_grid(Y, cfg, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert same_bits(pooled, inline)
+
+    def test_first_failing_block_raises_as_inline(self, monkeypatch):
+        # archetype-1 penalties must be at most 1, so blocks 2 and 3 fail. The
+        # caller's fits wait for a failure, so the worker meets block 2 and
+        # the caller block 3; the error is block 2's, as inline.
+        monkeypatch.setattr(estimators, "STACK_BYTES", 2 * 8 * 4 * 4)
+        Y = chain_data(15, p=4, seed=21)
+        cfg = CVConfig(grid=[0.1, 0.2, 0.5, 0.9, 1.5, 2, 3, 4], estimator="archetype-1")
+        with pytest.raises(InvalidPenaltyError, match="got 1.5") as inline:
+            score_grid(Y, cfg, threads=1)
+        real_fit = estimators.fit
+        caller, failed = threading.get_ident(), threading.Event()
+
+        def fit(*args):
+            if threading.get_ident() == caller:
+                assert failed.wait(timeout=30)
+            try:
+                return real_fit(*args)
+            except InvalidPenaltyError:
+                failed.set()
+                raise
+
+        monkeypatch.setattr(estimators, "fit", fit)
+        with pytest.raises(InvalidPenaltyError) as pooled:
+            score_grid(Y, cfg, threads=2)
+        assert str(pooled.value) == str(inline.value)
 
 
 class TestFoldOuterLoop:

@@ -74,6 +74,12 @@ class TestSampleCov:
             for j in range(3):
                 assert same_bits(got[i, j], sample_cov(Y[i, j], center=center))
 
+    @pytest.mark.parametrize("shape", [(7, 5), (2, 3, 7, 5), (3, 9)])
+    def test_bits_equal_the_symmetrized_gram(self, shape, rng):
+        # Y'Y, /= n, + transpose, *= 0.5: the operations of symmetrize(Y'Y / n).
+        Y = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        assert same_bits(sample_cov(Y), symmetrize(Y.swapaxes(-1, -2) @ Y / Y.shape[-2]))
+
     def test_overflow_names_the_data(self):
         # Every entry is finite, but Y'Y/n is not; no RuntimeWarning escapes.
         with pytest.raises(InvalidMatrixError, match="data overflow"):

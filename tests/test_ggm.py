@@ -618,6 +618,23 @@ class TestExtractNetwork:
         extract_network(fitted.omega)
         assert len(calls) == 3  # the --omega path keeps its p.d. check
 
+    def test_omega_is_checked_once(self, monkeypatch):
+        Y, _ = self.chain_draw(4, n=100, p=8)
+        omega = network_from_data(Y, 0.05).omega
+        names = []
+        check = ggm.check_symmetric
+
+        def counting(a, name="matrix", **kwargs):
+            names.append(name)
+            return check(a, name, **kwargs)
+
+        monkeypatch.setattr(ggm, "check_symmetric", counting)
+        res = extract_network(omega)
+        assert names == ["omega"]
+        # The unchecked cores give the public functions' results.
+        npt.assert_array_equal(res.partials, partial_correlations(omega))
+        npt.assert_array_equal(res.sparsified, sparsify(omega, res.selected)[0])
+
     def test_data_path_matches_omega_path(self):
         Y, _ = self.chain_draw(2, n=100, p=8)
         from_data = network_from_data(Y, 0.05)
