@@ -20,19 +20,21 @@ inversion: a fit is one eigendecomposition of ``S - lam*T`` with
 cancellation-free per-eigenvalue maps; dense matrices are built on demand.
 
 :func:`fit` broadcasts: ``lam`` may be a 1-D grid and ``S`` a stack
-``(..., p, p)``, and every matrix the call needs is decomposed in one
-stacked ``eigh``. alt-2 and archetype-2 decompose ``S`` once for the whole
-grid. Each slice is bit-identical to the fit of that ``S`` at that penalty
-alone. Callers that stack many fits keep each stack within
-:data:`STACK_BYTES` through :func:`stack_slices`.
+``(..., p, p)``. With no target or a scalar one, ``psi*I``, the kind's
+matrix has ``S``'s eigenvectors and a shift of its eigenvalues ``d``
+(``d - lam*psi`` for alt-1, ``(1-lam)d + lam/psi`` for archetype-1), so
+``S`` is decomposed once for the whole grid; otherwise every matrix the
+call needs is decomposed in one stacked ``eigh``. Each slice is
+bit-identical to the fit of that ``S`` at that penalty alone. Callers that
+stack many fits keep each stack within :data:`STACK_BYTES` through
+:func:`stack_slices`.
 
 :func:`fit_data` fits from the data rows instead of ``S``. With fewer rows
-than columns, and a kind whose matrix is a scalar shift of ``S`` (alt-2,
-archetype-2, and alt-1 and archetype-1 with a scalar target), it takes the
-n nonzero eigenpairs of ``S`` from the thin SVD of the data; the other
-p - n eigenvalues are 0 and map to one null pair (Hastie & Tibshirani
-2004, "Efficient quadratic regularization for expression arrays").
-Everything else is :func:`fit` on the sample covariance.
+than columns and no or a scalar target, it takes the n nonzero eigenpairs
+of ``S`` from the thin SVD of the data; the other p - n eigenvalues are 0
+and map to one null pair (Hastie & Tibshirani 2004, "Efficient quadratic
+regularization for expression arrays"). Everything else is :func:`fit` on
+the sample covariance.
 """
 
 from dataclasses import dataclass, field
@@ -292,42 +294,28 @@ def sample_cov(Y, center: bool = False) -> np.ndarray:
     with np.errstate(over="ignore"):
         S = Y.swapaxes(-1, -2) @ Y
         S /= Y.shape[-2]
+        S = symmetrize(S)
     if not np.all(np.isfinite(S)):
         raise InvalidMatrixError(_OVERFLOW)
-    # symmetrize(S) with one temporary fewer; the same operations, so the same bits.
-    out = S + S.swapaxes(-1, -2)
-    out *= 0.5
-    return out
+    return S
 
 
 def _eigen_map(kind: str, m: np.ndarray, lam):
     """Covariance- and precision-side eigenvalues of a fit.
 
-    ``m`` is the spectrum of the matrix the kind decomposes: ``S - lam*T``
-    for the alternative kinds (``T = 0`` for alt-2), ``(1-lam)S + lam*G``
-    for archetype-1 and ``S`` for archetype-2. The alternative covariance
-    value is ``sqrt(lam + m^2/4) + m/2`` and the precision value its
-    reciprocal; each is evaluated on the cancellation-free side of the
-    identity ``(R + m/2)(R - m/2) = lam``. ``m`` and ``lam`` broadcast.
+    ``m`` is the spectrum of the kind's matrix: ``S - lam*T`` for the
+    alternative kinds (``T = 0`` for alt-2), ``(1-lam)S + lam*G`` for
+    archetype-1 and ``S + lam*I`` for archetype-2, which the archetypes
+    invert. The alternative covariance value is ``sqrt(lam + m^2/4) + m/2``
+    and the precision value its reciprocal; each is evaluated on the
+    cancellation-free side of the identity ``(R + m/2)(R - m/2) = lam``,
+    via ``R + |m|/2``. ``m`` and ``lam`` broadcast.
     """
-    if kind == "archetype-1":
+    if kind in ("archetype-1", "archetype-2"):
         return m, 1.0 / m
-    if kind == "archetype-2":
-        cov = m + lam
-        return cov, 1.0 / cov
-    root = np.sqrt(lam + 0.25 * m * m)
-    m = np.broadcast_to(m, root.shape)
-    lam = np.broadcast_to(lam, root.shape)
-    cov = np.empty(root.shape)
-    prec = np.empty(root.shape)
+    big = np.sqrt(lam + 0.25 * m * m) + 0.5 * np.abs(m)
     pos = m >= 0
-    cov[pos] = root[pos] + 0.5 * m[pos]
-    prec[pos] = 1.0 / cov[pos]
-    neg = ~pos
-    other = root[neg] - 0.5 * m[neg]
-    cov[neg] = lam[neg] / other
-    prec[neg] = other / lam[neg]
-    return cov, prec
+    return np.where(pos, big, lam / big), np.where(pos, 1.0 / big, big / lam)
 
 
 def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
@@ -343,28 +331,25 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
     at that penalty alone.
 
     Every kind runs the same steps: validate ``S``, every penalty (in the
-    kind's own domain) and the target once; build the stack of ``S``,
+    kind's own domain) and the target once; decompose ``S`` and shift its
+    eigenvalues (no target or a scalar one), or else build the stack of
     ``S - lam*T`` or ``(1-lam)S + lam*G``, with a diagonal target applied
-    to the diagonal only; decompose it in one ``eigh`` call (alt-2 and
-    archetype-2 decompose ``S`` once for the whole grid); and map its
-    eigenvalues by the kind's rule. The estimate keeps the eigenvectors and
-    both mapped spectra. When the call has one matrix per penalty (a scalar
-    ``lam``, or a one-point grid), the kind's matrix is built in place in
-    the checked copy of ``S``; the caller's ``S`` is never written.
+    to the diagonal only, and decompose it in one ``eigh`` call; and map
+    the eigenvalues by the kind's rule. The estimate keeps the eigenvectors
+    and both mapped spectra. When the call has one matrix per penalty (a
+    scalar ``lam``, or a one-point grid), the kind's matrix is built in
+    place in the checked copy of ``S``; the caller's ``S`` is never written.
     """
     S = check_symmetric(S, "S", stack=True)
     kind, lam, target = _resolve(kind, lam, target, S)
+    if target is None or target.kind == "scalar":
+        return _spectral(kind, *eig_sym_unchecked(S), lam, target)
     p = S.shape[-1]
     grid = np.ndim(lam) == 1
     if grid:  # the grid axis follows S's stack axes
         S = S[..., None, :, :]
     lam_v = np.asarray(lam)[..., None]  # against a spectrum (..., p)
     lam_m = lam_v[..., None]  # against a stack (..., p, p)
-    if kind in ("alt-2", "archetype-2"):
-        vals, vecs = eig_sym_unchecked(S)
-        if grid:
-            vecs = np.broadcast_to(vecs, vecs.shape[:-3] + lam.shape + (p, p))
-        return _estimate(kind, vals, vecs, lam, target)
     shape = np.broadcast_shapes(S.shape, lam_m.shape)
     # The checked copy is this call's own; reuse it when no grid axis widens it.
     M = S if shape == S.shape else np.array(np.broadcast_to(S, shape))
@@ -395,21 +380,21 @@ def fit_data(kind: str, Y, lam, target=None) -> RidgeEstimate:
 
     ``Y`` is an n x p data matrix or a stack ``(..., n, p)``; ``lam`` and
     ``target`` are as for :func:`fit`, and so are the estimate's axes. The
-    fit is thin when n < p and the kind's matrix is a scalar shift of ``S``:
-    alt-2, archetype-2, and alt-1 and archetype-1 with a :class:`Target`
-    of kind "scalar". Then the n nonzero eigenvalues of ``S`` and their
-    eigenvectors are the squared singular values and right singular vectors
-    of ``Y/sqrt(n)``, and the p - n zero eigenvalues map to one null pair
-    (see :class:`RidgeEstimate`). A singular value that is 0 maps exactly
-    onto that pair, so no rank cut is needed. Every other case returns
+    fit is thin when n < p and the kind's matrix is a shift of ``S``: no
+    target (alt-2, archetype-2) or a :class:`Target` of kind "scalar". Then
+    the n nonzero eigenvalues of ``S`` and their eigenvectors are the
+    squared singular values and right singular vectors of ``Y/sqrt(n)``,
+    shifted as in :func:`fit`, and the p - n zero eigenvalues map to one
+    null pair (see :class:`RidgeEstimate`). A singular value that is 0 maps
+    exactly onto that pair, so no rank cut is needed. Every other case returns
     ``fit(kind, sample_cov(Y), lam, target)``. The route depends only on
     n, p and the kind of ``target``; the two agree to rounding, but not bit
     for bit.
     """
     Y = prepare_data(Y, stack=True)
     n, p = Y.shape[-2:]
-    scalar = isinstance(target, Target) and target.kind == "scalar"
-    if n >= p or not (scalar or kind in ("alt-2", "archetype-2")):
+    scalar = kind not in _TARGETED or isinstance(target, Target) and target.kind == "scalar"
+    if n >= p or not scalar:
         return fit(kind, sample_cov(Y), lam, target)
     kind, lam, target = _resolve(kind, lam, target)
     _, s, vt = np.linalg.svd(Y / np.sqrt(n), full_matrices=False)
@@ -419,11 +404,7 @@ def fit_data(kind: str, Y, lam, target=None) -> RidgeEstimate:
         raise InvalidMatrixError(_OVERFLOW)
     # The n nonzero eigenvalues of S, then one exact 0 for its null space.
     d = np.concatenate([d, np.zeros(d.shape[:-1] + (1,))], axis=-1)
-    vecs = vt.swapaxes(-1, -2)
-    if np.ndim(lam) == 1:
-        d = d[..., None, :]
-        vecs = np.broadcast_to(vecs[..., None, :, :], vecs.shape[:-2] + lam.shape + vecs.shape[-2:])
-    return _estimate(kind, _shift(kind, d, np.asarray(lam)[..., None], target), vecs, lam, target)
+    return _spectral(kind, d, vt.swapaxes(-1, -2), lam, target)
 
 
 def _resolve(kind: str, lam, target, S=None):
@@ -445,13 +426,21 @@ def _resolve(kind: str, lam, target, S=None):
     return kind, lam, target
 
 
+def _spectral(kind: str, d, vecs, lam, target) -> RidgeEstimate:
+    """Fit from the descending spectrum ``d`` of ``S`` and its eigenvectors; no or scalar target."""
+    if np.ndim(lam) == 1:
+        d = d[..., None, :]
+        vecs = np.broadcast_to(vecs[..., None, :, :], vecs.shape[:-2] + lam.shape + vecs.shape[-2:])
+    return _estimate(kind, _shift(kind, d, np.asarray(lam)[..., None], target), vecs, lam, target)
+
+
 def _shift(kind: str, d, lam_v, target):
-    """Spectrum of the kind's matrix from the spectrum ``d`` of ``S``, scalar target."""
+    """Spectrum of the kind's matrix from the spectrum ``d`` of ``S``; no or scalar target."""
     if kind == "alt-1":
         return d - lam_v * target.psi
     if kind == "archetype-1":
         return (1.0 - lam_v) * d + lam_v * (1.0 / target.psi)
-    return d
+    return d + lam_v if kind == "archetype-2" else d
 
 
 def _estimate(kind: str, vals, vecs, lam, target) -> RidgeEstimate:
@@ -460,7 +449,6 @@ def _estimate(kind: str, vals, vecs, lam, target) -> RidgeEstimate:
     archetype-1 needs its combined matrix p.d., and archetype-2 needs
     ``S + lam*I`` p.d. A thin fit's last value is its null space's.
     """
-    lam_v = np.asarray(lam)[..., None]
     low = vals[..., -1]
     if kind == "archetype-1":
         bad = low <= pd_tolerance(vals)
@@ -468,13 +456,11 @@ def _estimate(kind: str, vals, vecs, lam, target) -> RidgeEstimate:
             raise NotPositiveDefiniteError(
                 f"combined matrix not p.d. (min eigenvalue {np.extract(bad, low)[0]:.3e})"
             )
-    if kind == "archetype-2":
-        low = low + lam_v[..., 0]
-        if np.any(low <= 0):
-            raise NotPositiveDefiniteError(
-                f"S + lam*I not p.d. (min eigenvalue {np.extract(low <= 0, low)[0]:.3e})"
-            )
-    cov, prec = _eigen_map(kind, vals, lam_v)
+    if kind == "archetype-2" and np.any(low <= 0):
+        raise NotPositiveDefiniteError(
+            f"S + lam*I not p.d. (min eigenvalue {np.extract(low <= 0, low)[0]:.3e})"
+        )
+    cov, prec = _eigen_map(kind, vals, np.asarray(lam)[..., None])
     target = Target.zero() if kind == "alt-2" else target
     if vals.shape[-1] == vecs.shape[-1]:
         return RidgeEstimate(vecs, prec, cov, kind, lam, target)

@@ -8,6 +8,8 @@ pass it a matrix they have checked already, and read its eigenvectors only
 through products that do not depend on their signs.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from .errors import InvalidMatrixError, NotPositiveDefiniteError
@@ -17,8 +19,10 @@ _ASYM_RTOL = 1e-8
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (a + a')/2 over the last two axes, exactly symmetric in IEEE arithmetic."""
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    """Return (a + a')/2 over the last two axes of a float array, exactly symmetric."""
+    out = a + a.swapaxes(-1, -2)
+    out *= 0.5
+    return out
 
 
 def check_symmetric(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -29,7 +33,7 @@ def check_symmetric(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     a new array that the caller owns and may overwrite; it equals
     :func:`symmetrize` of ``a`` bit for bit, and is the only array of
     ``a``'s size allocated here. Raises
-    :class:`~ridgeprec.errors.InvalidMatrixError` otherwise.
+    :class:`~ridgeprec.errors.InvalidMatrixError` otherwise, or if ``a + a'`` overflows.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-2] != a.shape[-1]:
@@ -41,11 +45,16 @@ def check_symmetric(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     scale = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
     if not np.all(np.isfinite(scale)):
         raise InvalidMatrixError(f"{name} contains non-finite entries")
-    out = np.subtract(a, a.swapaxes(-1, -2))
-    np.abs(out, out=out)
-    if np.any(out.max(axis=(-2, -1)) > _ASYM_RTOL * (1.0 + scale)):
-        raise InvalidMatrixError(f"{name} is not symmetric")
-    np.add(a, a.swapaxes(-1, -2), out=out)
+    # a - a' and a + a' can overflow only where some |entry| exceeds max/2.
+    huge = scale.max() > 0.5 * np.finfo(float).max
+    with np.errstate(over="ignore") if huge else nullcontext():
+        out = np.subtract(a, a.swapaxes(-1, -2))
+        np.abs(out, out=out)
+        if np.any(out.max(axis=(-2, -1)) > _ASYM_RTOL * (1.0 + scale)):
+            raise InvalidMatrixError(f"{name} is not symmetric")
+        np.add(a, a.swapaxes(-1, -2), out=out)
+    if huge and not np.all(np.isfinite(out)):
+        raise InvalidMatrixError(f"{name} overflows when symmetrized (|entry| {scale.max():.3e})")
     out *= 0.5
     return out
 

@@ -258,6 +258,20 @@ class TestCV:
             "every data entry is; rescale the data"
         )
 
+    @pytest.mark.parametrize("command", [["estimate", "--lambda", "1"], ["ggm", "--lambda", "1"]])
+    def test_data_overflowing_only_when_symmetrized(self, command, tmp_path, capsys):
+        # One row (1e154, 5e153): Y'Y/n is finite, its largest entry 1e308,
+        # but S + S' is not. It is a data overflow, not a non-finite S.
+        path = tmp_path / "edge.csv"
+        path.write_text("1e154,5e153\n")
+        assert main(command + ["--data", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"ridgeprec {command[0]}: error: data overflow: Y'Y/n is not finite although "
+            "every data entry is; rescale the data"
+        )
+
     def test_ggm_overflowing_data_without_penalty_is_usage_error(self, data_file, tmp_path, capsys):
         # ggm finds the missing penalty (exit 1) before sample_cov runs, so
         # overflowing data cannot turn the usage error into exit 2.
@@ -772,6 +786,16 @@ class TestGgm:
         bad.write_text("1,0.5\n0.4,1\n")
         assert main(["ggm", "--omega", str(bad)]) == 2
         capsys.readouterr()
+
+    def test_omega_overflowing_when_symmetrized_is_data_error(self, tmp_path, capsys):
+        # Every entry is finite, but omega + omega' is not.
+        bad = tmp_path / "huge.csv"
+        bad.write_text("1e308,0\n0,1\n")
+        assert main(["ggm", "--omega", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "ridgeprec ggm: error: matrix overflows when symmetrized "
+            "(|entry| 1.000e+308)"
+        )
 
     def test_threshold_validation(self, data_file, capsys):
         path, _ = data_file

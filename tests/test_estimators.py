@@ -86,6 +86,9 @@ class TestSampleCov:
             sample_cov(np.array([[1e200, 1.0], [2e200, 1.0]]))
         with pytest.raises(InvalidMatrixError, match="data overflow"):
             sample_cov(np.array([[[1.0, 1.0]], [[1e200, 1.0]]]))
+        # Y'Y/n is finite (its largest entry is 1e308), but S + S' is not.
+        with pytest.raises(InvalidMatrixError, match="data overflow"):
+            sample_cov(np.array([[1e154, 5e153]]))
 
 
 class TestTarget:
@@ -581,20 +584,50 @@ class TestBroadcastFit:
     def test_diagonal_target_matches_dense_target_bitwise(self, kind):
         # Negative zeros off the diagonal: the dense sum (1-lam)S + lam*G
         # turns them into +0.0, and eigh's Householder signs follow them.
+        # The identity target takes the spectral path: S's eigenpairs, its
+        # eigenvalues shifted.
         S = np.diag([2.0, 1.0, 3.0])
         S[0, 1] = S[1, 0] = -0.0
         S[0, 2] = S[2, 0] = -0.5
+        d, V = eig_sym_unchecked(S)
         for target in (Target.identity(), Target.diagonal([1.0, 2.0, 0.5])):
             for lam in (0.3, 1.0):
-                if kind == "alt-1":
-                    dense = S - lam * target.matrix(3)
+                if target.kind == "scalar":
+                    psi, vecs = target.psi, V
+                    vals = d - lam * psi if kind == "alt-1" else (1.0 - lam) * d + lam * (1.0 / psi)
+                elif kind == "alt-1":
+                    vals, vecs = eig_sym_unchecked(S - lam * target.matrix(3))
                 else:
-                    dense = (1.0 - lam) * S + lam * target.gamma(3)
-                vals, vecs = eig_sym_unchecked(dense)
+                    vals, vecs = eig_sym_unchecked((1.0 - lam) * S + lam * target.gamma(3))
                 cov, prec = _eigen_map(kind, vals, lam)
                 est = fit(kind, S, lam, target)
                 for got, want in ((est.vectors, vecs), (est.cov, cov), (est.prec, prec)):
                     assert same_bits(got, want)
+
+    @pytest.mark.parametrize("p", [5, 25, 100])
+    @pytest.mark.parametrize("kind", ["alt-1", "archetype-1"])
+    def test_scalar_target_agrees_with_the_dense_matrix(self, kind, p, rng):
+        # The spectral path shifts S's eigenvalues; the dense reference
+        # decomposes S - lam*psi*I (or (1-lam)S + (lam/psi)I) itself. The two
+        # decompositions differ by rounding, which a fit amplifies by the
+        # condition number of its estimate: measured up to 17 eps*cond, and
+        # 1.5e-11 relative to the largest entry of omega (p = 5..400).
+        eps = np.finfo(float).eps
+        grid = self.GRIDS["archetype-1" if kind == "archetype-1" else "other"]
+        for n in (p // 2, 2 * p):
+            S = sample_cov(rng.standard_normal((n, p)) * rng.uniform(0.3, 3.0, p))
+            for psi in (0.3, 1.0, 2.5):
+                est = fit(kind, S, grid, Target.scalar(psi))
+                for g, lam in enumerate(grid):
+                    if kind == "alt-1":
+                        dense = S - lam * psi * np.eye(p)
+                    else:
+                        dense = (1.0 - lam) * S + (lam / psi) * np.eye(p)
+                    vals, vecs = eig_sym_unchecked(dense)
+                    cov, prec = _eigen_map(kind, vals, lam)
+                    want = symmetrize((vecs * prec) @ vecs.T)
+                    rel = np.abs(est.omega[g] - want).max() / np.abs(want).max()
+                    assert rel <= 64 * eps * cov.max() / cov.min(), (n, psi, lam)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bad_grid_value_rejected(self, kind):
@@ -648,8 +681,14 @@ class TestBroadcastFit:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         for kind in ("alt-2", "archetype-2"):
             fit(kind, S, np.logspace(-2, 2, 9))
+        # A scalar target shifts S's eigenvalues: one matrix, grid or not.
+        for kind in ("alt-1", "archetype-1"):
+            grid = self.GRIDS["archetype-1" if kind == "archetype-1" else "other"]
+            for target in (Target.identity(), Target.scalar(2.5)):
+                for lam in (float(grid[2]), grid):
+                    fit(kind, S, lam, target)
         fit("alt-1", S, np.logspace(-2, 2, 9), "ddiag")
-        assert decomposed == [1, 1, 9]
+        assert decomposed == [1] * 10 + [9]
 
 
 class TestStackSlices:

@@ -12,7 +12,7 @@ from ridgeprec.linalg import (
     symmetrize,
 )
 
-from oracles import is_pd, jacobi_eigenvalues
+from oracles import is_pd, jacobi_eigenvalues, same_bits
 
 
 class TestEigSym:
@@ -94,6 +94,24 @@ class TestValidation:
     def test_check_symmetric_rejects_nonfinite(self):
         with pytest.raises(InvalidMatrixError):
             check_symmetric(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("big", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_check_symmetric_names_an_overflow(self, big):
+        # Finite entries above max/2 overflow a + a'; no RuntimeWarning escapes.
+        A = np.eye(3)
+        A[big] = A[big[::-1]] = 1e308
+        with pytest.raises(InvalidMatrixError, match="A overflows when symmetrized"):
+            check_symmetric(A, "A")
+        with pytest.raises(InvalidMatrixError, match="A overflows when symmetrized"):
+            check_symmetric(np.stack([np.eye(3), A]), "A", stack=True)
+
+    def test_check_symmetric_near_the_overflow_bound(self):
+        # Just below max/2 nothing overflows, and an antisymmetric pair above
+        # it is an asymmetry, not an overflow.
+        A = np.diag([8.9e307, 1.0])
+        assert same_bits(check_symmetric(A), A)
+        with pytest.raises(InvalidMatrixError, match="not symmetric"):
+            check_symmetric(np.array([[1.0, 1e308], [-1e308, 1.0]]))
 
     def test_pd_tolerance_scales_with_spectrum(self):
         assert pd_tolerance(np.array([0.5])) == 1e-12

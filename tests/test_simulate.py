@@ -328,7 +328,8 @@ class TestRiskCurve:
 
     def test_one_grid_decomposition_per_replicate_and_shared_kind(self, monkeypatch):
         # 4 kinds on a 50-point grid: alt-2 and archetype-2 decompose S once,
-        # alt-1 (ddiag) and archetype-1 once per penalty: 102 matrices.
+        # alt-1 (ddiag) and archetype-1 once per penalty: 102 matrices. With
+        # an identity target every kind shifts S's eigenvalues: 4 matrices.
         decomposed = []
         eigh = np.linalg.eigh
 
@@ -338,14 +339,16 @@ class TestRiskCurve:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         reps, sizes = 3, (5, 10)
-        cfg = RiskConfig(
-            PopulationSpec("star", 8), sizes, np.logspace(-2, 2, 50),
-            estimators=estimators.KINDS, reps=reps,
-        )
-        risk_curve(cfg)
         replicates = reps * len(sizes)
-        # One more matrix: the population covariance inverted once per curve.
-        assert sum(decomposed) <= 102 * replicates + 1
+        for target, matrices in (("ddiag", 102), (Target.identity(), 4)):
+            decomposed.clear()
+            cfg = RiskConfig(
+                PopulationSpec("star", 8), sizes, np.logspace(-2, 2, 50),
+                estimators=estimators.KINDS, target=target, reps=reps,
+            )
+            risk_curve(cfg)
+            # One more matrix: the population covariance inverted once per curve.
+            assert sum(decomposed) <= matrices * replicates + 1
 
     def test_config_validation(self):
         pop = PopulationSpec("chain", 3)
