@@ -318,10 +318,10 @@ def _add_common(sp) -> None:
     sp.add_argument("--seed", type=int, default=0, help="base RNG seed, a non-negative integer")
     sp.add_argument(
         "--threads", type=_count(0),
-        help="concurrent CV fits, the calling thread included, 0 means one per usable "
-        "CPU; default 0 when OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS "
-        "pin BLAS to one thread, else 1; they split each fold's grid blocks, so a "
-        "one-block grid (small p) runs inline; simulate and moments ignore it",
+        help="concurrent CV fits, the calling thread included, 0 means one per usable CPU; "
+        "default 0 when OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS pin BLAS "
+        "to one thread, else 1; they split each fold's grid blocks, so a one-block grid "
+        "(small p, or no or a scalar target) runs inline; simulate and moments ignore it",
     )
     sp.add_argument("--config", help="JSON file mirroring the flags; flags override it")
     sp.add_argument(

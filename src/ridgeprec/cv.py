@@ -8,10 +8,10 @@ All three schemes share one loop that runs fold by fold. Each part (a
 fold, a left-out row, or the whole data for the approximation) builds its
 held-in sample covariance once and fits the whole grid in broadcast
 :func:`~ridgeprec.estimators.fit` calls, one per
-:func:`~ridgeprec.estimators.stack_slices` block. With ``threads = N > 1``
-the calling thread and a pool of at most N - 1 workers fit a part's blocks
-concurrently, N fits at a time; a grid that is one block (every grid at
-small p) runs inline.
+:func:`~ridgeprec.estimators.stack_slices` block of what a fit holds per
+penalty: p eigenvalues where it shares the decomposition of ``S``, else a
+p x p matrix. With ``threads = N > 1`` the caller and a pool of at most
+N - 1 workers fit a part's blocks, N at a time; one block runs inline.
 """
 
 import os
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .errors import InvalidFoldsError, InvalidParameterError, whole
+from .errors import InvalidFoldsError, InvalidParameterError, InvalidPenaltyError, whole
 from .estimators import prepare_data, sample_cov
 
 SCHEMES = ("kfold", "loocv", "aloocv")
@@ -126,13 +126,13 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
     """Evaluate the configured scheme's score at every grid value.
 
     Scoring runs fold by fold: one held-in covariance per fold and one
-    broadcast fit per grid block. ``threads`` is the number of concurrent
-    fits, the calling thread included: ``threads=0`` means one per usable
-    CPU (the process's CPU affinity where the platform reports it) and
-    ``threads <= 1`` runs inline. Otherwise the caller and a pool of N - 1
-    workers, N being ``threads`` capped by the block count, take each
-    part's blocks in turn until none is left, so a grid that is one block
-    (every grid at small p) runs inline and starts no thread. Scores do not
+    broadcast fit per grid block (see the module docstring). ``threads`` is
+    the number of concurrent fits, the calling thread included: ``threads=0``
+    means one per usable CPU (the process's CPU affinity where the platform
+    reports it) and ``threads <= 1`` runs inline. Otherwise the caller and a
+    pool of N - 1 workers, N being ``threads`` capped by the block count,
+    take each part's blocks in turn until none is left, so a grid that is
+    one block runs inline and starts no thread. Scores do not
     depend on ``threads``: blocks are disjoint, and each part's terms are
     added before the next part starts, in part order as a loop over parts
     per penalty adds them, so every score equals that loop's bit for bit.
@@ -150,7 +150,8 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
         parts = [np.array([i]) for i in range(n)]
     else:
         parts = [None]
-    blocks = estimators.stack_slices(grid.size, p)
+    shared = estimators._shares_S(config.estimator, config.target)
+    blocks = estimators.stack_slices(grid.size, p if shared else p * p)
     scores = np.zeros(grid.size)
     fits = min(max(threads or _usable_cpus(), 1), len(blocks))
     with ThreadPoolExecutor(max_workers=fits - 1) if fits > 1 else nullcontext() as pool:
@@ -195,8 +196,11 @@ def _usable_cpus() -> int:
 
 
 def select_lambda(Y, config: CVConfig, threads: int = 1) -> CVResult:
-    """Minimize the CV score over the grid; ties go to the larger penalty."""
+    """Minimize the CV score over the grid; ties go to the larger penalty; a NaN score raises."""
     scores = score_grid(Y, config, threads)
+    if np.any(np.isnan(scores)):
+        first = config.grid[np.isnan(scores)][0]
+        raise InvalidPenaltyError(f"CV score is NaN at penalty {first}; drop it from the grid")
     rev = scores[::-1]
     idx = scores.size - 1 - int(np.argmin(rev))
     return CVResult(config.scheme, config.grid, scores, float(config.grid[idx]))

@@ -20,14 +20,14 @@ inversion: a fit is one eigendecomposition of ``S - lam*T`` with
 cancellation-free per-eigenvalue maps; dense matrices are built on demand.
 
 :func:`fit` broadcasts: ``lam`` may be a 1-D grid and ``S`` a stack
-``(..., p, p)``. With no target or a scalar one, ``psi*I``, the kind's
-matrix has ``S``'s eigenvectors and a shift of its eigenvalues ``d``
-(``d - lam*psi`` for alt-1, ``(1-lam)d + lam/psi`` for archetype-1), so
-``S`` is decomposed once for the whole grid; otherwise every matrix the
-call needs is decomposed in one stacked ``eigh``. Each slice is
-bit-identical to the fit of that ``S`` at that penalty alone. Callers that
-stack many fits keep each stack within :data:`STACK_BYTES` through
-:func:`stack_slices`.
+``(..., p, p)``. With no target or a scalar one, ``psi*I`` (the route rule
+:func:`_shares_S`), the kind's matrix has ``S``'s eigenvectors and a shift
+of its eigenvalues ``d`` (``d - lam*psi`` for alt-1, ``(1-lam)d + lam/psi``
+for archetype-1), so ``S`` is decomposed once for the whole grid; otherwise
+every matrix the call needs is decomposed in one stacked ``eigh``. Each
+slice is bit-identical to the fit of that ``S`` at that penalty alone.
+Callers that stack many fits size :func:`stack_slices` blocks by what one
+grid point holds: p eigenvalues on that route, else a p x p matrix.
 
 :func:`fit_data` fits from the data rows instead of ``S``. With fewer rows
 than columns and no or a scalar target, it takes the n nonzero eigenpairs
@@ -60,20 +60,21 @@ _TARGETED = ("alt-1", "archetype-1")
 #: Sentinel for the data-driven diagonal target, resolved per fit from S.
 DDIAG = "ddiag"
 
-#: Byte budget for one stack of p x p float matrices handed to :func:`fit`.
+#: Byte budget for one block of stacked items (grid points or replicates).
 STACK_BYTES = 2**18
 
 _OVERFLOW = "data overflow: Y'Y/n is not finite although every data entry is; rescale the data"
 
 
-def stack_slices(count: int, p: int, rows: int = 0) -> list:
-    """Split ``count`` stacked p x p fits into blocks within :data:`STACK_BYTES`.
-
-    Fits from stacked data pass ``rows``, the n of each n x p data matrix;
-    a block's data then fits the budget too.
-    """
-    step = max(1, STACK_BYTES // (8 * p * max(p, rows)))
+def stack_slices(count: int, item: int) -> list:
+    """Split ``count`` items of ``item`` floats each into blocks within :data:`STACK_BYTES`."""
+    step = max(1, STACK_BYTES // (8 * item))
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _shares_S(kind: str, target) -> bool:
+    """The route rule: no target, or a scalar one, makes the kind's matrix a shift of ``S``."""
+    return kind not in _TARGETED or isinstance(target, Target) and target.kind == "scalar"
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +333,17 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
 
     Every kind runs the same steps: validate ``S``, every penalty (in the
     kind's own domain) and the target once; decompose ``S`` and shift its
-    eigenvalues (no target or a scalar one), or else build the stack of
-    ``S - lam*T`` or ``(1-lam)S + lam*G``, with a diagonal target applied
-    to the diagonal only, and decompose it in one ``eigh`` call; and map
-    the eigenvalues by the kind's rule. The estimate keeps the eigenvectors
-    and both mapped spectra. When the call has one matrix per penalty (a
-    scalar ``lam``, or a one-point grid), the kind's matrix is built in
-    place in the checked copy of ``S``; the caller's ``S`` is never written.
+    eigenvalues (:func:`_shares_S`: no target or a scalar one), or else
+    build the stack of ``S - lam*T`` or ``(1-lam)S + lam*G``, with a
+    diagonal target applied to the diagonal only, and decompose it in one
+    ``eigh`` call; and map the eigenvalues by the kind's rule. The estimate
+    keeps the eigenvectors and both mapped spectra. When the call has one
+    matrix per penalty (a scalar ``lam``, or a one-point grid), the kind's
+    matrix is built in place in the checked copy of ``S``, never the caller's.
     """
     S = check_symmetric(S, "S", stack=True)
     kind, lam, target = _resolve(kind, lam, target, S)
-    if target is None or target.kind == "scalar":
+    if _shares_S(kind, target):
         return _spectral(kind, *eig_sym_unchecked(S), lam, target)
     p = S.shape[-1]
     grid = np.ndim(lam) == 1
@@ -380,21 +381,19 @@ def fit_data(kind: str, Y, lam, target=None) -> RidgeEstimate:
 
     ``Y`` is an n x p data matrix or a stack ``(..., n, p)``; ``lam`` and
     ``target`` are as for :func:`fit`, and so are the estimate's axes. The
-    fit is thin when n < p and the kind's matrix is a shift of ``S``: no
-    target (alt-2, archetype-2) or a :class:`Target` of kind "scalar". Then
-    the n nonzero eigenvalues of ``S`` and their eigenvectors are the
-    squared singular values and right singular vectors of ``Y/sqrt(n)``,
-    shifted as in :func:`fit`, and the p - n zero eigenvalues map to one
-    null pair (see :class:`RidgeEstimate`). A singular value that is 0 maps
-    exactly onto that pair, so no rank cut is needed. Every other case returns
-    ``fit(kind, sample_cov(Y), lam, target)``. The route depends only on
-    n, p and the kind of ``target``; the two agree to rounding, but not bit
-    for bit.
+    fit is thin when n < p and the kind's matrix is a shift of ``S``
+    (:func:`_shares_S`). Then the n nonzero eigenvalues of ``S`` and their
+    eigenvectors are the squared singular values and right singular vectors
+    of ``Y/sqrt(n)``, shifted as in :func:`fit`, and the p - n zero
+    eigenvalues map to one null pair (see :class:`RidgeEstimate`). A
+    singular value that is 0 maps exactly onto that pair, so no rank cut is
+    needed. Every other case returns ``fit(kind, sample_cov(Y), lam,
+    target)``. The route depends only on n, p and the kind of ``target``;
+    the two agree to rounding, but not bit for bit.
     """
     Y = prepare_data(Y, stack=True)
     n, p = Y.shape[-2:]
-    scalar = kind not in _TARGETED or isinstance(target, Target) and target.kind == "scalar"
-    if n >= p or not scalar:
+    if n >= p or not _shares_S(kind, target):
         return fit(kind, sample_cov(Y), lam, target)
     kind, lam, target = _resolve(kind, lam, target)
     _, s, vt = np.linalg.svd(Y / np.sqrt(n), full_matrices=False)
@@ -447,7 +446,8 @@ def _estimate(kind: str, vals, vecs, lam, target) -> RidgeEstimate:
     """Check the descending spectrum ``vals`` of the kind's matrix, map it, hold the fit.
 
     archetype-1 needs its combined matrix p.d., and archetype-2 needs
-    ``S + lam*I`` p.d. A thin fit's last value is its null space's.
+    ``S + lam*I`` p.d. A mapped value that is not finite and positive names
+    its penalty (the first in grid order). A thin fit's last value is its null space's.
     """
     low = vals[..., -1]
     if kind == "archetype-1":
@@ -460,7 +460,16 @@ def _estimate(kind: str, vals, vecs, lam, target) -> RidgeEstimate:
         raise NotPositiveDefiniteError(
             f"S + lam*I not p.d. (min eigenvalue {np.extract(low <= 0, low)[0]:.3e})"
         )
-    cov, prec = _eigen_map(kind, vals, np.asarray(lam)[..., None])
+    with np.errstate(over="ignore"):
+        cov, prec = _eigen_map(kind, vals, np.asarray(lam)[..., None])
+    fine = np.all((cov > 0) & (cov < np.inf) & (prec > 0) & (prec < np.inf), axis=-1)
+    if not np.all(fine):
+        grid = np.atleast_1d(lam)
+        first = grid[~np.all(fine.reshape(-1, grid.size), axis=0)][0]
+        raise InvalidMatrixError(
+            f"fit overflow at penalty {first}: an eigenvalue of the fit is not finite and "
+            "positive; rescale the data or the penalty"
+        )
     target = Target.zero() if kind == "alt-2" else target
     if vals.shape[-1] == vecs.shape[-1]:
         return RidgeEstimate(vecs, prec, cov, kind, lam, target)

@@ -85,7 +85,7 @@ def mc_moments(
         raise NotPositiveDefiniteError("Monte Carlo sampling requires a p.d. Sigma") from exc
     target = Target.zero() if target is None else target
     acc = np.zeros((p, p))
-    for block in estimators.stack_slices(reps, p, n):
+    for block in estimators.stack_slices(reps, p * max(p, n)):  # a draw and a p x p sigma
         Y = np.stack([
             np.random.default_rng([seed, r]).standard_normal((n, p))
             for r in range(block.start, block.stop)

@@ -221,7 +221,7 @@ def risk_curve(config: RiskConfig, Omega=None, Sigma=None) -> RiskCurve:
     kinds = config.estimators
     grid = config.grid
     lam_table = {k: penalty_in_kind_scale(k, grid) for k in kinds}
-    blocks = _est.stack_slices(grid.size, p)
+    blocks = _est.stack_slices(grid.size, p * p)  # a dense omega per grid point
     if config.loss == "frobenius":
         loss_fn, reference = _frobenius, Omega
     else:
@@ -285,7 +285,7 @@ def coefficient_paths(S, grid, kinds=("alt-1",), target=_est.DDIAG):
     for kind in kinds:
         lams = penalty_in_kind_scale(kind, grid)
         out = np.empty((len(pairs), grid.size))
-        for block in _est.stack_slices(grid.size, S.shape[0]):
+        for block in _est.stack_slices(grid.size, S.size):  # a dense omega per point
             out[:, block] = _est.fit(kind, S, lams[block], target).omega[:, iu[0], iu[1]].T
         paths[kind] = out
     return pairs, paths

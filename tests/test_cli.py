@@ -36,6 +36,10 @@ def sigma_file(tmp_path):
     return str(path), Sigma
 
 
+# A 4 x 3 data file whose fits overflow at a penalty near 1e160.
+SMALL_DATA = "1,2,3\n4,5,6.5\n7,8.2,9\n1.5,2,3.3\n"
+
+
 class TestParseTarget:
     def test_named_specs(self):
         assert parse_target("zero").is_zero
@@ -167,6 +171,19 @@ class TestEstimate:
         assert run(named["data"], named["target"], "--header") == run(path, target)
 
 
+    def test_overflowing_fit_exits_2(self, tmp_path, capsys):
+        # (S - lam*T)^2/4 overflows; the fit used to print a matrix of nan.
+        path = tmp_path / "small.csv"
+        path.write_text(SMALL_DATA)
+        assert main(["estimate", "--data", str(path), "--lambda", "1e160"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "ridgeprec estimate: error: fit overflow at penalty 1e+160: an eigenvalue of the "
+            "fit is not finite and positive; rescale the data or the penalty"
+        )
+
+
 class TestCV:
     def test_output_shape(self, data_file, capsys):
         path, _ = data_file
@@ -290,6 +307,20 @@ class TestCV:
         assert main(["estimate", "--data", str(path)]) == 1
         assert capsys.readouterr().err.splitlines()[-1] == (
             "ridgeprec estimate: error: a penalty is required: --lambda or --auto-lambda"
+        )
+
+
+    def test_overflowing_grid_exits_2(self, tmp_path, capsys):
+        # The fits at 1e200 and 1e300 overflow; the scores used to print nan.
+        path = tmp_path / "small.csv"
+        path.write_text(SMALL_DATA)
+        flags = ["--grid-min", "1", "--grid-max", "1e300", "--grid-n", "4"]
+        assert main(["cv", "--data", str(path)] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "ridgeprec cv: error: fit overflow at penalty 1e+200: an eigenvalue of the "
+            "fit is not finite and positive; rescale the data or the penalty"
         )
 
 

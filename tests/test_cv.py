@@ -241,6 +241,16 @@ class TestSelectLambda:
         npt.assert_array_equal(res.grid, [0.5, 1.0])
 
 
+    def test_nan_score_names_its_penalty(self):
+        # At 1e-300 alt-2's ALOOCV score overflows to NaN; argmin would pick it.
+        Y = np.random.default_rng(0).standard_normal((5, 8))
+        cfg = CVConfig(grid=np.logspace(-300, 0, 4), scheme="aloocv", estimator="alt-2")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(score_grid(Y, cfg)[0])
+            with pytest.raises(InvalidPenaltyError, match=r"^CV score is NaN at penalty 1e-300;"):
+                select_lambda(Y, cfg)
+
+
 class TestDefaultGrid:
     def test_endpoints_and_length(self):
         S = np.diag([2.0, 4.0])  # tr/p = 3
@@ -531,3 +541,42 @@ class TestFoldOuterLoop:
             cfg = CVConfig(grid=[1.5], scheme=scheme, k=4, estimator="archetype-1")
             with pytest.raises(InvalidPenaltyError):
                 score_grid(Y, cfg)
+
+
+class TestSharedRouteBlocks:
+    """A fit that shares S's decomposition holds p eigenvalues per grid point.
+
+    So a grid whose p x p matrices would each fill a block is still one
+    fit, and one decomposed matrix, per part.
+    """
+
+    CASES = [
+        ("alt-2", "ddiag"),  # alt-2 and archetype-2 ignore the target
+        ("archetype-2", "ddiag"),
+        ("alt-1", Target.identity()),
+        ("archetype-1", Target.scalar(2.0)),
+    ]
+
+    @pytest.mark.parametrize("scheme, parts", [("kfold", 4), ("loocv", 10), ("aloocv", 1)])
+    @pytest.mark.parametrize("kind, target", CASES, ids=[kind for kind, _ in CASES])
+    @pytest.mark.parametrize("p", [14, 6])
+    def test_one_decomposition_per_part_equal_to_the_loop(
+        self, p, kind, target, scheme, parts, monkeypatch
+    ):
+        Y = chain_data(10, p=p, seed=p)
+        cfg = CVConfig(
+            grid=default_grid(sample_cov(Y), 5, kind=kind), scheme=scheme, k=4,
+            estimator=kind, target=target,
+        )
+        monkeypatch.setattr(estimators, "STACK_BYTES", 8 * p * p)  # one p x p matrix a block
+        decomposed = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            decomposed.append(int(np.prod(np.shape(a)[:-2])))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        got = score_grid(Y, cfg)
+        assert decomposed == [1] * parts
+        assert same_bits(got, cv_scores_loop(Y, cfg))

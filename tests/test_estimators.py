@@ -696,9 +696,46 @@ class TestStackSlices:
         from ridgeprec import estimators
 
         monkeypatch.setattr(estimators, "STACK_BYTES", 3 * 8 * 4 * 4)
-        assert estimators.stack_slices(7, 4) == [slice(0, 3), slice(3, 6), slice(6, 7)]
-        assert estimators.stack_slices(3, 4) == [slice(0, 3)]
-        assert estimators.stack_slices(2, 100) == [slice(0, 1), slice(1, 2)]
+        assert estimators.stack_slices(7, 4 * 4) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert estimators.stack_slices(3, 4 * 4) == [slice(0, 3)]
+        assert estimators.stack_slices(2, 100 * 100) == [slice(0, 1), slice(1, 2)]
+
+
+class TestFitOverflow:
+    """An eigenvalue map that overflows raises a typed error naming its penalty.
+
+    pytest turns warnings into errors, so these also show that no numpy
+    overflow warning escapes.
+    """
+
+    Y = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5], [7.0, 8.2, 9.0], [1.5, 2.0, 3.3]])
+    GRID = np.logspace(0, 300, 4)  # 1, 1e100, 1e200, 1e300
+
+    def test_dense_route_names_the_penalty(self):
+        S = sample_cov(self.Y)
+        with pytest.raises(InvalidMatrixError, match=r"^fit overflow at penalty 1e\+160: "):
+            fit("alt-1", S, 1e160, "ddiag")
+        for target in ("ddiag", Target.identity()):
+            for stack in (S, np.stack([S, S])):
+                with pytest.raises(InvalidMatrixError, match=r"at penalty 1e\+200: "):
+                    fit("alt-1", stack, self.GRID, target)
+
+    def test_first_penalty_in_grid_order(self):
+        # The second matrix overflows at every penalty, the first from 1e200 on.
+        S = sample_cov(self.Y)
+        with pytest.raises(InvalidMatrixError, match=r"at penalty 1\.0: "):
+            fit("alt-1", np.stack([S, S * 1e155]), self.GRID, Target.identity())
+
+    def test_tiny_archetype_spectrum_overflows_its_inverse(self):
+        with pytest.raises(InvalidMatrixError, match=r"at penalty 1e-320: "):
+            fit("archetype-2", np.eye(3) * 1e-320, 1e-320)
+
+    def test_thin_route_names_the_penalty(self):
+        for target in (Target.identity(), Target.scalar(2.0)):
+            with pytest.raises(InvalidMatrixError, match=r"at penalty 1e\+200: "):
+                fit_data("alt-1", self.Y[:2], self.GRID, target)
+        with pytest.raises(InvalidMatrixError, match=r"at penalty 1\.0: "):
+            fit_data("alt-2", self.Y[:2] * 1e80, self.GRID)
 
 
 class TestFitData:

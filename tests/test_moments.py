@@ -125,7 +125,7 @@ class TestMCMoments:
         # n = 10 < p = 25: the fits are thin, so the mean agrees with one
         # dense fit per replicate to rounding, not bit for bit.
         p = 25
-        block = estimators.stack_slices(10**6, p)[0].stop
+        block = estimators.stack_slices(10**6, p * p)[0].stop
         Sigma = make_spd(p, rng)
         got = mc_moments(Sigma, 10, 50.0, reps=block + 1, seed=4)
         want = mc_moments_loop(Sigma, 10, 50.0, reps=block + 1, seed=4)
@@ -134,7 +134,7 @@ class TestMCMoments:
     @pytest.mark.parametrize("n", [25, 40], ids=["n=p", "n>p"])
     def test_dense_matches_per_replicate_loop_at_default_budget(self, n, make_spd, rng):
         p = 25
-        block = estimators.stack_slices(10**6, p, n)[0].stop
+        block = estimators.stack_slices(10**6, p * n)[0].stop
         Sigma = make_spd(p, rng)
         got = mc_moments(Sigma, n, 50.0, reps=block + 1, seed=4)
         assert same_bits(got, mc_moments_loop(Sigma, n, 50.0, reps=block + 1, seed=4))

@@ -315,7 +315,7 @@ class TestRiskCurve:
         # p = 26 at the default STACK_BYTES: the 50-point grid runs in two
         # blocks, and each block's losses are one stacked contraction.
         p, grid = 26, np.logspace(-2, 2, 50)
-        assert len(estimators.stack_slices(grid.size, p)) == 2
+        assert len(estimators.stack_slices(grid.size, p * p)) == 2
         cfg = RiskConfig(
             PopulationSpec("star", p), (10,), grid, estimators=("alt-2", "archetype-2"),
             target=Target.zero(), reps=2, loss=loss, base_seed=3,
