@@ -163,9 +163,11 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
                 mask[held_out] = False
                 S, rows, term = sample_cov(Y[mask]), Y[held_out], _held_out_term
 
-            def block_terms(block):
+            def add_block_terms(block):
                 est = estimators.fit(config.estimator, S, grid[block], config.target)
-                return [term(rows, v, w) for v, w in zip(est.vectors, est.prec)]
+                # Per thread: a score that overflows is left NaN for select_lambda to name.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scores[block] += [term(rows, v, w) for v, w in zip(est.vectors, est.prec)]
 
             pending, claim = iter(range(len(blocks))), threading.Lock()
 
@@ -177,7 +179,7 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
                     if i == len(blocks):
                         return i, None
                     try:
-                        scores[blocks[i]] += block_terms(blocks[i])
+                        add_block_terms(blocks[i])
                     except Exception as exc:
                         return i, exc
 

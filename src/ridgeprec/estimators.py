@@ -49,7 +49,7 @@ from .errors import (
     InvalidTargetError,
     NotPositiveDefiniteError,
 )
-from .linalg import check_symmetric, eig_sym_unchecked, inv_pd, pd_tolerance, symmetrize
+from .linalg import check_symmetric, cholesky_pd, eig_sym_unchecked, inv_pd, require_pd, symmetrize
 
 #: Canonical estimator kind names (also the CLI spelling).
 KINDS = ("archetype-1", "archetype-2", "alt-1", "alt-2")
@@ -121,11 +121,7 @@ class Target:
     @classmethod
     def full(cls, matrix) -> "Target":
         m = check_symmetric(matrix, "full target")
-        vals = np.linalg.eigvalsh(m)
-        if vals[0] <= pd_tolerance(vals):
-            raise InvalidTargetError(
-                f"full target must be p.d. (min eigenvalue {vals[0]:.3e})"
-            )
+        require_pd(np.linalg.eigvalsh(m), "full target must be p.d.", InvalidTargetError)
         return cls("full", values=m)
 
     @property
@@ -354,24 +350,26 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
     shape = np.broadcast_shapes(S.shape, lam_m.shape)
     # The checked copy is this call's own; reuse it when no grid axis widens it.
     M = S if shape == S.shape else np.array(np.broadcast_to(S, shape))
-    if kind == "archetype-1":
-        M *= 1.0 - lam_m
-    if target.kind == "full":
-        if kind == "alt-1":
-            M -= lam_m * target.matrix(p)
+    with np.errstate(over="ignore"):  # an overflow is caught below, before eigh
+        if kind == "archetype-1":
+            M *= 1.0 - lam_m
+        if target.kind == "full":
+            if kind == "alt-1":
+                M -= lam_m * target.matrix(p)
+            else:
+                M += lam_m * target.gamma(p)
         else:
-            M += lam_m * target.gamma(p)
-    else:
-        t = target.diagonal_entries(p)
-        if grid:
-            t = t[..., None, :]
-        idx = np.arange(p)
-        if kind == "alt-1":
-            M[..., idx, idx] -= lam_v * t
-        else:
-            # lam*G is +0.0 off the diagonal; adding it turns -0.0 into +0.0.
-            M += 0.0
-            M[..., idx, idx] += lam_v * (1.0 / t)
+            t = target.diagonal_entries(p)
+            if grid:
+                t = t[..., None, :]
+            idx = np.arange(p)
+            if kind == "alt-1":
+                M[..., idx, idx] -= lam_v * t
+            else:
+                # lam*G is +0.0 off the diagonal; adding it turns -0.0 into +0.0.
+                M += 0.0
+                M[..., idx, idx] += lam_v * (1.0 / t)
+    _check_fine(np.all(np.isfinite(M), axis=(-2, -1)), lam)
     vals, vecs = eig_sym_unchecked(M)
     return _estimate(kind, vals, vecs, lam, target)
 
@@ -451,18 +449,27 @@ def _estimate(kind: str, vals, vecs, lam, target) -> RidgeEstimate:
     """
     low = vals[..., -1]
     if kind == "archetype-1":
-        bad = low <= pd_tolerance(vals)
-        if np.any(bad):
-            raise NotPositiveDefiniteError(
-                f"combined matrix not p.d. (min eigenvalue {np.extract(bad, low)[0]:.3e})"
-            )
+        require_pd(vals, "combined matrix not p.d.")
     if kind == "archetype-2" and np.any(low <= 0):
         raise NotPositiveDefiniteError(
             f"S + lam*I not p.d. (min eigenvalue {np.extract(low <= 0, low)[0]:.3e})"
         )
     with np.errstate(over="ignore"):
         cov, prec = _eigen_map(kind, vals, np.asarray(lam)[..., None])
-    fine = np.all((cov > 0) & (cov < np.inf) & (prec > 0) & (prec < np.inf), axis=-1)
+    _check_fine(np.all((cov > 0) & (cov < np.inf) & (prec > 0) & (prec < np.inf), axis=-1), lam)
+    target = Target.zero() if kind == "alt-2" else target
+    if vals.shape[-1] == vecs.shape[-1]:
+        return RidgeEstimate(vecs, prec, cov, kind, lam, target)
+    return RidgeEstimate(
+        vecs, prec[..., :-1], cov[..., :-1], kind, lam, target, prec[..., -1], cov[..., -1]
+    )
+
+
+def _check_fine(fine, lam) -> None:
+    """Raise the fit-overflow error at the first penalty, in grid order, where ``fine`` fails.
+
+    ``fine`` holds one flag per fit, over the fit's leading axes (the grid axis last).
+    """
     if not np.all(fine):
         grid = np.atleast_1d(lam)
         first = grid[~np.all(fine.reshape(-1, grid.size), axis=0)][0]
@@ -470,12 +477,6 @@ def _estimate(kind: str, vals, vecs, lam, target) -> RidgeEstimate:
             f"fit overflow at penalty {first}: an eigenvalue of the fit is not finite and "
             "positive; rescale the data or the penalty"
         )
-    target = Target.zero() if kind == "alt-2" else target
-    if vals.shape[-1] == vecs.shape[-1]:
-        return RidgeEstimate(vecs, prec, cov, kind, lam, target)
-    return RidgeEstimate(
-        vecs, prec[..., :-1], cov[..., :-1], kind, lam, target, prec[..., -1], cov[..., -1]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +523,7 @@ def loglik(omega, S) -> float:
     ``omega`` must be p.d. (checked via Cholesky).
     """
     omega, S = check_symmetric(omega, "omega"), check_symmetric(S, "S")
-    try:
-        L = np.linalg.cholesky(omega)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("loglik requires a p.d. omega") from exc
+    L = cholesky_pd(omega, "loglik requires a p.d. omega")
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return logdet - float(np.einsum("ij,ij->", S, omega))
 

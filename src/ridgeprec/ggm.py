@@ -51,13 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateFitError,
-    InsufficientDataError,
-    InvalidParameterError,
-    NotPositiveDefiniteError,
-)
-from .linalg import check_symmetric, pd_tolerance, symmetrize
+from .errors import DegenerateFitError, InsufficientDataError, InvalidParameterError
+from .linalg import check_symmetric, require_pd, symmetrize
 
 #: Quantile of |values| bounding the null-dominated region used for the
 #: kappa fit.
@@ -95,11 +90,8 @@ def partial_correlations(omega, spectrum=None) -> np.ndarray:
 
 def _partial_correlations(omega: np.ndarray, spectrum) -> np.ndarray:
     """:func:`partial_correlations` of an ``omega`` that ``check_symmetric`` returned."""
-    vals = np.sort(spectrum) if spectrum is not None else np.linalg.eigvalsh(omega)
-    if vals[0] <= pd_tolerance(vals):
-        raise NotPositiveDefiniteError(
-            f"partial correlations require a p.d. precision (min eigenvalue {vals[0]:.3e})"
-        )
+    vals = np.linalg.eigvalsh(omega) if spectrum is None else spectrum
+    require_pd(vals, "partial correlations require a p.d. precision")
     d = np.sqrt(np.diag(omega))
     P = -omega / np.outer(d, d)
     np.fill_diagonal(P, 1.0)

@@ -1,11 +1,14 @@
-"""Symmetric-matrix primitives used by every estimator.
+"""Symmetric-matrix primitives used by every estimator, and the p.d. rules.
 
-All public functions validate their inputs and return exactly symmetric
-arrays: results are computed as :func:`symmetrize` computes them, which
-guarantees the (i, j) and (j, i) entries are the same float, not merely close. The one
-exception is :func:`eig_sym_unchecked`, which validates nothing: callers
-pass it a matrix they have checked already, and read its eigenvectors only
-through products that do not depend on their signs.
+Public functions that return a symmetric matrix validate their inputs and
+compute it as :func:`symmetrize` does, which guarantees the (i, j) and
+(j, i) entries are the same float, not merely close. The exception is
+:func:`eig_sym_unchecked`, which validates nothing: callers pass it a
+matrix they have checked already, and read its eigenvectors only through
+products that do not depend on their signs.
+
+:func:`require_pd` (a spectrum against :func:`pd_tolerance`) and :func:`cholesky_pd`
+decide positive definiteness for the package; archetype-2 alone checks ``S + lam*I`` against 0.
 """
 
 from contextlib import nullcontext
@@ -82,6 +85,26 @@ def pd_tolerance(values):
     return 1e-12 * np.maximum(1.0, np.abs(values).max(axis=-1))
 
 
+def require_pd(values, what: str, error=NotPositiveDefiniteError) -> None:
+    """The eigenvalue rule: every spectrum's smallest value exceeds :func:`pd_tolerance`.
+
+    ``values`` is a spectrum in any order, or a stack ``(..., p)`` of them.
+    Raises ``error`` naming the smallest value of the first failing spectrum.
+    """
+    low = np.min(values, axis=-1)
+    bad = low <= pd_tolerance(values)
+    if np.any(bad):
+        raise error(f"{what} (min eigenvalue {np.extract(bad, low)[0]:.3e})")
+
+
+def cholesky_pd(a, what: str) -> np.ndarray:
+    """The Cholesky rule: the lower factor of ``a``, or ``NotPositiveDefiniteError(what)``."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(what) from exc
+
+
 def inv_pd(a) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix.
 
@@ -91,8 +114,5 @@ def inv_pd(a) -> np.ndarray:
     :func:`check_symmetric` rejects.
     """
     vals, vecs = eig_sym_unchecked(check_symmetric(a))
-    if vals[-1] <= pd_tolerance(vals):
-        raise NotPositiveDefiniteError(
-            f"inverse requires a p.d. input (min eigenvalue {vals[-1]:.3e})"
-        )
+    require_pd(vals, "inverse requires a p.d. input")
     return symmetrize((vecs / vals) @ vecs.T)

@@ -11,9 +11,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import estimators
-from .errors import NotPositiveDefiniteError, whole
+from .errors import whole
 from .estimators import Target
-from .linalg import check_symmetric, symmetrize
+from .linalg import check_symmetric, cholesky_pd, symmetrize
 
 
 class WishartMoments(NamedTuple):
@@ -79,10 +79,7 @@ def mc_moments(
     reps = whole(reps, "reps")
     seed = whole(seed, "seed", 0)
     p = Sigma.shape[0]
-    try:
-        L = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("Monte Carlo sampling requires a p.d. Sigma") from exc
+    L = cholesky_pd(Sigma, "Monte Carlo sampling requires a p.d. Sigma")
     target = Target.zero() if target is None else target
     acc = np.zeros((p, p))
     for block in estimators.stack_slices(reps, p * max(p, n)):  # a draw and a p x p sigma

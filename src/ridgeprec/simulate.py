@@ -5,14 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators as _est
-from .errors import (
-    ConstructionFailedError,
-    InvalidParameterError,
-    NotPositiveDefiniteError,
-    whole,
-)
+from .errors import ConstructionFailedError, InvalidParameterError, whole
 from .estimators import sample_cov
-from .linalg import check_symmetric, inv_pd, pd_tolerance, symmetrize
+from .linalg import check_symmetric, cholesky_pd, inv_pd, require_pd, symmetrize
 
 TOPOLOGIES = ("random", "chain", "star", "clique")
 LOSSES = ("frobenius", "quadratic")
@@ -70,11 +65,8 @@ def population_precision(spec: PopulationSpec) -> np.ndarray:
         Y = rng.standard_normal((spec.n0, p))
         Omega = Y.T @ Y / spec.n0
     Omega = symmetrize(Omega)
-    vals = np.linalg.eigvalsh(Omega)
-    if vals[0] <= pd_tolerance(vals):
-        raise ConstructionFailedError(
-            f"{spec.topology} population is not p.d. (min eigenvalue {vals[0]:.3e})"
-        )
+    what = f"{spec.topology} population is not p.d."
+    require_pd(np.linalg.eigvalsh(Omega), what, ConstructionFailedError)
     return Omega
 
 
@@ -89,10 +81,7 @@ def sample_mvn(Sigma, n: int, seed) -> np.ndarray:
     if not isinstance(seed, np.random.Generator):
         for part in np.ravel(np.asarray(seed, dtype=object)):
             whole(part, "seed", low=0)
-    try:
-        L = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("sampling requires a p.d. covariance") from exc
+    L = cholesky_pd(Sigma, "sampling requires a p.d. covariance")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return rng.standard_normal((n, Sigma.shape[0])) @ L.T
 
@@ -216,7 +205,7 @@ def risk_curve(config: RiskConfig, Omega=None, Sigma=None) -> RiskCurve:
     """
     Omega = population_precision(config.population) if Omega is None else Omega
     Sigma = inv_pd(Omega) if Sigma is None else Sigma
-    L = np.linalg.cholesky(Sigma)
+    L = cholesky_pd(Sigma, "risk curves require a p.d. Sigma")
     p = Omega.shape[0]
     kinds = config.estimators
     grid = config.grid

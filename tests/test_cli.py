@@ -424,6 +424,33 @@ class TestDefaultThreads:
         assert "warning: --threads" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "cv"])
+def test_typed_error_prints_no_numpy_warning(command, tmp_path):
+    # In a child under -W error, a numpy warning ahead of the typed error
+    # would end the run with a traceback instead of exit code 2.
+    data = tmp_path / "data.csv"
+    if command == "estimate":
+        data.write_text(SMALL_DATA)
+        target = tmp_path / "target.csv"
+        target.write_text(matio.matrix_to_csv(np.diag([1e10] * 3)))
+        argv = ["--lambda", "1e300", "--target", f"file:{target}"]
+        error = "fit overflow at penalty 1e+300: "
+    else:
+        data.write_text(matio.matrix_to_csv(np.random.default_rng(0).standard_normal((5, 8))))
+        argv = ["--estimator", "alt-2", "--scheme", "aloocv", "--grid-min", "1e-300",
+                "--grid-max", "1", "--grid-n", "4"]
+        error = "CV score is NaN at penalty 1e-300; "
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ridgeprec", command, "--data", str(data), *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert run.returncode == 2, run.stderr
+    assert "Warning" not in run.stderr
+    assert run.stderr.splitlines()[-1].startswith(f"ridgeprec {command}: error: {error}")
+
+
 def _at_blas_threads(argv, threads: int) -> str:
     """Stdout of ``python -m ridgeprec argv`` with only ``OPENBLAS_NUM_THREADS`` set."""
     src = str(Path(cli.__file__).resolve().parents[1])

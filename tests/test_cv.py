@@ -250,6 +250,19 @@ class TestSelectLambda:
             with pytest.raises(InvalidPenaltyError, match=r"^CV score is NaN at penalty 1e-300;"):
                 select_lambda(Y, cfg)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nan_score_warns_nothing(self, threads, monkeypatch):
+        # No errstate here: pytest turns a numpy warning into an error, on the
+        # workers too. Blocks of one grid point put three of them on a worker.
+        monkeypatch.setattr(estimators, "STACK_BYTES", 8 * 8)
+        Y = np.random.default_rng(0).standard_normal((5, 8))
+        cfg = CVConfig(grid=np.logspace(-300, 0, 4), scheme="aloocv", estimator="alt-2")
+        scores = score_grid(Y, cfg, threads)
+        assert np.isnan(scores[0])
+        npt.assert_array_equal(scores, score_grid(Y, cfg))
+        with pytest.raises(InvalidPenaltyError, match=r"^CV score is NaN at penalty 1e-300;"):
+            select_lambda(Y, cfg, threads)
+
 
 class TestDefaultGrid:
     def test_endpoints_and_length(self):

@@ -726,6 +726,23 @@ class TestFitOverflow:
         with pytest.raises(InvalidMatrixError, match=r"at penalty 1\.0: "):
             fit("alt-1", np.stack([S, S * 1e155]), self.GRID, Target.identity())
 
+    def test_overflowing_matrix_names_the_penalty_before_eigh(self, monkeypatch):
+        # lam*T overflows while S - lam*T is built; eigh would turn the inf into NaN.
+        def forbidden(a):
+            raise AssertionError("eigh ran on a matrix that is not finite")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        big = Target.diagonal([1e10] * 3)
+        with pytest.raises(InvalidMatrixError, match=r"^fit overflow at penalty 1e\+300: "):
+            fit("alt-1", np.eye(3), 1e300, big)
+        with pytest.raises(InvalidMatrixError, match=r"at penalty 1e\+299: "):
+            fit("alt-1", np.stack([np.eye(3)] * 2), np.array([1.0, 1e299, 1e300]), big)
+        with pytest.raises(InvalidMatrixError, match=r"at penalty 1e\+300: "):
+            fit("alt-1", np.eye(2), 1e300, Target.full(np.diag([1e10, 1.0])))
+        # 1/t overflows in G = T^-1.
+        with pytest.raises(InvalidMatrixError, match=r"at penalty 0\.5: "):
+            fit("archetype-1", np.eye(3), 0.5, Target.diagonal([1e-320] * 3))
+
     def test_tiny_archetype_spectrum_overflows_its_inverse(self):
         with pytest.raises(InvalidMatrixError, match=r"at penalty 1e-320: "):
             fit("archetype-2", np.eye(3) * 1e-320, 1e-320)

@@ -50,6 +50,27 @@ def test_graph_layer_imports_only_errors_and_linalg():
     assert named & modules == {"errors", "linalg"}
 
 
+def test_only_linalg_decides_positive_definiteness():
+    # One eigenvalue rule (require_pd, which reads pd_tolerance) and one
+    # Cholesky rule (cholesky_pd): every other module calls those.
+    package = Path(ridgeprec.__file__).parent
+    found = set()
+    for path in package.glob("*.py"):
+        if path.stem == "linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            else:
+                continue
+            found |= {(path.name, name) for name in names & {"pd_tolerance", "cholesky"}}
+    assert found == set()
+
+
 def test_importing_the_cli_loads_no_scipy_and_no_numpy_polynomial():
     # Both cost a command's start-up time and no command needs them.
     code = (

@@ -1,14 +1,24 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ridgeprec import simulate
-from ridgeprec.errors import InvalidMatrixError, NotPositiveDefiniteError
+from ridgeprec import estimators, ggm, moments, simulate
+from ridgeprec.errors import (
+    ConstructionFailedError,
+    InvalidMatrixError,
+    InvalidTargetError,
+    NotPositiveDefiniteError,
+)
+from ridgeprec.estimators import Target
 from ridgeprec.linalg import (
     check_symmetric,
+    cholesky_pd,
     eig_sym_unchecked,
     inv_pd,
     pd_tolerance,
+    require_pd,
     symmetrize,
 )
 
@@ -59,6 +69,103 @@ class TestInvPD:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidMatrixError):
             inv_pd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+INDEFINITE = np.diag([1.0, -1.0])
+# Archetype-1 at lam = 0.5 with an identity target combines d into (d + 1)/2.
+ARCH1_STACK = np.stack([np.eye(2), np.diag([1.0, -3.0]), np.diag([1.0, -5.0])])
+RISK = simulate.RiskConfig(simulate.PopulationSpec("chain", 2), (4,), [0.5], reps=1)
+
+# site -> (call that fails the p.d. rule, error type, message prefix)
+PD_FAILURES = {
+    "Target.full": (
+        lambda: Target.full(INDEFINITE), InvalidTargetError,
+        "full target must be p.d. (min eigenvalue -1.000e+00)",
+    ),
+    "archetype-1": (
+        lambda: estimators.fit("archetype-1", np.diag([1.0, -3.0]), 0.5, Target.identity()),
+        NotPositiveDefiniteError, "combined matrix not p.d. (min eigenvalue -1.000e+00)",
+    ),
+    "archetype-1 stacked": (
+        lambda: estimators.fit("archetype-1", ARCH1_STACK, 0.5, Target.identity()),
+        NotPositiveDefiniteError, "combined matrix not p.d. (min eigenvalue -1.000e+00)",
+    ),
+    "archetype-1 full target": (
+        lambda: estimators.fit("archetype-1", np.diag([1.0, -3.0]), 0.5, Target.full(np.eye(2))),
+        NotPositiveDefiniteError, "combined matrix not p.d. (min eigenvalue -1.000e+00)",
+    ),
+    "inv_pd": (
+        lambda: inv_pd(INDEFINITE), NotPositiveDefiniteError,
+        "inverse requires a p.d. input (min eigenvalue -1.000e+00)",
+    ),
+    "population_precision": (
+        lambda: simulate.population_precision(
+            simulate.PopulationSpec("clique", 4, blocks=1, offdiag=-0.5)
+        ),
+        ConstructionFailedError, "clique population is not p.d. (min eigenvalue -5.000e-01)",
+    ),
+    "partial_correlations": (
+        lambda: ggm.partial_correlations(INDEFINITE), NotPositiveDefiniteError,
+        "partial correlations require a p.d. precision (min eigenvalue -1.000e+00)",
+    ),
+    "partial_correlations spectrum": (
+        lambda: ggm.partial_correlations(INDEFINITE, np.array([1.0, -1.0])),
+        NotPositiveDefiniteError,
+        "partial correlations require a p.d. precision (min eigenvalue -1.000e+00)",
+    ),
+    "loglik": (
+        lambda: estimators.loglik(INDEFINITE, np.eye(2)), NotPositiveDefiniteError,
+        "loglik requires a p.d. omega",
+    ),
+    "sample_mvn": (
+        lambda: simulate.sample_mvn(INDEFINITE, 3, 0), NotPositiveDefiniteError,
+        "sampling requires a p.d. covariance",
+    ),
+    "mc_moments": (
+        lambda: moments.mc_moments(INDEFINITE, 3, 1.0, reps=2), NotPositiveDefiniteError,
+        "Monte Carlo sampling requires a p.d. Sigma",
+    ),
+    "risk_curve": (
+        lambda: simulate.risk_curve(RISK, np.eye(2), INDEFINITE), NotPositiveDefiniteError,
+        "risk curves require a p.d. Sigma",
+    ),
+}
+
+
+class TestPDRules:
+    """Every p.d. failure in the package goes through ``require_pd`` or ``cholesky_pd``."""
+
+    @pytest.mark.parametrize("site", PD_FAILURES)
+    def test_each_site_keeps_its_error_and_message(self, site):
+        call, error, prefix = PD_FAILURES[site]
+        with pytest.raises(error, match="^" + re.escape(prefix)) as info:
+            call()
+        assert type(info.value) is error
+
+    def test_eigenvalue_rule_reads_any_order(self):
+        for vals in ([3.0, 1e-13, 2.0], [1e-13, 2.0, 3.0], [3.0, 2.0, 1e-13]):
+            with pytest.raises(NotPositiveDefiniteError, match=r"^x \(min eigenvalue 1\.000e-13\)$"):
+                require_pd(np.array(vals), "x")
+        require_pd(np.array([2.0, 1e-11, 3.0]), "x")
+
+    def test_eigenvalue_rule_uses_the_tolerance(self):
+        # pd_tolerance([2e6, ...]) is 2e-6, and a value at the cutoff fails.
+        require_pd(np.array([2e6, 3e-6]), "x")
+        with pytest.raises(NotPositiveDefiniteError):
+            require_pd(np.array([2e6, 2e-6]), "x")
+
+    def test_eigenvalue_rule_names_the_first_failing_spectrum(self):
+        stack = np.array([[[1.0, 2.0], [1.0, -4.0]], [[-3.0, 1.0], [1.0, 1.0]]])
+        with pytest.raises(InvalidTargetError, match=r"^y \(min eigenvalue -4\.000e\+00\)$"):
+            require_pd(stack, "y", InvalidTargetError)
+        require_pd(np.ones((2, 3, 4)), "y")
+
+    def test_cholesky_rule_returns_the_lower_factor(self):
+        A = np.array([[4.0, 2.0], [2.0, 3.0]])
+        npt.assert_array_equal(cholesky_pd(A, "z"), np.linalg.cholesky(A))
+        with pytest.raises(NotPositiveDefiniteError, match=r"^z$") as info:
+            cholesky_pd(np.diag([1.0, 0.0]), "z")
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestIsPD:

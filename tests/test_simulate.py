@@ -235,6 +235,13 @@ class TestRiskCurve:
         direct = loss_quadratic(estimators.fit("alt-1", S, 0.5, "ddiag").omega, Omega)
         npt.assert_allclose(curve.medians[("alt-1", 8)][0], direct, rtol=5e-15)
 
+    def test_indefinite_sigma_is_a_typed_error(self):
+        # A caller-supplied Sigma is factored to draw the replicates; numpy's
+        # LinAlgError used to escape untyped.
+        cfg = RiskConfig(PopulationSpec("chain", 4), (8,), [0.5], reps=1)
+        with pytest.raises(NotPositiveDefiniteError, match=r"^risk curves require a p\.d\. Sigma$"):
+            risk_curve(cfg, np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]))
+
     def test_true_precision_target_wins_at_heavy_shrinkage(self):
         pop = PopulationSpec("chain", 5)
         Omega = population_precision(pop)
