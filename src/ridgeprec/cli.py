@@ -162,10 +162,8 @@ def _emit(parts: list[str], path: str | None) -> None:
 # Subcommands
 
 
-def cmd_estimate(args) -> int:
-    if not args.data:
-        raise UsageError("--data FILE is required")
-    lam = _penalty(args)
+def _fit(args, lam) -> estimators.RidgeEstimate:
+    """Read ``--data``, then the target; fit at ``lam`` or at the penalty CV chooses."""
     Y = matio.read_data(args.data, header=args.header)
     if lam is None and not args.auto_lambda:
         raise UsageError("a penalty is required: --lambda or --auto-lambda")
@@ -173,7 +171,13 @@ def cmd_estimate(args) -> int:
     target = parse_target(args.target, args.header)
     if args.auto_lambda:
         lam = _select(args, Y, S, target).lambda_star
-    est = estimators.fit(args.estimator, S, lam, target)
+    return estimators.fit(args.estimator, S, lam, target)
+
+
+def cmd_estimate(args) -> int:
+    if not args.data:
+        raise UsageError("--data FILE is required")
+    est = _fit(args, _penalty(args))
     _emit([matio.matrix_to_csv(est.omega)], args.output)
     return 0
 
@@ -197,15 +201,9 @@ def cmd_ggm(args) -> int:
         raise UsageError("threshold must be in [0, 1]")
     if args.omega and (lam is not None or args.auto_lambda):
         raise UsageError("--lambda/--auto-lambda apply only with --data")
-    target = parse_target(args.target, args.header)
     if args.data:
-        Y = matio.read_data(args.data, header=args.header)
-        if lam is None and not args.auto_lambda:
-            raise UsageError("a penalty is required: --lambda or --auto-lambda")
-        S = estimators.sample_cov(Y, center=args.center)
-        if args.auto_lambda:
-            lam = _select(args, Y, S, target).lambda_star
-        est = estimators.fit(args.estimator, S, lam, target)
+        est = _fit(args, lam)
+        lam = est.lam
         res = ggm.extract_network(est.omega, args.threshold, est.prec)
     else:
         res = ggm.extract_network(matio.read_matrix(args.omega, header=args.header), args.threshold)

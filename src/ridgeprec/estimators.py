@@ -88,8 +88,8 @@ class Target:
     One of three variants: ``scalar`` (psi * I, psi >= 0; :meth:`zero` is
     psi = 0), ``diagonal`` (positive entries; a stack ``(..., p)`` holds one
     diagonal per matrix of a stacked fit), or ``full`` (symmetric positive
-    definite). Use the factory classmethods; the raw constructor performs
-    no validation.
+    definite; :attr:`inverse` is its inverse, computed once). Use the
+    factory classmethods; the raw constructor performs no validation.
     """
 
     kind: str
@@ -122,6 +122,7 @@ class Target:
     def full(cls, matrix) -> "Target":
         m = check_symmetric(matrix, "full target")
         require_pd(np.linalg.eigvalsh(m), "full target must be p.d.", InvalidTargetError)
+        m.flags.writeable = False  # matrix() hands it out, and inverse is computed from it
         return cls("full", values=m)
 
     @property
@@ -141,24 +142,20 @@ class Target:
         return np.full(p, self.psi)
 
     def matrix(self, p: int) -> np.ndarray:
-        """The target as a dense (p, p) array."""
+        """The target as a dense (p, p) array; a full target's own, read-only matrix."""
         if self.kind != "full":
             return self.diagonal_entries(p)[..., None] * np.eye(p)
         if self.values.shape[0] != p:
             raise InvalidTargetError(
                 f"full target is {self.values.shape[0]}x{self.values.shape[0]}, expected {p}"
             )
-        return self.values.copy()
+        return self.values
 
-    def gamma(self, p: int) -> np.ndarray:
-        """Covariance-side target ``G = T^-1`` used by archetype-1."""
-        if self.is_zero:
-            raise InvalidTargetError("archetype-1 requires a p.d. target, got zero")
-        if self.kind == "full":
-            # Target.full validated the matrix (symmetric, p.d.) already.
-            vals, vecs = eig_sym_unchecked(self.matrix(p))
-            return symmetrize((vecs / vals) @ vecs.T)
-        return (1.0 / self.diagonal_entries(p))[..., None] * np.eye(p)
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """A full target's ``G = T^-1`` for archetype-1, computed on first use and kept."""
+        vals, vecs = eig_sym_unchecked(self.values)  # Target.full validated the matrix
+        return symmetrize((vecs / vals) @ vecs.T)
 
     def label(self) -> str:
         """Short human-readable tag used in CLI/CSV output."""
@@ -330,12 +327,13 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
     Every kind runs the same steps: validate ``S``, every penalty (in the
     kind's own domain) and the target once; decompose ``S`` and shift its
     eigenvalues (:func:`_shares_S`: no target or a scalar one), or else
-    build the stack of ``S - lam*T`` or ``(1-lam)S + lam*G``, with a
-    diagonal target applied to the diagonal only, and decompose it in one
-    ``eigh`` call; and map the eigenvalues by the kind's rule. The estimate
-    keeps the eigenvectors and both mapped spectra. When the call has one
-    matrix per penalty (a scalar ``lam``, or a one-point grid), the kind's
-    matrix is built in place in the checked copy of ``S``, never the caller's.
+    build the stack of ``S - lam*T`` or ``(1-lam)S + lam*G`` (a diagonal
+    target on the diagonal only, a full one's ``G`` its :attr:`Target.inverse`)
+    and decompose it in one ``eigh`` call; and map the eigenvalues by the
+    kind's rule. The estimate keeps the eigenvectors and both mapped spectra.
+    When the call has one matrix per penalty (a scalar ``lam``, or a
+    one-point grid), the kind's matrix is built in place in the checked copy
+    of ``S``, never the caller's.
     """
     S = check_symmetric(S, "S", stack=True)
     kind, lam, target = _resolve(kind, lam, target, S)
@@ -354,10 +352,11 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
         if kind == "archetype-1":
             M *= 1.0 - lam_m
         if target.kind == "full":
+            T = target.matrix(p)  # the size check, for both kinds
             if kind == "alt-1":
-                M -= lam_m * target.matrix(p)
+                M -= lam_m * T
             else:
-                M += lam_m * target.gamma(p)
+                M += lam_m * target.inverse
         else:
             t = target.diagonal_entries(p)
             if grid:

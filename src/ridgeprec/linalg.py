@@ -77,12 +77,12 @@ def eig_sym_unchecked(a: np.ndarray) -> tuple:
 
 
 def pd_tolerance(values):
-    """Default positive-definiteness cutoff: 1e-12 * max(1, max |eigenvalue|).
+    """Default positive-definiteness cutoff: 1e-12 * max |eigenvalue|.
 
-    Taken over the last axis, so a stack of spectra gets one cutoff each.
+    Relative, so the verdict does not depend on the data's units. Taken over
+    the last axis, so a stack of spectra gets one cutoff each.
     """
-    values = np.asarray(values, dtype=float)
-    return 1e-12 * np.maximum(1.0, np.abs(values).max(axis=-1))
+    return 1e-12 * np.abs(np.asarray(values, dtype=float)).max(axis=-1)
 
 
 def require_pd(values, what: str, error=NotPositiveDefiniteError) -> None:

@@ -47,3 +47,17 @@ def symmetry_checks(monkeypatch):
     for module in (linalg, estimators):
         monkeypatch.setattr(module, "check_symmetric", counting)
     return calls
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """One entry per ``np.linalg.eigh`` call: the number of matrices it decomposed."""
+    counts = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        counts.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return counts

@@ -440,15 +440,42 @@ def test_typed_error_prints_no_numpy_warning(command, tmp_path):
         argv = ["--estimator", "alt-2", "--scheme", "aloocv", "--grid-min", "1e-300",
                 "--grid-max", "1", "--grid-n", "4"]
         error = "CV score is NaN at penalty 1e-300; "
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "ridgeprec", command, "--data", str(data), *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
-    )
+    run = _strict([command, "--data", str(data), *argv])
     assert run.returncode == 2, run.stderr
     assert "Warning" not in run.stderr
     assert run.stderr.splitlines()[-1].startswith(f"ridgeprec {command}: error: {error}")
+
+
+def _strict(argv) -> subprocess.CompletedProcess:
+    """``python -W error -m ridgeprec argv`` in a child, so any warning ends it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ridgeprec", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "scale, argv",
+    [
+        (2.0**20, ["ggm", "--estimator", "alt-2", "--lambda", "1.2089258196146292e24"]),
+        (2.0**-20, ["estimate", "--estimator", "archetype-1", "--lambda", "0.3"]),
+    ],
+    ids=["ggm-scaled-up", "estimate-scaled-down"],
+)
+def test_positive_definite_in_any_units(scale, argv, tmp_path):
+    # Well-conditioned fits of rescaled data (lambda = 2^80 for the first)
+    # whose eigenvalues all lie below 1e-12: p.d. by a relative cutoff.
+    p = 30
+    Omega = np.eye(p)
+    idx = np.arange(p - 1)
+    Omega[idx, idx + 1] = Omega[idx + 1, idx] = 0.4
+    Sigma = np.linalg.inv(Omega)
+    data = tmp_path / "data.csv"
+    data.write_text(matio.matrix_to_csv(scale * sample_mvn(0.5 * (Sigma + Sigma.T), 200, seed=1)))
+    run = _strict([*argv, "--data", str(data)])
+    assert run.returncode == 0, run.stderr
 
 
 def _at_blas_threads(argv, threads: int) -> str:
@@ -838,6 +865,24 @@ class TestGgm:
         omega_edges = from_omega.split("# report\n")[0]
         assert data_edges == omega_edges
         assert "lambda,NA" in from_omega
+
+    def test_omega_input_reads_no_target(self, data_file, tmp_path, capsys):
+        omega_path = tmp_path / "omega.csv"
+        argv = ["estimate", "--data", data_file[0], "--lambda", "0.1", "--output", str(omega_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["ggm", "--omega", str(omega_path)]) == 0
+        plain = capsys.readouterr().out
+        missing = tmp_path / "missing.csv"
+        assert main(["ggm", "--omega", str(omega_path), "--target", f"file:{missing}"]) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("command", ["estimate", "ggm"])
+    def test_data_is_read_before_the_target(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        argv = [command, "--data", str(missing), "--target", "bogus", "--lambda", "1"]
+        assert main(argv) == 2
+        assert "missing.csv" in capsys.readouterr().err.splitlines()[-1]
 
     def test_asymmetric_omega_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -451,19 +451,28 @@ class TestCallerThreadPool:
         assert same_bits(got, score_grid(Y, CVConfig(grid=grid, scheme="aloocv")))
 
     def test_more_threads_than_cores_switching_often(self, monkeypatch):
-        # Threads write disjoint slices of one score array; a lost update
-        # would change a score.
+        # Threads write disjoint slices of one score array, and the pooled
+        # archetype-1 run's threads race to fill a fresh full target's
+        # cached inverse; a lost update would change a score.
         monkeypatch.setattr(estimators, "STACK_BYTES", 8 * 4 * 4)  # blocks of 1
         Y = chain_data(15, p=4, seed=21)
-        cfg = CVConfig(grid=default_grid(sample_cov(Y), 24), scheme="kfold", k=3)
-        inline = score_grid(Y, cfg, threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pooled = score_grid(Y, cfg, threads=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert same_bits(pooled, inline)
+        S = sample_cov(Y)
+        plain = CVConfig(grid=default_grid(S, 24), scheme="kfold", k=3)
+        full = CVConfig(
+            grid=default_grid(S, 24, kind="archetype-1"), scheme="kfold", k=3,
+            estimator="archetype-1", target=Target.full(S + np.eye(4)),
+        )
+        fresh_full = replace(full, target=Target.full(S + np.eye(4)))
+        for cfg, fresh in ((plain, plain), (full, fresh_full)):
+            inline = score_grid(Y, cfg, threads=1)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                pooled = score_grid(Y, fresh, threads=8)
+            finally:
+                sys.setswitchinterval(interval)
+            assert same_bits(pooled, inline)
+        assert same_bits(fresh_full.target.inverse, full.target.inverse)
 
     def test_first_failing_block_raises_as_inline(self, monkeypatch):
         # archetype-1 penalties must be at most 1, so blocks 2 and 3 fail. The
@@ -548,6 +557,20 @@ class TestFoldOuterLoop:
         score_grid(chain_data(10, p=3, seed=4), cfg)
         assert len(calls) == builds
 
+    def test_full_target_inverted_once_for_all_folds(self, monkeypatch, decompositions):
+        # One p x p matrix per penalty and fold, so 5 folds over G points
+        # decompose 5*G matrices, plus archetype-1's G = T^-1 once per call.
+        p, G = 6, 4
+        Y = chain_data(20, p=p)
+        cfg = CVConfig(
+            grid=default_grid(sample_cov(Y), G, kind="archetype-1"), scheme="kfold", k=5,
+            estimator="archetype-1", target=self.target("full", p),
+        )
+        monkeypatch.setattr(estimators, "STACK_BYTES", 8 * p * p)  # one p x p matrix a block
+        got = score_grid(Y, cfg)
+        assert decompositions == [1] * (5 * G + 1)
+        assert same_bits(got, cv_scores_loop(Y, cfg))
+
     def test_one_point_calls_keep_their_errors(self):
         Y = chain_data(10, p=3, seed=4)
         for scheme in SCHEMES:
@@ -574,7 +597,7 @@ class TestSharedRouteBlocks:
     @pytest.mark.parametrize("kind, target", CASES, ids=[kind for kind, _ in CASES])
     @pytest.mark.parametrize("p", [14, 6])
     def test_one_decomposition_per_part_equal_to_the_loop(
-        self, p, kind, target, scheme, parts, monkeypatch
+        self, p, kind, target, scheme, parts, monkeypatch, decompositions
     ):
         Y = chain_data(10, p=p, seed=p)
         cfg = CVConfig(
@@ -582,14 +605,6 @@ class TestSharedRouteBlocks:
             estimator=kind, target=target,
         )
         monkeypatch.setattr(estimators, "STACK_BYTES", 8 * p * p)  # one p x p matrix a block
-        decomposed = []
-        eigh = np.linalg.eigh
-
-        def counting(a):
-            decomposed.append(int(np.prod(np.shape(a)[:-2])))
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
         got = score_grid(Y, cfg)
-        assert decomposed == [1] * parts
+        assert decompositions == [1] * parts
         assert same_bits(got, cv_scores_loop(Y, cfg))

@@ -114,25 +114,44 @@ class TestTarget:
         npt.assert_array_equal(Target.scalar(2.5).matrix(2), 2.5 * np.eye(2))
         npt.assert_array_equal(Target.diagonal([2.0, 4.0]).matrix(2), np.diag([2.0, 4.0]))
 
-    def test_gamma_is_inverse(self):
-        npt.assert_allclose(Target.scalar(2.0).gamma(2), 0.5 * np.eye(2))
-        npt.assert_allclose(Target.diagonal([2.0, 4.0]).gamma(2), np.diag([0.5, 0.25]))
+    def test_full_matrix_is_read_only(self):
+        target = Target.full(np.eye(2))
+        assert target.matrix(2) is target.values
+        with pytest.raises(ValueError):
+            target.matrix(2)[0, 0] = 5.0
+
+    def test_inverse_is_inverse(self):
         A = np.array([[2.0, 0.5], [0.5, 1.0]])
-        npt.assert_allclose(Target.full(A).gamma(2) @ A, np.eye(2), atol=1e-12)
+        npt.assert_allclose(Target.full(A).inverse @ A, np.eye(2), atol=1e-12)
 
-    def test_gamma_rejects_zero(self):
-        with pytest.raises(InvalidTargetError):
-            Target.zero().gamma(2)
+    def test_fit_rejects_zero_target_before_decomposing(self, decompositions):
+        message = r"^archetype-1 requires a p.d. target, got zero$"
+        for lam in (0.5, [0.2, 0.5]):
+            with pytest.raises(InvalidTargetError, match=message):
+                fit("archetype-1", np.eye(2), lam, Target.zero())
+        assert decompositions == []
 
-    def test_gamma_rejects_wrong_size(self):
-        with pytest.raises(InvalidTargetError):
-            Target.diagonal([2.0, 4.0]).gamma(3)
-        with pytest.raises(InvalidTargetError):
-            Target.full(np.eye(2)).gamma(3)
+    @pytest.mark.parametrize("kind", ["alt-1", "archetype-1"])
+    @pytest.mark.parametrize("lam", [0.5, [0.2, 0.5]], ids=["scalar", "grid"])
+    def test_fit_rejects_wrong_size_target(self, kind, lam):
+        for target, message in (
+            (Target.diagonal([2.0, 4.0]), "diagonal target has 2 entries, expected 3"),
+            (Target.full(np.eye(2)), "full target is 2x2, expected 3"),
+        ):
+            with pytest.raises(InvalidTargetError, match=f"^{message}$"):
+                fit(kind, np.eye(3), lam, target)
 
-    def test_full_gamma_is_inv_pd(self, rng, make_spd):
+    def test_full_inverse_is_inv_pd_computed_once(self, rng, make_spd, decompositions):
         M = make_spd(5, rng)
-        npt.assert_array_equal(Target.full(M).gamma(5), inv_pd(M))
+        target = Target.full(M)
+        fit("alt-1", make_spd(5, rng), 0.5, target)
+        assert decompositions == [1]  # building the target and alt-1 invert nothing
+        decompositions.clear()
+        for lam in (0.3, 0.6, [0.2, 0.7]):
+            fit("archetype-1", make_spd(5, rng), lam, target)
+        # The inverse on first use, then the combined matrices alone.
+        assert decompositions == [1, 1, 1, 2]
+        assert same_bits(target.inverse, inv_pd(M))
 
     def test_full_target_fit_validates_once(self, rng, make_spd, symmetry_checks):
         S, target = make_spd(4, rng), Target.full(make_spd(4, rng))
@@ -598,7 +617,8 @@ class TestBroadcastFit:
                 elif kind == "alt-1":
                     vals, vecs = eig_sym_unchecked(S - lam * target.matrix(3))
                 else:
-                    vals, vecs = eig_sym_unchecked((1.0 - lam) * S + lam * target.gamma(3))
+                    G = np.diag(1.0 / target.values)
+                    vals, vecs = eig_sym_unchecked((1.0 - lam) * S + lam * G)
                 cov, prec = _eigen_map(kind, vals, lam)
                 est = fit(kind, S, lam, target)
                 for got, want in ((est.vectors, vecs), (est.cov, cov), (est.prec, prec)):
@@ -669,16 +689,8 @@ class TestBroadcastFit:
         with pytest.raises(InvalidTargetError):
             fit("alt-1", stack, 0.5, "ddiag")
 
-    def test_shared_decomposition_is_one_matrix(self, rng, monkeypatch):
+    def test_shared_decomposition_is_one_matrix(self, rng, decompositions):
         S = sample_cov(rng.standard_normal((6, 5)))
-        decomposed = []
-        eigh = np.linalg.eigh
-
-        def counting(a):
-            decomposed.append(int(np.prod(np.shape(a)[:-2])))
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
         for kind in ("alt-2", "archetype-2"):
             fit(kind, S, np.logspace(-2, 2, 9))
         # A scalar target shifts S's eigenvalues: one matrix, grid or not.
@@ -688,7 +700,7 @@ class TestBroadcastFit:
                 for lam in (float(grid[2]), grid):
                     fit(kind, S, lam, target)
         fit("alt-1", S, np.logspace(-2, 2, 9), "ddiag")
-        assert decomposed == [1] * 10 + [9]
+        assert decompositions == [1] * 10 + [9]
 
 
 class TestStackSlices:

@@ -221,8 +221,14 @@ class TestValidation:
             check_symmetric(np.array([[1.0, 1e308], [-1e308, 1.0]]))
 
     def test_pd_tolerance_scales_with_spectrum(self):
-        assert pd_tolerance(np.array([0.5])) == 1e-12
+        assert pd_tolerance(np.array([0.5])) == 5e-13
         assert pd_tolerance(np.array([2e6, 1.0])) == pytest.approx(2e-6)
+
+    def test_pd_tolerance_is_relative(self, rng):
+        # A power of two rescales every eigenvalue exactly, and so the cutoff.
+        v = rng.uniform(0.1, 10.0, size=(3, 5))
+        for k in range(-40, 41):
+            assert same_bits(pd_tolerance(2.0**k * v), 2.0**k * pd_tolerance(v)), k
 
     def test_symmetrize_exact(self, rng):
         A = rng.standard_normal((4, 4))

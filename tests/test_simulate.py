@@ -333,29 +333,21 @@ class TestRiskCurve:
             assert same_bits(curve.medians[key], medians[key]), key
             assert same_bits(curve.losses[key], losses[key]), key
 
-    def test_one_grid_decomposition_per_replicate_and_shared_kind(self, monkeypatch):
+    def test_one_grid_decomposition_per_replicate_and_shared_kind(self, decompositions):
         # 4 kinds on a 50-point grid: alt-2 and archetype-2 decompose S once,
         # alt-1 (ddiag) and archetype-1 once per penalty: 102 matrices. With
         # an identity target every kind shifts S's eigenvalues: 4 matrices.
-        decomposed = []
-        eigh = np.linalg.eigh
-
-        def counting(a):
-            decomposed.append(int(np.prod(np.shape(a)[:-2])))
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
         reps, sizes = 3, (5, 10)
         replicates = reps * len(sizes)
         for target, matrices in (("ddiag", 102), (Target.identity(), 4)):
-            decomposed.clear()
+            decompositions.clear()
             cfg = RiskConfig(
                 PopulationSpec("star", 8), sizes, np.logspace(-2, 2, 50),
                 estimators=estimators.KINDS, target=target, reps=reps,
             )
             risk_curve(cfg)
             # One more matrix: the population covariance inverted once per curve.
-            assert sum(decomposed) <= matrices * replicates + 1
+            assert sum(decompositions) <= matrices * replicates + 1
 
     def test_config_validation(self):
         pop = PopulationSpec("chain", 3)
