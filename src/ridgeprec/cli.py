@@ -204,7 +204,8 @@ def cmd_ggm(args) -> int:
     if args.data:
         est = _fit(args, lam)
         lam = est.lam
-        res = ggm.extract_network(est.omega, args.threshold, est.prec)
+        # A scaled fit's prec has omega's signs, not its magnitudes: eigvalsh checks it.
+        res = ggm.extract_network(est.omega, args.threshold, None if est.scaled else est.prec)
     else:
         res = ggm.extract_network(matio.read_matrix(args.omega, header=args.header), args.threshold)
     for line in res.fit.warnings():
@@ -319,7 +320,8 @@ def _add_common(sp) -> None:
         help="concurrent CV fits, the calling thread included, 0 means one per usable CPU; "
         "default 0 when OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS pin BLAS "
         "to one thread, else 1; they split each fold's grid blocks, so a one-block grid "
-        "(small p, or no or a scalar target) runs inline; simulate and moments ignore it",
+        "(small p, no or a scalar target, or archetype-1) runs inline; simulate and moments "
+        "ignore it",
     )
     sp.add_argument("--config", help="JSON file mirroring the flags; flags override it")
     sp.add_argument(

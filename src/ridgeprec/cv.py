@@ -9,9 +9,15 @@ fold, a left-out row, or the whole data for the approximation) builds its
 held-in sample covariance once and fits the whole grid in broadcast
 :func:`~ridgeprec.estimators.fit` calls, one per
 :func:`~ridgeprec.estimators.stack_slices` block of what a fit holds per
-penalty: p eigenvalues where it shares the decomposition of ``S``, else a
-p x p matrix. With ``threads = N > 1`` the caller and a pool of at most
-N - 1 workers fit a part's blocks, N at a time; one block runs inline.
+penalty: p eigenvalues where it decomposes one matrix per ``S`` (no or a
+scalar target, and archetype-1 with any target), else a p x p matrix
+(alt-1 with a ``ddiag``, diagonal or full target). With ``threads = N > 1``
+the caller and a pool of at most N - 1 workers fit a part's blocks, N at a
+time; one block runs inline.
+
+Scores read each fit's eigenpairs. A scaled archetype-1 fit
+(``omega = T'^(1/2) V diag(prec) V' T'^(1/2)``) is read from the rows
+times ``T'^(1/2)``, and ``ln|T'|`` is added to ``ln|omega|``.
 """
 
 import os
@@ -84,18 +90,20 @@ def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
     return list(np.array_split(perm, k))
 
 
-def _held_out_term(Y_out, vectors, prec) -> float:
+def _held_out_term(Y_out, vectors, prec, logdet) -> float:
     """``n_out * (-ln|omega|) + tr(Y_out omega Y_out')`` from one fit's eigenpairs.
 
-    This and :func:`_aloocv_term` read all p eigenpairs of a dense
+    ``ln|omega|`` is ``sum(ln prec) + logdet``; a scaled fit passes its rows
+    times ``T'^(1/2)`` and ``logdet = ln|T'|``, any other fit 0. This and
+    :func:`_aloocv_term` read all p eigenpairs of a dense
     :func:`~ridgeprec.estimators.fit`; a thin estimate's null pair is not
     counted, so scoring never uses :func:`~ridgeprec.estimators.fit_data`.
     """
     U = Y_out @ vectors
-    return Y_out.shape[0] * -np.sum(np.log(prec)) + np.sum(U * U * prec)
+    return Y_out.shape[0] * -(np.sum(np.log(prec)) + logdet) + np.sum(U * U * prec)
 
 
-def _aloocv_term(Y, vectors, prec) -> float:
+def _aloocv_term(Y, vectors, prec, logdet) -> float:
     """The approximate leave-one-out score of one full-data fit's eigenpairs.
 
     ``-(1/n) * L(omega; S) + (1/(2n(n-1))) * sum_i gamma_i`` where
@@ -112,14 +120,15 @@ def _aloocv_term(Y, vectors, prec) -> float:
     ``G = B B' = Y omega Y'`` of ``B = Y V diag(prec)^(1/2)`` and
     ``q = diag(G)``, ``sigma omega = I`` gives ``-(1/2)(sum ln prec -
     sum(q)/n) + (sum(q^2) - sum(G^2)/n) / (2n(n-1))``. When n > p the
-    same ``sum(G^2)`` is read from the smaller ``B'B``.
+    same ``sum(G^2)`` is read from the smaller ``B'B``. ``Y`` and ``logdet``
+    are as for :func:`_held_out_term`.
     """
     n, p = Y.shape
     B = (Y @ vectors) * np.sqrt(prec)
     q = np.einsum("ij,ij->i", B, B)
     G = B @ B.T if n <= p else B.T @ B
     correction = (q @ q - np.sum(G * G) / n) / (2.0 * n * (n - 1.0))
-    return float(-0.5 * (np.sum(np.log(prec)) - q.sum() / n) + correction)
+    return float(-0.5 * (np.sum(np.log(prec)) + logdet - q.sum() / n) + correction)
 
 
 def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
@@ -150,8 +159,8 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
         parts = [np.array([i]) for i in range(n)]
     else:
         parts = [None]
-    shared = estimators._shares_S(config.estimator, config.target)
-    blocks = estimators.stack_slices(grid.size, p if shared else p * p)
+    once = estimators._one_decomposition(config.estimator, config.target)
+    blocks = estimators.stack_slices(grid.size, p if once else p * p)
     scores = np.zeros(grid.size)
     fits = min(max(threads or _usable_cpus(), 1), len(blocks))
     with ThreadPoolExecutor(max_workers=fits - 1) if fits > 1 else nullcontext() as pool:
@@ -165,9 +174,12 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
 
             def add_block_terms(block):
                 est = estimators.fit(config.estimator, S, grid[block], config.target)
+                X, logdet = rows, 0.0
+                if est.scaled:
+                    X, logdet = est.target.power(rows.T, 0.5).T, est.target.log_det()
                 # Per thread: a score that overflows is left NaN for select_lambda to name.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    scores[block] += [term(rows, v, w) for v, w in zip(est.vectors, est.prec)]
+                    scores[block] += [term(X, v, w, logdet) for v, w in zip(est.vectors, est.prec)]
 
             pending, claim = iter(range(len(blocks))), threading.Lock()
 

@@ -20,14 +20,19 @@ inversion: a fit is one eigendecomposition of ``S - lam*T`` with
 cancellation-free per-eigenvalue maps; dense matrices are built on demand.
 
 :func:`fit` broadcasts: ``lam`` may be a 1-D grid and ``S`` a stack
-``(..., p, p)``. With no target or a scalar one, ``psi*I`` (the route rule
+``(..., p, p)``. With no target or a scalar one, ``psi*I`` (the thin rule
 :func:`_shares_S`), the kind's matrix has ``S``'s eigenvectors and a shift
 of its eigenvalues ``d`` (``d - lam*psi`` for alt-1, ``(1-lam)d + lam/psi``
-for archetype-1), so ``S`` is decomposed once for the whole grid; otherwise
-every matrix the call needs is decomposed in one stacked ``eigh``. Each
-slice is bit-identical to the fit of that ``S`` at that penalty alone.
-Callers that stack many fits size :func:`stack_slices` blocks by what one
-grid point holds: p eigenvalues on that route, else a p x p matrix.
+for archetype-1), so ``S`` is decomposed once for the whole grid.
+archetype-1 with a ``ddiag``, diagonal or full target ``T = c*T'`` is a
+congruence of that shift: it decomposes ``R = T'^(1/2) S T'^(1/2)`` once
+for the whole grid and holds a scaled fit (:attr:`RidgeEstimate.scaled`).
+Only alt-1 with such a target decomposes one matrix per penalty, all in
+one stacked ``eigh``. Each slice is bit-identical to the fit of that ``S``
+at that penalty alone. Callers that stack many fits size
+:func:`stack_slices` blocks by what one grid point holds (the block rule
+:func:`_one_decomposition`): p eigenvalues when ``S`` or ``R`` is
+decomposed once, else a p x p matrix.
 
 :func:`fit_data` fits from the data rows instead of ``S``. With fewer rows
 than columns and no or a scalar target, it takes the n nonzero eigenpairs
@@ -37,7 +42,7 @@ regularization for expression arrays"). Everything else is :func:`fit` on
 the sample covariance.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -73,8 +78,14 @@ def stack_slices(count: int, item: int) -> list:
 
 
 def _shares_S(kind: str, target) -> bool:
-    """The route rule: no target, or a scalar one, makes the kind's matrix a shift of ``S``."""
+    """The thin rule: no target, or a scalar one, makes the kind's matrix a shift of ``S``."""
     return kind not in _TARGETED or isinstance(target, Target) and target.kind == "scalar"
+
+
+def _one_decomposition(kind: str, target) -> bool:
+    """The block rule: a shift of ``S``, or archetype-1's congruence of one, decomposes
+    one matrix per ``S`` for a whole grid, so a fit holds p eigenvalues per penalty."""
+    return kind == "archetype-1" or _shares_S(kind, target)
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +99,29 @@ class Target:
     One of three variants: ``scalar`` (psi * I, psi >= 0; :meth:`zero` is
     psi = 0), ``diagonal`` (positive entries; a stack ``(..., p)`` holds one
     diagonal per matrix of a stacked fit), or ``full`` (symmetric positive
-    definite; :attr:`inverse` is its inverse, computed once). Use the
-    factory classmethods; the raw constructor performs no validation.
+    definite). Targets compare and hash by value. Use the factory
+    classmethods; the raw constructor performs no validation.
+
+    archetype-1 fits a diagonal or full target through the split
+    ``T = c*T'`` (:attr:`scale`), applying powers of ``T'`` with
+    :meth:`power`.
     """
 
     kind: str
     psi: float = 0.0
-    values: np.ndarray | None = field(default=None, compare=False)
+    values: np.ndarray | None = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Target):
+            return NotImplemented
+        if (self.kind, self.psi) != (other.kind, other.psi):
+            return False
+        if self.values is None or other.values is None:
+            return self.values is other.values
+        return self.values.shape == other.values.shape and bool(np.all(self.values == other.values))
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.psi, None if self.values is None else self.values.shape))
 
     @classmethod
     def zero(cls) -> "Target":
@@ -113,16 +140,17 @@ class Target:
 
     @classmethod
     def diagonal(cls, values) -> "Target":
-        v = np.atleast_1d(np.asarray(values, dtype=float))
+        v = np.array(values, dtype=float, ndmin=1)  # a copy, so the caller's array may change
         if v.size == 0 or not np.all(np.isfinite(v)) or np.any(v <= 0):
             raise InvalidTargetError("diagonal target needs finite positive entries")
+        v.flags.writeable = False
         return cls("diagonal", values=v)
 
     @classmethod
     def full(cls, matrix) -> "Target":
         m = check_symmetric(matrix, "full target")
         require_pd(np.linalg.eigvalsh(m), "full target must be p.d.", InvalidTargetError)
-        m.flags.writeable = False  # matrix() hands it out, and inverse is computed from it
+        m.flags.writeable = False  # matrix() hands it out
         return cls("full", values=m)
 
     @property
@@ -152,10 +180,55 @@ class Target:
         return self.values
 
     @cached_property
-    def inverse(self) -> np.ndarray:
-        """A full target's ``G = T^-1`` for archetype-1, computed on first use and kept."""
-        vals, vecs = eig_sym_unchecked(self.values)  # Target.full validated the matrix
-        return symmetrize((vecs / vals) @ vecs.T)
+    def _split(self) -> tuple:
+        """``(k, h, Q)`` with ``T = 2^k * Q diag(h^2) Q'``, for a diagonal or full target.
+
+        ``c = 2^k`` is the least power of 4 at or above T's largest
+        eigenvalue (one per stacked diagonal), so ``T' = T/c`` has
+        eigenvalues ``h^2 <= 1``, and ``h = sqrt(e) / 2^(k/2)`` rescales
+        ``sqrt(e)`` exactly. ``Q`` is None for a diagonal target; a full
+        one's eigenpairs are computed here, on first use, and kept.
+        """
+        if self.kind == "diagonal":
+            e, Q = self.values, None
+            top = e.max(axis=-1)
+        else:
+            e, Q = eig_sym_unchecked(self.values)  # Target.full validated the matrix
+            top = e[0]
+        m, k = np.frexp(top)
+        k = k - (m == 0.5)  # top <= 2^k
+        k = k + k % 2
+        return k, np.ldexp(np.sqrt(e), -(k // 2)[..., None]), Q
+
+    @property
+    def scale(self):
+        """``c`` of the split ``T = c*T'``; one per stacked diagonal.
+
+        ``c`` is inf for a target above 2^1022, whose ``T'`` and ``1/c``
+        the fit still reads exactly.
+        """
+        with np.errstate(over="ignore"):
+            return np.ldexp(1.0, self._split[0])
+
+    def power(self, a, exponent: float) -> np.ndarray:
+        """``T'^exponent @ a`` for an array ``a`` of shape ``(..., p, k)``.
+
+        A diagonal target scales the rows of ``a``, a stacked one matched
+        with ``a``'s leading axes; a full target multiplies by
+        ``Q diag(h^(2*exponent)) Q'`` (see :attr:`scale`).
+        """
+        p = a.shape[-2]
+        _, h, Q = self._split
+        f = h ** (2.0 * exponent)
+        if Q is None:
+            self.diagonal_entries(p)  # the size check
+            return f.reshape(f.shape[:-1] + (1,) * (a.ndim - f.ndim - 1) + (p, 1)) * a
+        self.matrix(p)
+        return Q @ (f[:, None] * (Q.T @ a))
+
+    def log_det(self):
+        """``ln|T'|`` of the split ``T = c*T'``; one per stacked diagonal."""
+        return 2.0 * np.sum(np.log(self._split[1]), axis=-1)
 
     def label(self) -> str:
         """Short human-readable tag used in CLI/CSV output."""
@@ -207,6 +280,12 @@ class RidgeEstimate:
     value per fit) are the eigenvalue pair of the p - r directions
     orthogonal to them, so ``omega = null_prec*I + V diag(prec - null_prec) V'``
     and ``sigma`` likewise. A dense fit leaves both None.
+
+    A :attr:`scaled` fit (archetype-1 with a diagonal or full target
+    ``T = c*T'``) holds the factors of ``R = T'^(1/2) S T'^(1/2)``:
+    ``omega = T'^(1/2) V diag(prec) V' T'^(1/2)`` and
+    ``sigma = T'^(-1/2) V diag(cov) V' T'^(-1/2)``, so ``prec`` and ``cov``
+    are not the spectra of ``omega`` and ``sigma``; they have the same signs.
     """
 
     vectors: np.ndarray
@@ -220,14 +299,20 @@ class RidgeEstimate:
 
     @cached_property
     def omega(self) -> np.ndarray:
-        return self._build(self.prec, self.null_prec)
+        return self._build(self.prec, self.null_prec, 0.5)
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        return self._build(self.cov, self.null_cov)
+        return self._build(self.cov, self.null_cov, -0.5)
 
-    def _build(self, values, null) -> np.ndarray:
-        V, Vt = self.vectors, self.vectors.swapaxes(-1, -2)
+    @property
+    def scaled(self) -> bool:
+        """archetype-1 with a diagonal or full target: the factors are ``R``'s."""
+        return self.kind == "archetype-1" and self.target.kind != "scalar"
+
+    def _build(self, values, null, exponent) -> np.ndarray:
+        V = self.target.power(self.vectors, exponent) if self.scaled else self.vectors
+        Vt = V.swapaxes(-1, -2)
         if null is None:
             return symmetrize((V * values[..., None, :]) @ Vt)
         out = (V * (values - null[..., None])[..., None, :]) @ Vt
@@ -299,8 +384,9 @@ def _eigen_map(kind: str, m: np.ndarray, lam):
 
     ``m`` is the spectrum of the kind's matrix: ``S - lam*T`` for the
     alternative kinds (``T = 0`` for alt-2), ``(1-lam)S + lam*G`` for
-    archetype-1 and ``S + lam*I`` for archetype-2, which the archetypes
-    invert. The alternative covariance value is ``sqrt(lam + m^2/4) + m/2``
+    archetype-1 (or its congruence ``(1-lam)R + (lam/c)I``) and
+    ``S + lam*I`` for archetype-2, which the archetypes invert. The
+    alternative covariance value is ``sqrt(lam + m^2/4) + m/2``
     and the precision value its reciprocal; each is evaluated on the
     cancellation-free side of the identity ``(R + m/2)(R - m/2) = lam``,
     via ``R + |m|/2``. ``m`` and ``lam`` broadcast.
@@ -325,20 +411,32 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
     at that penalty alone.
 
     Every kind runs the same steps: validate ``S``, every penalty (in the
-    kind's own domain) and the target once; decompose ``S`` and shift its
-    eigenvalues (:func:`_shares_S`: no target or a scalar one), or else
-    build the stack of ``S - lam*T`` or ``(1-lam)S + lam*G`` (a diagonal
-    target on the diagonal only, a full one's ``G`` its :attr:`Target.inverse`)
-    and decompose it in one ``eigh`` call; and map the eigenvalues by the
-    kind's rule. The estimate keeps the eigenvectors and both mapped spectra.
-    When the call has one matrix per penalty (a scalar ``lam``, or a
-    one-point grid), the kind's matrix is built in place in the checked copy
-    of ``S``, never the caller's.
+    kind's own domain) and the target once; decompose one matrix per ``S``,
+    or per ``S`` and penalty; and map the eigenvalues by the kind's rule.
+    The estimate keeps the eigenvectors and both mapped spectra.
+
+    * No target, or a scalar one (:func:`_shares_S`): the kind's matrix is
+      a shift of ``S``, so ``S`` is decomposed once for the whole grid.
+    * archetype-1 with a ``ddiag``, diagonal or full target ``T = c*T'``
+      (:attr:`Target.scale`): ``(1-lam)S + lam*T^-1`` is the congruence
+      ``T'^(-1/2) [(1-lam)R + (lam/c)I] T'^(-1/2)`` of
+      ``R = T'^(1/2) S T'^(1/2)``, and inversion commutes with it. So ``R``
+      is decomposed once for the whole grid, its eigenvalues take the
+      scalar-target shift at ``psi = c``, and the estimate is
+      :attr:`RidgeEstimate.scaled`. An ``R`` that is not finite raises
+      before ``eigh`` runs.
+    * alt-1 with a ``ddiag``, diagonal or full target: the stack of
+      ``S - lam*T`` (a diagonal target on the diagonal only) is
+      decomposed in one ``eigh`` call. When the call has one matrix per
+      penalty (a scalar ``lam``, or a one-point grid), it is built in
+      place in the checked copy of ``S``, never the caller's.
     """
     S = check_symmetric(S, "S", stack=True)
     kind, lam, target = _resolve(kind, lam, target, S)
     if _shares_S(kind, target):
         return _spectral(kind, *eig_sym_unchecked(S), lam, target)
+    if kind == "archetype-1":
+        return _congruent(S, lam, target)
     p = S.shape[-1]
     grid = np.ndim(lam) == 1
     if grid:  # the grid axis follows S's stack axes
@@ -349,28 +447,31 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
     # The checked copy is this call's own; reuse it when no grid axis widens it.
     M = S if shape == S.shape else np.array(np.broadcast_to(S, shape))
     with np.errstate(over="ignore"):  # an overflow is caught below, before eigh
-        if kind == "archetype-1":
-            M *= 1.0 - lam_m
         if target.kind == "full":
-            T = target.matrix(p)  # the size check, for both kinds
-            if kind == "alt-1":
-                M -= lam_m * T
-            else:
-                M += lam_m * target.inverse
+            M -= lam_m * target.matrix(p)
         else:
             t = target.diagonal_entries(p)
             if grid:
                 t = t[..., None, :]
             idx = np.arange(p)
-            if kind == "alt-1":
-                M[..., idx, idx] -= lam_v * t
-            else:
-                # lam*G is +0.0 off the diagonal; adding it turns -0.0 into +0.0.
-                M += 0.0
-                M[..., idx, idx] += lam_v * (1.0 / t)
+            M[..., idx, idx] -= lam_v * t
     _check_fine(np.all(np.isfinite(M), axis=(-2, -1)), lam)
     vals, vecs = eig_sym_unchecked(M)
     return _estimate(kind, vals, vecs, lam, target)
+
+
+def _congruent(S, lam, target) -> RidgeEstimate:
+    """archetype-1 with a diagonal or full target, from one ``eigh`` of ``R`` per ``S``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below, before eigh
+        R = symmetrize(target.power(target.power(S, 0.5).swapaxes(-1, -2), 0.5))
+    if not np.all(np.isfinite(R)):
+        raise InvalidMatrixError(
+            "fit overflow: T'^(1/2) S T'^(1/2) is not finite; rescale the data or the target"
+        )
+    k = target._split[0]
+    with np.errstate(over="ignore"):  # 1/c of a tiny target; caught in _estimate
+        g = np.ldexp(1.0, -np.reshape(k, np.shape(k) + (1,) * (np.ndim(lam) + 1)))
+    return _spectral("archetype-1", *eig_sym_unchecked(R), lam, target, g)
 
 
 def fit_data(kind: str, Y, lam, target=None) -> RidgeEstimate:
@@ -422,32 +523,43 @@ def _resolve(kind: str, lam, target, S=None):
     return kind, lam, target
 
 
-def _spectral(kind: str, d, vecs, lam, target) -> RidgeEstimate:
-    """Fit from the descending spectrum ``d`` of ``S`` and its eigenvectors; no or scalar target."""
+def _spectral(kind: str, d, vecs, lam, target, g=None) -> RidgeEstimate:
+    """Fit from the descending spectrum ``d`` of ``S`` and its eigenvectors; no or scalar target.
+
+    archetype-1's scaled fit passes ``R``'s instead, and ``g = 1/c`` of its
+    split, shaped to broadcast against the grid's spectra.
+    """
     if np.ndim(lam) == 1:
         d = d[..., None, :]
         vecs = np.broadcast_to(vecs[..., None, :, :], vecs.shape[:-2] + lam.shape + vecs.shape[-2:])
-    return _estimate(kind, _shift(kind, d, np.asarray(lam)[..., None], target), vecs, lam, target)
+    with np.errstate(over="ignore"):  # an overflow is caught in _estimate
+        vals = _shift(kind, d, np.asarray(lam)[..., None], getattr(target, "psi", 0.0), g)
+    return _estimate(kind, vals, vecs, lam, target)
 
 
-def _shift(kind: str, d, lam_v, target):
-    """Spectrum of the kind's matrix from the spectrum ``d`` of ``S``; no or scalar target."""
+def _shift(kind: str, d, lam_v, psi, g=None):
+    """Spectrum of the kind's matrix from the spectrum ``d`` of ``S``; target ``psi*I``.
+
+    archetype-1 adds ``lam*g`` for its ``G = T^-1``: ``g = 1/psi`` unless given.
+    """
     if kind == "alt-1":
-        return d - lam_v * target.psi
+        return d - lam_v * psi
     if kind == "archetype-1":
-        return (1.0 - lam_v) * d + lam_v * (1.0 / target.psi)
+        return (1.0 - lam_v) * d + lam_v * (1.0 / psi if g is None else g)
     return d + lam_v if kind == "archetype-2" else d
 
 
 def _estimate(kind: str, vals, vecs, lam, target) -> RidgeEstimate:
     """Check the descending spectrum ``vals`` of the kind's matrix, map it, hold the fit.
 
-    archetype-1 needs its combined matrix p.d., and archetype-2 needs
-    ``S + lam*I`` p.d. A mapped value that is not finite and positive names
-    its penalty (the first in grid order). A thin fit's last value is its null space's.
+    archetype-1 needs its combined matrix finite and p.d. (a scaled fit's
+    congruence of it), and archetype-2 needs ``S + lam*I`` p.d. A value
+    that is not finite and positive names its penalty (the first in grid
+    order). A thin fit's last value is its null space's.
     """
     low = vals[..., -1]
     if kind == "archetype-1":
+        _check_fine(np.all(np.isfinite(vals), axis=-1), lam)  # an inf voids the p.d. cutoff
         require_pd(vals, "combined matrix not p.d.")
     if kind == "archetype-2" and np.any(low <= 0):
         raise NotPositiveDefiniteError(
@@ -503,7 +615,7 @@ def shrunk_eigenvalues(kind: str, d, lam: float, psi: float = 1.0) -> np.ndarray
     target = Target.scalar(psi) if kind in _TARGETED else None
     kind, lam, target = _resolve(kind, lam, target)
     lam_v = np.asarray(lam)[..., None]
-    return _eigen_map(kind, _shift(kind, d, lam_v, target), lam_v)[0]
+    return _eigen_map(kind, _shift(kind, d, lam_v, getattr(target, "psi", 0.0)), lam_v)[0]
 
 
 def penalty_map_1(lam_a: float) -> float:

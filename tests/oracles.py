@@ -164,6 +164,15 @@ def fd_gradient_max_abs(omega, S, T, lam: float, step: float = 1e-6) -> float:
     return worst
 
 
+def archetype1_lu(S, lam: float, T) -> np.ndarray:
+    """archetype-1's ``[(1-lam)S + lam*T^-1]^-1`` through two LU inverses (``numpy.linalg.inv``).
+
+    A different route from the package's eigendecompositions, for a dense target ``T``.
+    """
+    S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
+    return np.linalg.inv((1.0 - lam) * S + lam * np.linalg.inv(T))
+
+
 def kfold_score_oracle(Y, lam: float, kind: str, target, k: int, seed: int) -> float:
     """From-scratch K-fold CV score recomputation.
 
@@ -231,8 +240,10 @@ def cv_scores_loop(Y, config) -> np.ndarray:
     Every held-in sample covariance is rebuilt at every penalty, and the
     score at each penalty sums its folds' terms in fold order; "aloocv" is
     one full-data fit per penalty. The terms are read from the fit's
-    eigenpairs as the package reads them, so the fold-outer loop with one
-    broadcast fit per grid block must reproduce these scores bit for bit.
+    eigenpairs as the package reads them (a scaled fit's from the rows
+    times ``T'^(1/2)``, with ``ln|T'|`` added to ``ln|omega|``), so the
+    fold-outer loop with one broadcast fit per grid block must reproduce
+    these scores bit for bit.
     """
     from ridgeprec import cv, estimators
 
@@ -242,11 +253,13 @@ def cv_scores_loop(Y, config) -> np.ndarray:
     for lam in config.grid:
         if config.scheme == "aloocv":
             est = estimators.fit(config.estimator, estimators.sample_cov(Y), lam, config.target)
-            B = (Y @ est.vectors) * np.sqrt(est.prec)
+            X, logdet = scaled_rows(est, Y)
+            B = (X @ est.vectors) * np.sqrt(est.prec)
             q = np.einsum("ij,ij->i", B, B)
             G = B @ B.T if n <= p else B.T @ B
             correction = (q @ q - np.sum(G * G) / n) / (2.0 * n * (n - 1.0))
-            scores.append(float(-0.5 * (np.sum(np.log(est.prec)) - q.sum() / n) + correction))
+            logdet_omega = np.sum(np.log(est.prec)) + logdet
+            scores.append(float(-0.5 * (logdet_omega - q.sum() / n) + correction))
             continue
         if config.scheme == "kfold":
             folds = cv.make_folds(n, config.k, config.fold_seed)
@@ -258,10 +271,18 @@ def cv_scores_loop(Y, config) -> np.ndarray:
             mask[held_out] = False
             S_in = estimators.sample_cov(Y[mask])
             est = estimators.fit(config.estimator, S_in, lam, config.target)
-            U = Y[held_out] @ est.vectors
-            score += held_out.size * -np.sum(np.log(est.prec)) + np.sum(U * U * est.prec)
+            X, logdet = scaled_rows(est, Y[held_out])
+            U = X @ est.vectors
+            score += held_out.size * -(np.sum(np.log(est.prec)) + logdet) + np.sum(U * U * est.prec)
         scores.append(float(score))
     return np.array(scores)
+
+
+def scaled_rows(est, rows):
+    """``(rows, 0.0)``, or for a scaled fit ``(rows T'^(1/2), ln|T'|)``."""
+    if not est.scaled:
+        return rows, 0.0
+    return est.target.power(rows.T, 0.5).T, est.target.log_det()
 
 
 def risk_curve_loop(config):

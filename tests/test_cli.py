@@ -478,6 +478,33 @@ def test_positive_definite_in_any_units(scale, argv, tmp_path):
     assert run.returncode == 0, run.stderr
 
 
+@pytest.mark.parametrize(
+    "estimator, target, eigvalsh_calls",
+    [("archetype-1", "ddiag", 1), ("archetype-1", "identity", 0), ("alt-1", "ddiag", 0)],
+)
+def test_ggm_checks_a_scaled_fit_with_eigvalsh(
+    estimator, target, eigvalsh_calls, data_file, monkeypatch, capsys
+):
+    # A scaled archetype-1 fit's prec has omega's signs but not its
+    # magnitudes, so ggm's p.d. check decomposes omega itself. Every other
+    # fit proves omega p.d. from its own prec. (The sparsified matrix's
+    # minimum eigenvalue takes one eigvalsh either way.)
+    path, Y = data_file
+    checked = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        checked.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    argv = ["ggm", "--data", path, "--lambda", "0.5", "--estimator", estimator, "--target", target]
+    assert main(argv) == 0
+    omega = estimators.fit(estimator, estimators.sample_cov(Y), 0.5, parse_target(target)).omega
+    assert sum(np.array_equal(a, omega) for a in checked) == eigvalsh_calls
+    assert len(checked) == eigvalsh_calls + 1
+
+
 def _at_blas_threads(argv, threads: int) -> str:
     """Stdout of ``python -m ridgeprec argv`` with only ``OPENBLAS_NUM_THREADS`` set."""
     src = str(Path(cli.__file__).resolve().parents[1])

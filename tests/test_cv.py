@@ -453,8 +453,8 @@ class TestCallerThreadPool:
     def test_more_threads_than_cores_switching_often(self, monkeypatch):
         # Threads write disjoint slices of one score array, and the pooled
         # archetype-1 run's threads race to fill a fresh full target's
-        # cached inverse; a lost update would change a score.
-        monkeypatch.setattr(estimators, "STACK_BYTES", 8 * 4 * 4)  # blocks of 1
+        # cached split; a lost update would change a score.
+        monkeypatch.setattr(estimators, "STACK_BYTES", 8 * 4)  # blocks of 1
         Y = chain_data(15, p=4, seed=21)
         S = sample_cov(Y)
         plain = CVConfig(grid=default_grid(S, 24), scheme="kfold", k=3)
@@ -472,13 +472,15 @@ class TestCallerThreadPool:
             finally:
                 sys.setswitchinterval(interval)
             assert same_bits(pooled, inline)
-        assert same_bits(fresh_full.target.inverse, full.target.inverse)
+        for exponent in (0.5, -0.5):
+            want = full.target.power(np.eye(4), exponent)
+            assert same_bits(fresh_full.target.power(np.eye(4), exponent), want)
 
     def test_first_failing_block_raises_as_inline(self, monkeypatch):
         # archetype-1 penalties must be at most 1, so blocks 2 and 3 fail. The
         # caller's fits wait for a failure, so the worker meets block 2 and
         # the caller block 3; the error is block 2's, as inline.
-        monkeypatch.setattr(estimators, "STACK_BYTES", 2 * 8 * 4 * 4)
+        monkeypatch.setattr(estimators, "STACK_BYTES", 2 * 8 * 4)  # 2 spectra of p = 4
         Y = chain_data(15, p=4, seed=21)
         cfg = CVConfig(grid=[0.1, 0.2, 0.5, 0.9, 1.5, 2, 3, 4], estimator="archetype-1")
         with pytest.raises(InvalidPenaltyError, match="got 1.5") as inline:
@@ -557,9 +559,9 @@ class TestFoldOuterLoop:
         score_grid(chain_data(10, p=3, seed=4), cfg)
         assert len(calls) == builds
 
-    def test_full_target_inverted_once_for_all_folds(self, monkeypatch, decompositions):
-        # One p x p matrix per penalty and fold, so 5 folds over G points
-        # decompose 5*G matrices, plus archetype-1's G = T^-1 once per call.
+    def test_full_target_split_once_for_all_folds(self, monkeypatch, decompositions):
+        # One R per fold for the whole grid, plus the full target's
+        # eigenpairs once per Target, on its first fit.
         p, G = 6, 4
         Y = chain_data(20, p=p)
         cfg = CVConfig(
@@ -568,7 +570,7 @@ class TestFoldOuterLoop:
         )
         monkeypatch.setattr(estimators, "STACK_BYTES", 8 * p * p)  # one p x p matrix a block
         got = score_grid(Y, cfg)
-        assert decompositions == [1] * (5 * G + 1)
+        assert decompositions == [1] * (1 + 5)
         assert same_bits(got, cv_scores_loop(Y, cfg))
 
     def test_one_point_calls_keep_their_errors(self):
@@ -608,3 +610,70 @@ class TestSharedRouteBlocks:
         got = score_grid(Y, cfg)
         assert decompositions == [1] * parts
         assert same_bits(got, cv_scores_loop(Y, cfg))
+
+    @pytest.mark.parametrize("scheme, parts", [("kfold", 4), ("loocv", 10), ("aloocv", 1)])
+    @pytest.mark.parametrize("target_name", ["ddiag", "diagonal", "full"])
+    @pytest.mark.parametrize("p", [14, 6])
+    def test_archetype1_decomposes_one_matrix_per_part(
+        self, p, target_name, scheme, parts, monkeypatch, decompositions
+    ):
+        # A congruence of a shift of S: one R per part, plus a full
+        # target's eigenpairs once.
+        Y = chain_data(10, p=p, seed=p)
+        target = {
+            "ddiag": "ddiag",
+            "diagonal": Target.diagonal(np.linspace(0.5, 3.0, p)),
+            "full": TestFoldOuterLoop.target("full", p),
+        }[target_name]
+        cfg = CVConfig(
+            grid=default_grid(sample_cov(Y), 5, kind="archetype-1"), scheme=scheme, k=4,
+            estimator="archetype-1", target=target,
+        )
+        monkeypatch.setattr(estimators, "STACK_BYTES", 8 * p * p)  # one p x p matrix a block
+        got = score_grid(Y, cfg)
+        assert decompositions == [1] * ((target_name == "full") + parts)
+        assert same_bits(got, cv_scores_loop(Y, cfg))
+
+
+class TestScaledScores:
+    """archetype-1 with a diagonal or full target, scored from R's eigenpairs."""
+
+    SHAPES = {"n<p": (20, 40), "n>p": (60, 15)}
+
+    @staticmethod
+    def target(name, p):
+        if name == "diagonal":
+            return Target.diagonal(np.linspace(0.5, 3.0, p))
+        return TestFoldOuterLoop.target("full", p)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("target_name", ["diagonal", "full"])
+    def test_scores_match_dense_omega_oracles(self, target_name, shape, scheme):
+        # As TestSpectralScoresMatchOracles, which covers the ddiag target.
+        n, p = self.SHAPES[shape]
+        Y = np.round(chain_data(n, p=p, seed=n + p) * 1024.0) / 1024.0
+        grid = default_grid(sample_cov(Y), 5, kind="archetype-1")
+        target = self.target(target_name, p)
+        cfg = CVConfig(grid, scheme, k=5, fold_seed=3, estimator="archetype-1", target=target)
+        if scheme == "aloocv":
+            want = [aloocv_score_dense(Y, lam, "archetype-1", target) for lam in grid]
+        else:
+            k = n if scheme == "loocv" else 5
+            want = [kfold_score_oracle(Y, lam, "archetype-1", target, k, 3) for lam in grid]
+        npt.assert_allclose(score_grid(Y, cfg), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("target_name", ["ddiag", "diagonal", "full"])
+    def test_threads_keep_the_bits(self, target_name, scheme, monkeypatch):
+        p = 6
+        monkeypatch.setattr(estimators, "STACK_BYTES", 2 * 8 * p)  # blocks of 2 penalties
+        Y = chain_data(15, p=p, seed=21)
+        target = "ddiag" if target_name == "ddiag" else self.target(target_name, p)
+        cfg = CVConfig(
+            grid=default_grid(sample_cov(Y), 9, kind="archetype-1"), scheme=scheme, k=3,
+            estimator="archetype-1", target=target,
+        )
+        inline = score_grid(Y, cfg, threads=1)
+        assert same_bits(score_grid(Y, cfg, threads=8), inline)
+        assert same_bits(inline, cv_scores_loop(Y, cfg))

@@ -28,6 +28,7 @@ from ridgeprec.estimators import (
 from ridgeprec.linalg import check_symmetric, eig_sym_unchecked, inv_pd, symmetrize
 
 from oracles import (
+    archetype1_lu,
     fd_gradient_max_abs,
     fit_omega_mp,
     is_pd,
@@ -120,9 +121,59 @@ class TestTarget:
         with pytest.raises(ValueError):
             target.matrix(2)[0, 0] = 5.0
 
-    def test_inverse_is_inverse(self):
-        A = np.array([[2.0, 0.5], [0.5, 1.0]])
-        npt.assert_allclose(Target.full(A).inverse @ A, np.eye(2), atol=1e-12)
+    @pytest.mark.parametrize(
+        "values, scale",
+        [
+            ([3.0, 0.5], 4.0),
+            ([1.0, 0.25], 1.0),
+            ([[1e300, 1.0], [1e-300, 2.0**-4]], [2.0**998, 1.0 / 16]),
+        ],
+        ids=["up", "power-of-4", "stacked"],
+    )
+    def test_split_is_exact(self, values, scale):
+        # c is the least power of 4 at or above the largest entry, so T/c and
+        # T'^(1/2) are exact rescalings of T and sqrt(T).
+        target = Target.diagonal(values)
+        v = np.asarray(values)
+        npt.assert_array_equal(target.scale, scale)
+        c = np.asarray(scale)[..., None]
+        ones = np.ones(v.shape + (1,))
+        npt.assert_array_equal(target.power(ones, 0.5)[..., 0], np.sqrt(v) / np.sqrt(c))
+        npt.assert_array_equal(target.power(ones, -0.5)[..., 0], np.sqrt(c) / np.sqrt(v))
+        npt.assert_allclose(target.log_det(), np.sum(np.log(v / c), axis=-1), rtol=1e-14)
+
+    def test_full_split_applies_powers_of_the_reduced_matrix(self, rng, make_spd):
+        A = make_spd(4, rng) * 10.0
+        target = Target.full(A)
+        c = target.scale
+        top = np.linalg.eigvalsh(A)[-1]
+        assert c / 4 < top <= c and np.log2(c) % 2 == 0
+        half = target.power(np.eye(4), 0.5)
+        npt.assert_allclose(half @ half, A / c, atol=1e-14)
+        npt.assert_allclose(target.power(half, -0.5), np.eye(4), atol=1e-14)
+        npt.assert_allclose(target.log_det(), np.linalg.slogdet(A / c)[1], rtol=1e-13)
+
+    def test_diagonal_values_are_a_read_only_copy(self):
+        v = np.array([1.0, 2.0])
+        target = Target.diagonal(v)
+        v[0] = -1.0
+        npt.assert_array_equal(target.values, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            target.values[0] = 5.0
+
+    def test_targets_compare_and_hash_by_value(self):
+        assert Target.zero() == Target.zero() and hash(Target.zero()) == hash(Target.zero())
+        assert Target.full(np.eye(2)) != Target.full(2 * np.eye(2))
+        assert Target.diagonal([1.0, 2.0]) != Target.diagonal([5.0, 6.0])
+        assert Target.diagonal([1.0, 2.0]) != Target.diagonal([[1.0, 2.0]])
+        assert Target.diagonal([1.0, 1.0]) != Target.full(np.eye(2))
+        assert Target.diagonal([1.0, 2.0]) != Target.scalar(1.0)
+        for a, b in (
+            (Target.full(np.eye(2)), Target.full(np.eye(2))),
+            (Target.diagonal([1.0, 2.0]), Target.diagonal(np.array([1.0, 2.0]))),
+            (Target.scalar(2.5), Target.scalar(2.5)),
+        ):
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
     def test_fit_rejects_zero_target_before_decomposing(self, decompositions):
         message = r"^archetype-1 requires a p.d. target, got zero$"
@@ -141,17 +192,15 @@ class TestTarget:
             with pytest.raises(InvalidTargetError, match=f"^{message}$"):
                 fit(kind, np.eye(3), lam, target)
 
-    def test_full_inverse_is_inv_pd_computed_once(self, rng, make_spd, decompositions):
-        M = make_spd(5, rng)
-        target = Target.full(M)
+    def test_full_eigenpairs_computed_once(self, rng, make_spd, decompositions):
+        target = Target.full(make_spd(5, rng))
         fit("alt-1", make_spd(5, rng), 0.5, target)
-        assert decompositions == [1]  # building the target and alt-1 invert nothing
+        assert decompositions == [1]  # building the target and alt-1 split nothing
         decompositions.clear()
         for lam in (0.3, 0.6, [0.2, 0.7]):
             fit("archetype-1", make_spd(5, rng), lam, target)
-        # The inverse on first use, then the combined matrices alone.
-        assert decompositions == [1, 1, 1, 2]
-        assert same_bits(target.inverse, inv_pd(M))
+        # The target's eigenpairs on first use, then one R per fit, grid or not.
+        assert decompositions == [1, 1, 1, 1]
 
     def test_full_target_fit_validates_once(self, rng, make_spd, symmetry_checks):
         S, target = make_spd(4, rng), Target.full(make_spd(4, rng))
@@ -483,9 +532,12 @@ class TestFitDispatch:
     def test_dense_matrices_built_on_first_access(self, kind, rng, make_spd):
         est = fit(kind, make_spd(5, rng), 0.5, "ddiag")
         assert "omega" not in est.__dict__ and "sigma" not in est.__dict__
-        V = est.vectors
+        assert est.scaled == (kind == "archetype-1")
+        V, W = est.vectors, est.vectors
+        if est.scaled:  # T'^(1/2) V and T'^(-1/2) V
+            V, W = est.target.power(V, 0.5), est.target.power(V, -0.5)
         npt.assert_array_equal(est.omega, symmetrize((V * est.prec) @ V.T))
-        npt.assert_array_equal(est.sigma, symmetrize((V * est.cov) @ V.T))
+        npt.assert_array_equal(est.sigma, symmetrize((W * est.cov) @ W.T))
         assert est.omega is est.omega and est.sigma is est.sigma
         assert est.p == 5
 
@@ -599,12 +651,12 @@ class TestBroadcastFit:
             fit(kind, S, lam, target)
             assert S.tobytes() == before
 
-    @pytest.mark.parametrize("kind", ["alt-1", "archetype-1"])
+    @pytest.mark.parametrize("kind", ["alt-1"])
     def test_diagonal_target_matches_dense_target_bitwise(self, kind):
-        # Negative zeros off the diagonal: the dense sum (1-lam)S + lam*G
-        # turns them into +0.0, and eigh's Householder signs follow them.
-        # The identity target takes the spectral path: S's eigenpairs, its
-        # eigenvalues shifted.
+        # Negative zeros off the diagonal, which eigh's Householder signs
+        # follow. The identity target takes the spectral path: S's
+        # eigenpairs, its eigenvalues shifted. (archetype-1 is the
+        # congruence test below.)
         S = np.diag([2.0, 1.0, 3.0])
         S[0, 1] = S[1, 0] = -0.0
         S[0, 2] = S[2, 0] = -0.5
@@ -612,13 +664,9 @@ class TestBroadcastFit:
         for target in (Target.identity(), Target.diagonal([1.0, 2.0, 0.5])):
             for lam in (0.3, 1.0):
                 if target.kind == "scalar":
-                    psi, vecs = target.psi, V
-                    vals = d - lam * psi if kind == "alt-1" else (1.0 - lam) * d + lam * (1.0 / psi)
-                elif kind == "alt-1":
-                    vals, vecs = eig_sym_unchecked(S - lam * target.matrix(3))
+                    vals, vecs = d - lam * target.psi, V
                 else:
-                    G = np.diag(1.0 / target.values)
-                    vals, vecs = eig_sym_unchecked((1.0 - lam) * S + lam * G)
+                    vals, vecs = eig_sym_unchecked(S - lam * target.matrix(3))
                 cov, prec = _eigen_map(kind, vals, lam)
                 est = fit(kind, S, lam, target)
                 for got, want in ((est.vectors, vecs), (est.cov, cov), (est.prec, prec)):
@@ -648,6 +696,54 @@ class TestBroadcastFit:
                     want = symmetrize((vecs * prec) @ vecs.T)
                     rel = np.abs(est.omega[g] - want).max() / np.abs(want).max()
                     assert rel <= 64 * eps * cov.max() / cov.min(), (n, psi, lam)
+
+    @pytest.mark.parametrize("n", [4, 15], ids=["n<p", "n>p"])
+    @pytest.mark.parametrize("target_name", ["diagonal", "ddiag", "full"])
+    def test_scaled_fit_is_the_scalar_target_fit_of_r(self, target_name, n, rng, make_spd):
+        # (1-lam)S + lam*T^-1 is a congruence of (1-lam)R + (lam/c)I, with
+        # R = T'^(1/2) S T'^(1/2) and T = c*T': the scalar-target fit of R
+        # at psi = c, bit for bit, over the whole grid.
+        S = sample_cov(rng.standard_normal((n, self.P)))
+        target = self.targets(rng, make_spd, self.P)[target_name]
+        grid = self.GRIDS["archetype-1"]
+        est = fit("archetype-1", S, grid, target)
+        assert est.scaled and est.target == resolve_target(target, check_symmetric(S))
+        T = est.target
+        R = symmetrize(T.power(T.power(S, 0.5).T, 0.5))
+        want = fit("archetype-1", R, grid, Target.scalar(T.scale))
+        for name in ("vectors", "prec", "cov"):
+            assert same_bits(getattr(est, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("n", [4, 15], ids=["n<p", "n>p"])
+    @pytest.mark.parametrize("target_name", ["diagonal", "ddiag", "full"])
+    def test_scaled_fit_agrees_with_the_lu_inverse(self, target_name, n, rng, make_spd):
+        # Both routes err by rounding amplified by the condition number of
+        # the combined matrix M = (1-lam)S + lam*T^-1.
+        eps = np.finfo(float).eps
+        S = sample_cov(rng.standard_normal((n, self.P)) * rng.uniform(0.3, 3.0, self.P))
+        target = self.targets(rng, make_spd, self.P)[target_name]
+        T = resolve_target(target, check_symmetric(S)).matrix(self.P)
+        grid = np.logspace(-4, 0, 9)
+        est = fit("archetype-1", S, grid, target)
+        for g, lam in enumerate(grid):
+            want = archetype1_lu(S, lam, T)
+            sigma = (1.0 - lam) * S + lam * np.linalg.inv(T)
+            rel = np.abs(est.omega[g] - want).max() / np.abs(want).max()
+            assert rel <= 64 * eps * np.linalg.cond(sigma), (lam, rel)
+            rel = np.abs(est.sigma[g] - sigma).max() / np.abs(sigma).max()
+            assert rel <= 64 * eps * np.linalg.cond(sigma), (lam, rel)
+
+    @pytest.mark.parametrize("target_name", ["diagonal", "ddiag", "full"])
+    def test_scaled_grid_decomposes_one_matrix_per_s(
+        self, target_name, rng, make_spd, decompositions
+    ):
+        stack = np.stack([sample_cov(rng.standard_normal((n, self.P))) for n in (3, 9, 20)])
+        target = self.targets(rng, make_spd, self.P)[target_name]
+        grid = self.GRIDS["archetype-1"]
+        fit("archetype-1", stack[0], grid, target)
+        fit("archetype-1", stack, grid, target)
+        # A full target's eigenpairs once, on first use; then one R per S.
+        assert decompositions == [1] * (target_name == "full") + [1, 3]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bad_grid_value_rejected(self, kind):
@@ -751,9 +847,54 @@ class TestFitOverflow:
             fit("alt-1", np.stack([np.eye(3)] * 2), np.array([1.0, 1e299, 1e300]), big)
         with pytest.raises(InvalidMatrixError, match=r"at penalty 1e\+300: "):
             fit("alt-1", np.eye(2), 1e300, Target.full(np.diag([1e10, 1.0])))
-        # 1/t overflows in G = T^-1.
-        with pytest.raises(InvalidMatrixError, match=r"at penalty 0\.5: "):
-            fit("archetype-1", np.eye(3), 0.5, Target.diagonal([1e-320] * 3))
+
+    def test_overflowing_congruence_raises_before_eigh(self, monkeypatch):
+        # S's entries are below half the float range, so S passes its check,
+        # but T'^(1/2) S T'^(1/2) concentrates them: its (0, 0) entry is
+        # about 4 times as large.
+        p = 9
+        v = np.full(p, 1.0 / 3.0)
+        v[0] += 1.0
+        v /= np.linalg.norm(v)
+        T = Target.full(0.99 * (np.outer(v, v) * (1.0 - 1e-3) + 1e-3 * np.eye(p)))
+        S = np.full((p, p), 8e307)
+        assert T.scale == 1.0
+
+        def forbidden(a):
+            raise AssertionError("eigh ran on a matrix that is not finite")
+
+        T.power(np.eye(p), 0.5)  # the target's own eigenpairs, before eigh is forbidden
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        message = r"^fit overflow: T'\^\(1/2\) S T'\^\(1/2\) is not finite"
+        for lam in (0.5, [0.2, 0.5]):
+            with pytest.raises(InvalidMatrixError, match=message):
+                fit("archetype-1", S, lam, T)
+
+    @pytest.mark.parametrize("tiny", [Target.diagonal([1e-320] * 3), Target.scalar(1e-320)])
+    def test_tiny_archetype_target_names_the_penalty(self, tiny):
+        # T^-1 overflows, so the shift (1-lam)d + lam/c is not finite: a fit
+        # overflow, not a p.d. failure, and no numpy warning.
+        with pytest.raises(InvalidMatrixError, match=r"^fit overflow at penalty 0\.5: "):
+            fit("archetype-1", np.eye(3), 0.5, tiny)
+        with pytest.raises(InvalidMatrixError, match=r"at penalty 0\.1: "):
+            fit("archetype-1", np.stack([np.eye(3)] * 2), [0.1, 0.5], tiny)
+
+    @pytest.mark.parametrize(
+        "scale, entry, omega",
+        [
+            (1e10, 1e300, 2e-10),
+            (1e-10, 1e-300, 2.0000000000000004e-300),
+            (8e307, 1.5e308, 2.5000000000000003e-308),
+        ],
+        ids=["huge-target", "tiny-target", "both-near-the-float-maximum"],
+    )
+    def test_extreme_targets_fit_without_overflow(self, scale, entry, omega):
+        # omega is what inverting (1-lam)S + lam*T^-1 gave. A plain
+        # T^(1/2) S T^(1/2) would overflow (1e310) or underflow; the split
+        # T = c*T' keeps R at or below S, even where c = 2^1024 itself
+        # overflows (the fit reads only 1/c and 2^512).
+        est = fit("archetype-1", scale * np.eye(3), 0.5, Target.diagonal([entry] * 3))
+        npt.assert_allclose(est.omega, omega * np.eye(3), rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_tiny_archetype_spectrum_overflows_its_inverse(self):
         with pytest.raises(InvalidMatrixError, match=r"at penalty 1e-320: "):
