@@ -11,7 +11,9 @@ held-in sample covariance once and fits the whole grid in broadcast
 :func:`~ridgeprec.estimators.stack_slices` block of what a fit holds per
 penalty: p eigenvalues where it decomposes one matrix per ``S`` (no or a
 scalar target, and archetype-1 with any target), else a p x p matrix
-(alt-1 with a ``ddiag``, diagonal or full target). With ``threads = N > 1``
+(alt-1 with a ``ddiag``, diagonal or full target). An archetype-1 block
+whose p.d. verdict the congruence leaves undecided holds p x p matrices
+too (see :func:`~ridgeprec.estimators.fit`). With ``threads = N > 1``
 the caller and a pool of at most N - 1 workers fit a part's blocks, N at a
 time; one block runs inline.
 

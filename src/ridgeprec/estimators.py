@@ -26,10 +26,14 @@ of its eigenvalues ``d`` (``d - lam*psi`` for alt-1, ``(1-lam)d + lam/psi``
 for archetype-1), so ``S`` is decomposed once for the whole grid.
 archetype-1 with a ``ddiag``, diagonal or full target ``T = c*T'`` is a
 congruence of that shift: it decomposes ``R = T'^(1/2) S T'^(1/2)`` once
-for the whole grid and holds a scaled fit (:attr:`RidgeEstimate.scaled`).
-Only alt-1 with such a target decomposes one matrix per penalty, all in
-one stacked ``eigh``. Each slice is bit-identical to the fit of that ``S``
-at that penalty alone. Callers that stack many fits size
+for the whole grid and holds a scaled fit (:attr:`RidgeEstimate.scaled`),
+unless the congruence leaves a fit's p.d. verdict undecided (a
+near-singular combined matrix, or an ill-conditioned target at a small
+penalty). Such a call, and alt-1 with such a target, decomposes one matrix
+per penalty, all in one stacked ``eigh``. Each slice is bit-identical to
+the fit of that ``S`` at that penalty alone, except in an archetype-1 grid
+that holds an undecided penalty: its other slices then agree with their
+own fits to rounding. Callers that stack many fits size
 :func:`stack_slices` blocks by what one grid point holds (the block rule
 :func:`_one_decomposition`): p eigenvalues when ``S`` or ``R`` is
 decomposed once, else a p x p matrix.
@@ -42,7 +46,7 @@ regularization for expression arrays"). Everything else is :func:`fit` on
 the sample covariance.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -54,7 +58,15 @@ from .errors import (
     InvalidTargetError,
     NotPositiveDefiniteError,
 )
-from .linalg import check_symmetric, cholesky_pd, eig_sym_unchecked, inv_pd, require_pd, symmetrize
+from .linalg import (
+    check_symmetric,
+    cholesky_pd,
+    eig_sym_unchecked,
+    inv_pd,
+    pd_under_congruence,
+    require_pd,
+    symmetrize,
+)
 
 #: Canonical estimator kind names (also the CLI spelling).
 KINDS = ("archetype-1", "archetype-2", "alt-1", "alt-2")
@@ -103,7 +115,7 @@ class Target:
     classmethods; the raw constructor performs no validation.
 
     archetype-1 fits a diagonal or full target through the split
-    ``T = c*T'`` (:attr:`scale`), applying powers of ``T'`` with
+    ``T = c*T'`` (``_split``), applying powers of ``T'`` with
     :meth:`power`.
     """
 
@@ -186,8 +198,10 @@ class Target:
         ``c = 2^k`` is the least power of 4 at or above T's largest
         eigenvalue (one per stacked diagonal), so ``T' = T/c`` has
         eigenvalues ``h^2 <= 1``, and ``h = sqrt(e) / 2^(k/2)`` rescales
-        ``sqrt(e)`` exactly. ``Q`` is None for a diagonal target; a full
-        one's eigenpairs are computed here, on first use, and kept.
+        ``sqrt(e)`` exactly. ``k`` may reach 1024, where ``c`` itself
+        overflows; the fit reads only ``h`` and ``1/c``. ``Q`` is None for
+        a diagonal target; a full one's eigenpairs are computed here, on
+        first use, and kept.
         """
         if self.kind == "diagonal":
             e, Q = self.values, None
@@ -200,22 +214,12 @@ class Target:
         k = k + k % 2
         return k, np.ldexp(np.sqrt(e), -(k // 2)[..., None]), Q
 
-    @property
-    def scale(self):
-        """``c`` of the split ``T = c*T'``; one per stacked diagonal.
-
-        ``c`` is inf for a target above 2^1022, whose ``T'`` and ``1/c``
-        the fit still reads exactly.
-        """
-        with np.errstate(over="ignore"):
-            return np.ldexp(1.0, self._split[0])
-
     def power(self, a, exponent: float) -> np.ndarray:
         """``T'^exponent @ a`` for an array ``a`` of shape ``(..., p, k)``.
 
         A diagonal target scales the rows of ``a``, a stacked one matched
         with ``a``'s leading axes; a full target multiplies by
-        ``Q diag(h^(2*exponent)) Q'`` (see :attr:`scale`).
+        ``Q diag(h^(2*exponent)) Q'`` (see ``_split``).
         """
         p = a.shape[-2]
         _, h, Q = self._split
@@ -281,8 +285,9 @@ class RidgeEstimate:
     orthogonal to them, so ``omega = null_prec*I + V diag(prec - null_prec) V'``
     and ``sigma`` likewise. A dense fit leaves both None.
 
-    A :attr:`scaled` fit (archetype-1 with a diagonal or full target
-    ``T = c*T'``) holds the factors of ``R = T'^(1/2) S T'^(1/2)``:
+    A ``scaled`` fit (archetype-1 with a diagonal or full target
+    ``T = c*T'``, fitted by congruence; see :func:`fit`) holds the factors
+    of ``R = T'^(1/2) S T'^(1/2)``:
     ``omega = T'^(1/2) V diag(prec) V' T'^(1/2)`` and
     ``sigma = T'^(-1/2) V diag(cov) V' T'^(-1/2)``, so ``prec`` and ``cov``
     are not the spectra of ``omega`` and ``sigma``; they have the same signs.
@@ -296,6 +301,7 @@ class RidgeEstimate:
     target: Target | None
     null_prec: np.ndarray | None = None
     null_cov: np.ndarray | None = None
+    scaled: bool = False
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -304,11 +310,6 @@ class RidgeEstimate:
     @cached_property
     def sigma(self) -> np.ndarray:
         return self._build(self.cov, self.null_cov, -0.5)
-
-    @property
-    def scaled(self) -> bool:
-        """archetype-1 with a diagonal or full target: the factors are ``R``'s."""
-        return self.kind == "archetype-1" and self.target.kind != "scalar"
 
     def _build(self, values, null, exponent) -> np.ndarray:
         V = self.target.power(self.vectors, exponent) if self.scaled else self.vectors
@@ -408,7 +409,7 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
     ``(..., p, p)``. The estimate's leading axes are ``S``'s stack axes
     followed by the grid axis; a scalar ``lam`` with a 2-D ``S`` gives a
     plain 2-D fit. Every slice equals, bit for bit, the fit of that ``S``
-    at that penalty alone.
+    at that penalty alone (but see archetype-1's combined matrices below).
 
     Every kind runs the same steps: validate ``S``, every penalty (in the
     kind's own domain) and the target once; decompose one matrix per ``S``,
@@ -418,13 +419,17 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
     * No target, or a scalar one (:func:`_shares_S`): the kind's matrix is
       a shift of ``S``, so ``S`` is decomposed once for the whole grid.
     * archetype-1 with a ``ddiag``, diagonal or full target ``T = c*T'``
-      (:attr:`Target.scale`): ``(1-lam)S + lam*T^-1`` is the congruence
+      (``c`` a power of 4): ``(1-lam)S + lam*T^-1`` is the congruence
       ``T'^(-1/2) [(1-lam)R + (lam/c)I] T'^(-1/2)`` of
       ``R = T'^(1/2) S T'^(1/2)``, and inversion commutes with it. So ``R``
       is decomposed once for the whole grid, its eigenvalues take the
       scalar-target shift at ``psi = c``, and the estimate is
       :attr:`RidgeEstimate.scaled`. An ``R`` that is not finite raises
-      before ``eigh`` runs.
+      before ``eigh`` runs. The p.d. verdict is the combined matrix's: a
+      call whose every shifted spectrum passes the eigenvalue rule for any
+      congruence by ``T'`` is p.d.; any other call takes the combined
+      matrices ``(1-lam)S + lam*T^-1`` themselves, one per penalty, and
+      holds an unscaled fit of them (:func:`_combined`).
     * alt-1 with a ``ddiag``, diagonal or full target: the stack of
       ``S - lam*T`` (a diagonal target on the diagonal only) is
       decomposed in one ``eigh`` call. When the call has one matrix per
@@ -461,17 +466,56 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
 
 
 def _congruent(S, lam, target) -> RidgeEstimate:
-    """archetype-1 with a diagonal or full target, from one ``eigh`` of ``R`` per ``S``."""
+    """archetype-1 with a diagonal or full target, from one ``eigh`` of ``R`` per ``S``.
+
+    The spectrum of ``N = (1-lam)R + (lam/c)I`` has the signs of the
+    combined matrix ``M``'s but not its magnitudes. A call whose every ``N``
+    passes :func:`~ridgeprec.linalg.pd_under_congruence`, with ``T``'s
+    condition number as the spread, is decided p.d. and held scaled; any
+    other call is :func:`_combined`'s.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # caught below, before eigh
         R = symmetrize(target.power(target.power(S, 0.5).swapaxes(-1, -2), 0.5))
     if not np.all(np.isfinite(R)):
         raise InvalidMatrixError(
             "fit overflow: T'^(1/2) S T'^(1/2) is not finite; rescale the data or the target"
         )
-    k = target._split[0]
-    with np.errstate(over="ignore"):  # 1/c of a tiny target; caught in _estimate
-        g = np.ldexp(1.0, -np.reshape(k, np.shape(k) + (1,) * (np.ndim(lam) + 1)))
-    return _spectral("archetype-1", *eig_sym_unchecked(R), lam, target, g)
+    k, h, _ = target._split
+    r, vecs = eig_sym_unchecked(R)
+    axes = (1,) * np.ndim(lam)  # the grid axis, if any
+    with np.errstate(over="ignore"):  # 1/c of a tiny target, or an inf spread, decides nothing
+        g = np.ldexp(1.0, -np.reshape(k, np.shape(k) + axes + (1,)))
+        spread = np.reshape((h.max(axis=-1) / h.min(axis=-1)) ** 2, np.shape(k) + axes)
+        # N's largest and smallest eigenvalues: the shift keeps their order.
+        ends = r[..., [0, -1]].reshape(r.shape[:-1] + axes + (2,))
+        ends = _shift("archetype-1", ends, np.asarray(lam)[..., None], 0.0, g)
+    if not np.all(pd_under_congruence(ends, spread)):
+        return _combined(S, lam, target)
+    return replace(_spectral("archetype-1", r, vecs, lam, target, g), scaled=True)
+
+
+def _combined(S, lam, target) -> RidgeEstimate:
+    """archetype-1 from one ``eigh`` of ``M = (1-lam)S + lam*T^-1`` per ``S`` and penalty.
+
+    For the calls :func:`_congruent` leaves undecided (a near-singular ``M``
+    or an ill-conditioned target): ``M``'s own spectrum decides, and ``M``
+    is inverted on its own eigenvectors.
+    """
+    p = S.shape[-1]
+    if target.kind == "full":
+        G = inv_pd(target.values)
+    else:
+        G = np.zeros(target.values.shape + (p,))
+        idx = np.arange(p)
+        with np.errstate(over="ignore"):  # caught below, before eigh
+            G[..., idx, idx] = 1.0 / target.values
+    lam_m = np.asarray(lam)[..., None, None]
+    if np.ndim(lam) == 1:  # the grid axis follows S's stack axes
+        S, G = S[..., None, :, :], G[..., None, :, :]
+    with np.errstate(over="ignore"):  # caught below, before eigh
+        M = (1.0 - lam_m) * S + lam_m * G
+    _check_fine(np.all(np.isfinite(M), axis=(-2, -1)), lam)
+    return _estimate("archetype-1", *eig_sym_unchecked(M), lam, target)
 
 
 def fit_data(kind: str, Y, lam, target=None) -> RidgeEstimate:
@@ -552,10 +596,10 @@ def _shift(kind: str, d, lam_v, psi, g=None):
 def _estimate(kind: str, vals, vecs, lam, target) -> RidgeEstimate:
     """Check the descending spectrum ``vals`` of the kind's matrix, map it, hold the fit.
 
-    archetype-1 needs its combined matrix finite and p.d. (a scaled fit's
-    congruence of it), and archetype-2 needs ``S + lam*I`` p.d. A value
-    that is not finite and positive names its penalty (the first in grid
-    order). A thin fit's last value is its null space's.
+    archetype-1 needs its combined matrix finite and p.d., and archetype-2
+    needs ``S + lam*I`` p.d. A value that is not finite and positive names
+    its penalty (the first in grid order). A thin fit's last value is its
+    null space's.
     """
     low = vals[..., -1]
     if kind == "archetype-1":

@@ -430,7 +430,8 @@ def extract_network(omega, threshold: float = 0.99, spectrum=None) -> GgmResult:
     already (a dense fit's ``prec``), which spares the p.d. check its
     ``eigvalsh``. To start from data, fit first: ``est = fit(kind,
     sample_cov(Y), lam, target)``, then ``extract_network(est.omega,
-    threshold, est.prec)``.
+    threshold, None if est.scaled else est.prec)``: a scaled fit's
+    ``prec`` is not ``omega``'s spectrum.
     """
     threshold = float(threshold)
     if not 0.0 <= threshold <= 1.0:

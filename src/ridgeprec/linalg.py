@@ -8,7 +8,9 @@ matrix they have checked already, and read its eigenvectors only through
 products that do not depend on their signs.
 
 :func:`require_pd` (a spectrum against :func:`pd_tolerance`) and :func:`cholesky_pd`
-decide positive definiteness for the package; archetype-2 alone checks ``S + lam*I`` against 0.
+decide positive definiteness for the package, and :func:`pd_under_congruence`
+passes a congruence ``A N A'`` early from ``N``'s spectrum; archetype-2 alone
+checks ``S + lam*I`` against 0.
 """
 
 from contextlib import nullcontext
@@ -95,6 +97,19 @@ def require_pd(values, what: str, error=NotPositiveDefiniteError) -> None:
     bad = low <= pd_tolerance(values)
     if np.any(bad):
         raise error(f"{what} (min eigenvalue {np.extract(bad, low)[0]:.3e})")
+
+
+def pd_under_congruence(values, spread):
+    """Whether every ``A N A'`` passes the eigenvalue rule, read from ``N``'s spectrum alone.
+
+    ``values`` is a spectrum of ``N``, or a stack ``(..., p)`` of them, and
+    ``spread`` (broadcast over the stack) the condition number of ``AA'``.
+    By Ostrowski's theorem each eigenvalue of ``A N A'`` is one of ``N``'s
+    times a factor between the extreme eigenvalues of ``AA'``, so a smallest
+    value above ``spread`` times :func:`pd_tolerance` passes for sure. False
+    decides nothing: :func:`require_pd` the spectrum of ``A N A'`` itself.
+    """
+    return np.min(values, axis=-1) > spread * pd_tolerance(values)
 
 
 def cholesky_pd(a, what: str) -> np.ndarray:

@@ -122,21 +122,21 @@ class TestTarget:
             target.matrix(2)[0, 0] = 5.0
 
     @pytest.mark.parametrize(
-        "values, scale",
+        "values, k",
         [
-            ([3.0, 0.5], 4.0),
-            ([1.0, 0.25], 1.0),
-            ([[1e300, 1.0], [1e-300, 2.0**-4]], [2.0**998, 1.0 / 16]),
+            ([3.0, 0.5], 2),
+            ([1.0, 0.25], 0),
+            ([[1e300, 1.0], [1e-300, 2.0**-4]], [998, -4]),
         ],
         ids=["up", "power-of-4", "stacked"],
     )
-    def test_split_is_exact(self, values, scale):
-        # c is the least power of 4 at or above the largest entry, so T/c and
-        # T'^(1/2) are exact rescalings of T and sqrt(T).
+    def test_split_is_exact(self, values, k):
+        # c = 2^k is the least power of 4 at or above the largest entry, so
+        # T/c and T'^(1/2) are exact rescalings of T and sqrt(T).
         target = Target.diagonal(values)
         v = np.asarray(values)
-        npt.assert_array_equal(target.scale, scale)
-        c = np.asarray(scale)[..., None]
+        npt.assert_array_equal(target._split[0], k)
+        c = np.ldexp(1.0, np.asarray(k))[..., None]
         ones = np.ones(v.shape + (1,))
         npt.assert_array_equal(target.power(ones, 0.5)[..., 0], np.sqrt(v) / np.sqrt(c))
         npt.assert_array_equal(target.power(ones, -0.5)[..., 0], np.sqrt(c) / np.sqrt(v))
@@ -145,7 +145,7 @@ class TestTarget:
     def test_full_split_applies_powers_of_the_reduced_matrix(self, rng, make_spd):
         A = make_spd(4, rng) * 10.0
         target = Target.full(A)
-        c = target.scale
+        c = np.ldexp(1.0, target._split[0])
         top = np.linalg.eigvalsh(A)[-1]
         assert c / 4 < top <= c and np.log2(c) % 2 == 0
         half = target.power(np.eye(4), 0.5)
@@ -605,7 +605,10 @@ class TestBroadcastFit:
         npt.assert_array_equal(est.lam, grid)
         for g, lam in enumerate(grid):
             one = fit(kind, S, float(lam), target)
-            got = RidgeEstimate(est.vectors[g], est.prec[g], est.cov[g], est.kind, lam, est.target)
+            got = RidgeEstimate(
+                est.vectors[g], est.prec[g], est.cov[g], est.kind, lam, est.target,
+                scaled=est.scaled,
+            )
             self.assert_slice_equal(got, one)
             assert same_bits(est.omega[g], one.omega)
 
@@ -651,20 +654,23 @@ class TestBroadcastFit:
             fit(kind, S, lam, target)
             assert S.tobytes() == before
 
-    @pytest.mark.parametrize("kind", ["alt-1"])
+    @pytest.mark.parametrize("kind", ["alt-1", "archetype-1"])
     def test_diagonal_target_matches_dense_target_bitwise(self, kind):
         # Negative zeros off the diagonal, which eigh's Householder signs
         # follow. The identity target takes the spectral path: S's
-        # eigenpairs, its eigenvalues shifted. (archetype-1 is the
-        # congruence test below.)
+        # eigenpairs, its eigenvalues shifted. (archetype-1 fits a diagonal
+        # target by congruence, the test below.)
         S = np.diag([2.0, 1.0, 3.0])
         S[0, 1] = S[1, 0] = -0.0
         S[0, 2] = S[2, 0] = -0.5
         d, V = eig_sym_unchecked(S)
         for target in (Target.identity(), Target.diagonal([1.0, 2.0, 0.5])):
+            if kind == "archetype-1" and target.kind == "diagonal":
+                continue
             for lam in (0.3, 1.0):
                 if target.kind == "scalar":
-                    vals, vecs = d - lam * target.psi, V
+                    psi, vecs = target.psi, V
+                    vals = d - lam * psi if kind == "alt-1" else (1.0 - lam) * d + lam * (1.0 / psi)
                 else:
                     vals, vecs = eig_sym_unchecked(S - lam * target.matrix(3))
                 cov, prec = _eigen_map(kind, vals, lam)
@@ -710,7 +716,7 @@ class TestBroadcastFit:
         assert est.scaled and est.target == resolve_target(target, check_symmetric(S))
         T = est.target
         R = symmetrize(T.power(T.power(S, 0.5).T, 0.5))
-        want = fit("archetype-1", R, grid, Target.scalar(T.scale))
+        want = fit("archetype-1", R, grid, Target.scalar(np.ldexp(1.0, T._split[0])))
         for name in ("vectors", "prec", "cov"):
             assert same_bits(getattr(est, name), getattr(want, name)), name
 
@@ -744,6 +750,43 @@ class TestBroadcastFit:
         fit("archetype-1", stack, grid, target)
         # A full target's eigenpairs once, on first use; then one R per S.
         assert decompositions == [1] * (target_name == "full") + [1, 3]
+
+    def test_undecided_congruence_keeps_the_combined_matrix_verdict(self, decompositions):
+        # N = (1-lam)R + (lam/c)I = diag(1, 5e-13) fails its own cutoff, but
+        # M = (1-lam)S + lam*T^-1 = diag(5, 1) is p.d.: the call takes the
+        # combined matrices, one per penalty, and holds an unscaled fit.
+        S, target = np.diag([0.0, 1.0]), Target.diagonal([1e-13, 1.0])
+        for lam, omega in ((5e-13, [0.2, 1.0]), ([5e-13, 1e-12], [[0.2, 1.0], [0.1, 1.0]])):
+            decompositions.clear()
+            est = fit("archetype-1", S, lam, target)
+            assert not est.scaled and decompositions == [1, np.size(lam)]
+            npt.assert_allclose(np.diagonal(est.omega, axis1=-2, axis2=-1), omega, rtol=1e-15)
+            npt.assert_array_equal(est.omega, est.omega * np.eye(2))
+        # M = diag(0.5, 5e19) is not p.d. although N = 0.5*I is.
+        message = r"^combined matrix not p\.d\. \(min eigenvalue 5\.000e-01\)$"
+        with pytest.raises(NotPositiveDefiniteError, match=message):
+            fit("archetype-1", np.zeros((2, 2)), 0.5, Target.diagonal([1.0, 1e-20]))
+
+    @pytest.mark.parametrize("target_name", ["diagonal", "full"])
+    def test_ill_conditioned_target_agrees_with_the_lu_inverse(self, target_name, rng):
+        # A target condition number of 1e11 leaves small penalties undecided
+        # by the congruence; every fit still inverts M to rounding.
+        eps = np.finfo(float).eps
+        p = self.P
+        e = np.logspace(-11, 0, p)
+        Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        T = np.diag(e) if target_name == "diagonal" else symmetrize((Q * e) @ Q.T)
+        target = Target.diagonal(e) if target_name == "diagonal" else Target.full(T)
+        S = sample_cov(rng.standard_normal((4, p)))
+        grid = np.logspace(-12, 0, 7)
+        scaled = [fit("archetype-1", S, lam, target).scaled for lam in grid]
+        assert not scaled[0] and scaled[-1]
+        est = fit("archetype-1", S, grid, target)
+        for g, lam in enumerate(grid):
+            want = archetype1_lu(S, lam, T)
+            sigma = (1.0 - lam) * S + lam * np.linalg.inv(T)
+            rel = np.abs(est.omega[g] - want).max() / np.abs(want).max()
+            assert rel <= 64 * eps * np.linalg.cond(sigma), (lam, rel)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bad_grid_value_rejected(self, kind):
@@ -858,7 +901,7 @@ class TestFitOverflow:
         v /= np.linalg.norm(v)
         T = Target.full(0.99 * (np.outer(v, v) * (1.0 - 1e-3) + 1e-3 * np.eye(p)))
         S = np.full((p, p), 8e307)
-        assert T.scale == 1.0
+        assert T._split[0] == 0  # c = 1
 
         def forbidden(a):
             raise AssertionError("eigh ran on a matrix that is not finite")
