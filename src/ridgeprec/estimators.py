@@ -651,7 +651,8 @@ def shrunk_eigenvalues(kind: str, d, lam: float, psi: float = 1.0) -> np.ndarray
 
     Precision-side values are the reciprocals. These are the eigenvalue maps
     :func:`fit` applies, so they agree with ``fit(kind, diag(d), lam,
-    Target.scalar(psi)).sigma``.
+    Target.scalar(psi)).sigma``, and an overflow raises :func:`fit`'s
+    error.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.all(np.isfinite(d)):
@@ -659,7 +660,10 @@ def shrunk_eigenvalues(kind: str, d, lam: float, psi: float = 1.0) -> np.ndarray
     target = Target.scalar(psi) if kind in _TARGETED else None
     kind, lam, target = _resolve(kind, lam, target)
     lam_v = np.asarray(lam)[..., None]
-    return _eigen_map(kind, _shift(kind, d, lam_v, getattr(target, "psi", 0.0)), lam_v)[0]
+    with np.errstate(over="ignore"):  # caught below
+        cov, prec = _eigen_map(kind, _shift(kind, d, lam_v, getattr(target, "psi", 0.0)), lam_v)
+    _check_fine(np.all(np.isfinite(cov) & np.isfinite(prec)), lam)
+    return cov
 
 
 def penalty_map_1(lam_a: float) -> float:

@@ -31,9 +31,10 @@ recipe is pinned:
 * mixture density: Gaussian kernel density estimate with Silverman's
   bandwidth h, reflected at both -1 and +1. It is linearly binned on a
   grid over [-1, 1] of spacing h/200 (at most 2**20 intervals, which bounds
-  memory when h is tiny), convolved by one real FFT and read off the nodes
-  by linear interpolation: O(m + B log B) for m values and B nodes instead
-  of the exact sum's O(m^2). Against the exact reflected kernel sum the
+  memory when h is tiny), mirrored at each end only as far as the kernel's
+  40 bandwidths reach, convolved by one real FFT and read off the nodes by
+  linear interpolation: O(m + B log B) for m values and B nodes instead of
+  the exact sum's O(m^2). Against the exact reflected kernel sum the
   relative error at the values is below 1e-4 and the error anywhere on
   [-1, 1] below 1e-5 of the peak (at most 1.3e-5 and 5.1e-6 on the test
   fixtures; a spacing of h/100 gives 5.3e-5 and 2.0e-5).
@@ -62,7 +63,7 @@ CENTRAL_FRACTION = 0.75
 CENTRAL_CAP = 0.75
 #: Grid nodes per bandwidth of the binned mixture density.
 KDE_NODES_PER_BANDWIDTH = 200
-#: Cap on the grid intervals over [-1, 1]; it bounds the FFT at 2**22 points.
+#: Cap on the grid intervals over [-1, 1]; it bounds the FFT at 2**21 points.
 KDE_MAX_INTERVALS = 2**20
 #: Kernel truncation in bandwidths; exp(-40**2 / 2) underflows to zero.
 KDE_KERNEL_REACH = 40
@@ -219,7 +220,11 @@ class LfdrFit:
     density: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def warnings(self) -> list[str]:
-        """One line per sign of a degenerate fit: kappa exactly on a bound, or eta0 clamped."""
+        """One line per sign of a degenerate fit or a coarse density.
+
+        The signs are kappa exactly on a bound, eta0 clamped, and a node grid
+        capped at ``KDE_MAX_INTERVALS`` intervals.
+        """
         out = []
         lower, upper = 1.0 + math.exp(KAPPA_U_MIN), 1.0 + math.exp(KAPPA_U_MAX)
         for bound, side in ((lower, "lower"), (upper, "upper")):
@@ -230,19 +235,26 @@ class LfdrFit:
                 )
         if self.eta0 in (0.0, 1.0):
             out.append(f"eta0 is clamped to {self.eta0:g}; the mixture fit is degenerate")
+        if 2.0 * KDE_NODES_PER_BANDWIDTH / self.bandwidth > KDE_MAX_INTERVALS:
+            out.append(
+                f"the KDE node grid is capped at {KDE_MAX_INTERVALS} intervals, coarser than "
+                f"bandwidth/{KDE_NODES_PER_BANDWIDTH} (bandwidth {self.bandwidth:.3g}); the "
+                "mixture density's 1e-4 accuracy against the exact KDE is not assured"
+            )
         return out
 
     def mixture_density(self, r):
         """Reflected-KDE mixture density, evaluable anywhere on [-1, 1].
 
         The values are linearly binned onto :func:`kde_nodes`; their
-        reflections ``2 - v`` and ``-2 - v`` land on the mirrored nodes of
-        [-3, 3]. One real FFT convolves the counts with the Gaussian kernel,
-        truncated at 40 bandwidths and scaled to unit mass on the grid (so
-        the density still integrates to one when the node cap makes the
-        spacing wider than the bandwidth). FFT round-off below zero is
-        clipped, and the density at ``r`` is read off the nodes by linear
-        interpolation.
+        reflections ``2 - v`` and ``-2 - v`` land on mirrored nodes beyond
+        -1 and +1, kept only as far as the kernel reaches. One real FFT
+        convolves the counts with the Gaussian kernel, truncated at 40
+        bandwidths and scaled to unit mass on the grid (so the density still
+        integrates to one when the node cap makes the spacing wider than the
+        bandwidth). Its power-of-two length is the least at which no node's
+        value wraps around. FFT round-off below zero is clipped, and the
+        density at ``r`` is read off the nodes by linear interpolation.
         """
         arr = np.atleast_1d(np.asarray(r, dtype=float))
         density = self.density
@@ -260,17 +272,21 @@ def _node_density(values: np.ndarray, bandwidth: float) -> np.ndarray:
     left = np.clip(np.floor(pos).astype(np.intp), 0, n - 1)
     frac = pos - left
     counts = np.bincount(left, 1.0 - frac, n + 1) + np.bincount(left + 1, frac, n + 1)
-    extended = np.zeros(3 * n + 1)
-    extended[: n + 1] += counts[::-1]
-    extended[n : 2 * n + 1] += counts
-    extended[2 * n :] += counts[::-1]
     reach = math.ceil(KDE_KERNEL_REACH * bandwidth / delta)
+    # Index i holds node i - r. Reflection puts counts[k] at node -k and
+    # counts[n - k] at node n + k, for k up to the r nodes the kernel reaches.
+    r = min(reach, n)
+    extended = np.zeros(n + 1 + 2 * r)
+    extended[: r + 1] += counts[r::-1]
+    extended[r : n + r + 1] += counts
+    extended[n + r :] += counts[n - r :][::-1]
     z = np.arange(-reach, reach + 1) * (delta / bandwidth)
     kernel = np.exp(-0.5 * z * z)
     kernel /= kernel.sum() * delta * values.size
-    size = 1 << (extended.size + kernel.size - 2).bit_length()
+    # A circular convolution of this size wraps no output that is read.
+    size = 1 << (n + r + reach).bit_length()
     conv = np.fft.irfft(np.fft.rfft(extended, size) * np.fft.rfft(kernel, size), size)
-    return np.maximum(conv[n + reach : 2 * n + reach + 1], 0.0)
+    return np.maximum(conv[r + reach : n + r + reach + 1], 0.0)
 
 
 def kde_nodes(bandwidth: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -424,6 +425,20 @@ class TestShrunkEigenvalues:
         cov = shrunk_eigenvalues(kind, d, lam, psi=psi)
         est = fit(kind, np.diag(d), lam, Target.scalar(psi))
         npt.assert_allclose(np.linalg.eigvalsh(est.sigma), np.sort(cov), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, lam, psi",
+        [("archetype-1", 0.5, 1e-320), ("alt-1", 1e300, 1e300)],
+        ids=["archetype-1-tiny-psi", "alt-1-huge-penalty"],
+    )
+    def test_overflow_raises_the_fit_error(self, kind, lam, psi):
+        # 1/psi, or lam*psi, overflows: the map raises fit's error, with no
+        # silent inf and no RuntimeWarning (warnings are errors here).
+        message = rf"^fit overflow at penalty {re.escape(str(lam))}: "
+        with pytest.raises(InvalidMatrixError, match=message):
+            shrunk_eigenvalues(kind, [1.0, 2.0], lam, psi=psi)
+        with pytest.raises(InvalidMatrixError, match=message):
+            fit(kind, np.diag([2.0, 1.0]), lam, Target.scalar(psi))
 
     def test_domain_errors(self):
         with pytest.raises(InvalidPenaltyError):

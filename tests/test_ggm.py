@@ -81,6 +81,38 @@ def oracle_probabilities(values, fit):
     return 1.0 - np.minimum(1.0, eta0 * null_density(values, fit.kappa) / f)
 
 
+def full_reflection_density(values, bandwidth):
+    """``_node_density`` built plainly: three full copies of the grid, no wrap-around."""
+    n = kde_nodes(bandwidth).size - 1
+    delta = 2.0 / n
+    counts = np.zeros(n + 1)
+    for v in values:
+        pos = (v + 1.0) / delta
+        left = min(max(math.floor(pos), 0), n - 1)
+        counts[left] += 1.0 - (pos - left)
+        counts[left + 1] += pos - left
+    extended = np.concatenate([counts[::-1], np.zeros(n - 1), counts[::-1]])
+    extended[n : 2 * n + 1] += counts  # nodes -n..2n; 0 and n are counted twice
+    reach = math.ceil(ggm.KDE_KERNEL_REACH * bandwidth / delta)
+    z = np.arange(-reach, reach + 1) * (delta / bandwidth)
+    kernel = np.exp(-0.5 * z * z)
+    kernel /= kernel.sum() * delta * len(values)
+    size = 1 << (extended.size + kernel.size - 2).bit_length()  # no wrap at all
+    conv = np.fft.irfft(np.fft.rfft(extended, size) * np.fft.rfft(kernel, size), size)
+    return np.maximum(conv[n + reach : 2 * n + reach + 1], 0.0)
+
+
+def node_cap_values():
+    """The interquartile range is 5e-8, so the bandwidth is about 1e-8 and an
+    uncapped grid at bandwidth/200 would need ~3e10 nodes."""
+    return np.concatenate([0.2 + 1e-9 * np.arange(80), np.linspace(-0.9, 0.9, 20)])
+
+
+def reach_and_intervals(bandwidth):
+    n = kde_nodes(bandwidth).size - 1
+    return math.ceil(ggm.KDE_KERNEL_REACH * bandwidth * n / 2.0), n
+
+
 DENSITY_FIXTURES = {
     "planted": lambda: planted_values(0),
     "m45": lambda: planted_values(0, n_null=40, n_alt=5),
@@ -265,9 +297,7 @@ class TestBinnedMixtureDensity:
                 )
 
     def test_tiny_bandwidth_hits_the_node_cap(self):
-        # The interquartile range is 5e-8, so the bandwidth is about 1e-8
-        # and an uncapped grid at bandwidth/200 would need ~3e10 nodes.
-        values = np.concatenate([0.2 + 1e-9 * np.arange(80), np.linspace(-0.9, 0.9, 20)])
+        values = node_cap_values()
         f = fit_lfdr(values)
         nodes = kde_nodes(f.bandwidth)
         assert f.bandwidth < 1e-7 and nodes.size == 2**20 + 1
@@ -276,6 +306,52 @@ class TestBinnedMixtureDensity:
         # Piecewise linear on the nodes, so the trapezoid rule is exact.
         npt.assert_allclose(integrate.trapezoid(density, nodes), 1.0, atol=1e-3)
         assert np.all(np.isfinite(f.mixture_density(values)))
+
+    # (values, bandwidth or None for the fitted one, reach against the
+    # intervals n). Values piled near +-1, two on the end nodes, weigh the
+    # mirrored ends. 0.01 and 0.05 put 8,000 nodes in the kernel's reach,
+    # below and at n = 40,000 and 8,000; few spread values fit a wide
+    # bandwidth; at 40 the kernel is longer than the transform.
+    TRIM_CASES = {
+        "narrow": (lambda: np.append(piled_values(0, 20, 40), [-1 + 1e-9, 1 - 1e-9]), 0.01, "<"),
+        "reach-is-grid": (lambda: np.append(piled_values(0, 20, 40), [-1 + 1e-9]), 0.05, "=="),
+        "few-spread": (lambda: np.linspace(-0.9, 0.9, 12), None, ">"),
+        "wider-than-transform": (lambda: piled_values(0, 20, 40), 40.0, ">"),
+        "node-cap": (node_cap_values, None, "<"),
+    }
+
+    @pytest.mark.parametrize("case", list(TRIM_CASES))
+    def test_trimmed_reflection_matches_the_full_one(self, case):
+        make_values, bandwidth, relation = self.TRIM_CASES[case]
+        values = make_values()
+        bandwidth = bandwidth or fit_lfdr(values).bandwidth
+        reach, n = reach_and_intervals(bandwidth)
+        assert {"<": reach < n, "==": reach == n, ">": reach > n}[relation]
+        want = full_reflection_density(values, bandwidth)
+        got = ggm._node_density(values, bandwidth)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+
+    @pytest.mark.parametrize(
+        "bandwidth, expected",
+        [(0.01, 2**16), (0.05, 2**15), (40.0, 2**13), (1e-8, 2**21)],
+    )
+    def test_transform_covers_only_the_nodes_that_are_read(self, bandwidth, expected, monkeypatch):
+        # Power of two at or above n + r + reach + 1, r = min(reach, n):
+        # 40,000 + 2 * 8,000 + 1 at 0.01, and 2**20 + 2 * reach + 1 at the cap.
+        sizes = []
+        rfft = np.fft.rfft
+
+        def recording(a, n=None, *args, **kwargs):
+            sizes.append(n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        ggm._node_density(np.linspace(-0.5, 0.5, 20), bandwidth)
+        reach, n = reach_and_intervals(bandwidth)
+        least = n + min(reach, n) + reach + 1
+        assert sizes == [expected, expected]
+        assert expected >= least > expected // 2
 
 
 def test_importing_the_package_leaves_scipy_unloaded(tmp_path):
@@ -413,14 +489,41 @@ class TestFitWarnings:
     def test_flat_likelihood_lands_on_the_upper_bound(self):
         # At lam = 1e6 every |partial correlation| is below 1e-6, the NLL is
         # flat to rounding over the top of the interval, and the score stays
-        # negative up to the upper bound, which the fit returns exactly.
+        # negative up to the upper bound, which the fit returns exactly. The
+        # bandwidth is so small that the node grid is capped too.
         Y = sample_mvn(inv_pd(population_precision(PopulationSpec("chain", 20))), 200, 0)
         fit = network_from_data(Y, 1e6).fit
         assert fit.kappa == 1.0 + math.exp(ggm.KAPPA_U_MAX)
         lines = fit.warnings()
-        assert len(lines) == 2 and "eta0 is clamped to 1" in lines[1]
+        assert len(lines) == 3 and "eta0 is clamped to 1" in lines[1]
         assert lines[0].startswith(f"kappa {fit.kappa:.17g} is at the upper bound")
+        assert lines[2].startswith("the KDE node grid is capped")
         assert network_from_data(Y, 1.0).fit.warnings() == []
+
+    def test_node_cap_is_reported(self):
+        fit = fit_lfdr(node_cap_values())
+        capped = [line for line in fit.warnings() if "capped" in line]
+        assert len(capped) == 1
+        assert capped[0].startswith("the KDE node grid is capped at 1048576 intervals")
+        assert "bandwidth/200" in capped[0] and "not assured" in capped[0]
+
+    def test_node_cap_boundary(self):
+        # 400 / bandwidth intervals is exactly the cap here, which keeps the
+        # spacing at bandwidth/200; a bandwidth one ulp smaller is coarser.
+        at_cap = 400.0 / ggm.KDE_MAX_INTERVALS
+        assert kde_nodes(at_cap).size == ggm.KDE_MAX_INTERVALS + 1
+        for bandwidth, count in ((at_cap, 0), (np.nextafter(at_cap, 0.0), 1)):
+            fit = LfdrFit(0.5, 20.0, np.zeros(3), bandwidth, 0.5)
+            assert len(fit.warnings()) == count
+
+    def test_graph_like_data_is_not_capped(self):
+        # n = 200 draws of 150 variables in 5 blocks of 30: no cap line.
+        Omega = population_precision(PopulationSpec("clique", 150, blocks=5, offdiag=0.5))
+        Y = sample_mvn(inv_pd(Omega), 200, 1)
+        fit = network_from_data(Y, 0.5).fit
+        assert fit.eta0 < 1.0
+        assert kde_nodes(fit.bandwidth).size - 1 < ggm.KDE_MAX_INTERVALS
+        assert not any("capped" in line for line in fit.warnings())
 
 
 class TestLfdrValues:
