@@ -92,8 +92,8 @@ def _grid_from_flags(args, S, kind=None) -> np.ndarray:
     if any(given) and not all(given):
         raise UsageError("--grid-min and --grid-max must be given together")
     if all(given):
-        if args.grid_min <= 0 or args.grid_max <= args.grid_min:
-            raise UsageError("grid bounds must satisfy 0 < min < max")
+        if not 0 < args.grid_min < args.grid_max < np.inf:  # NaN fails every comparison
+            raise UsageError("grid bounds must be finite and satisfy 0 < min < max")
         return np.logspace(np.log10(args.grid_min), np.log10(args.grid_max), args.grid_n)
     return cv.default_grid(S, num=args.grid_n, kind=kind)
 
@@ -203,11 +203,10 @@ def cmd_ggm(args) -> int:
         raise UsageError("--lambda/--auto-lambda apply only with --data")
     if args.data:
         est = _fit(args, lam)
-        lam = est.lam
-        # A scaled fit's prec has omega's signs, not its magnitudes: eigvalsh checks it.
-        res = ggm.extract_network(est.omega, args.threshold, None if est.scaled else est.prec)
+        lam, omega = est.lam, est.omega
     else:
-        res = ggm.extract_network(matio.read_matrix(args.omega, header=args.header), args.threshold)
+        omega = matio.read_matrix(args.omega, header=args.header)
+    res = ggm.extract_network(omega, args.threshold)
     for line in res.fit.warnings():
         print(f"warning: {line}", file=sys.stderr)
     iu = np.triu_indices(res.partials.shape[0], k=1)

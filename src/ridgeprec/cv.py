@@ -7,19 +7,13 @@ data, making it usable where exact LOOCV would need n refits per penalty.
 All three schemes share one loop that runs fold by fold. Each part (a
 fold, a left-out row, or the whole data for the approximation) builds its
 held-in sample covariance once and fits the whole grid in broadcast
-:func:`~ridgeprec.estimators.fit` calls, one per
-:func:`~ridgeprec.estimators.stack_slices` block of what a fit holds per
-penalty: p eigenvalues where it decomposes one matrix per ``S`` (no or a
-scalar target, and archetype-1 with any target), else a p x p matrix
-(alt-1 with a ``ddiag``, diagonal or full target). An archetype-1 block
-whose p.d. verdict the congruence leaves undecided holds p x p matrices
-too (see :func:`~ridgeprec.estimators.fit`). With ``threads = N > 1``
-the caller and a pool of at most N - 1 workers fit a part's blocks, N at a
+:func:`~ridgeprec.estimators.fit` calls, one per block of
+:func:`~ridgeprec.estimators.grid_blocks`. With ``threads = N > 1`` the
+caller and a pool of at most N - 1 workers fit a part's blocks, N at a
 time; one block runs inline.
 
-Scores read each fit's eigenpairs. A scaled archetype-1 fit
-(``omega = T'^(1/2) V diag(prec) V' T'^(1/2)``) is read from the rows
-times ``T'^(1/2)``, and ``ln|T'|`` is added to ``ln|omega|``.
+Scores read any fit's eigenpairs through
+:meth:`~ridgeprec.estimators.RidgeEstimate.eigen_rows`.
 """
 
 import os
@@ -31,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .errors import InvalidFoldsError, InvalidParameterError, InvalidPenaltyError, whole
+from .errors import (
+    InvalidFoldsError,
+    InvalidMatrixError,
+    InvalidParameterError,
+    InvalidPenaltyError,
+    whole,
+)
 from .estimators import prepare_data, sample_cov
 
 SCHEMES = ("kfold", "loocv", "aloocv")
@@ -95,8 +95,8 @@ def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
 def _held_out_term(Y_out, vectors, prec, logdet) -> float:
     """``n_out * (-ln|omega|) + tr(Y_out omega Y_out')`` from one fit's eigenpairs.
 
-    ``ln|omega|`` is ``sum(ln prec) + logdet``; a scaled fit passes its rows
-    times ``T'^(1/2)`` and ``logdet = ln|T'|``, any other fit 0. This and
+    ``Y_out`` and ``logdet`` come from ``RidgeEstimate.eigen_rows``, so
+    ``ln|omega| = sum(ln prec) + logdet``. This and
     :func:`_aloocv_term` read all p eigenpairs of a dense
     :func:`~ridgeprec.estimators.fit`; a thin estimate's null pair is not
     counted, so scoring never uses :func:`~ridgeprec.estimators.fit_data`.
@@ -137,10 +137,10 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
     """Evaluate the configured scheme's score at every grid value.
 
     Scoring runs fold by fold: one held-in covariance per fold and one
-    broadcast fit per grid block (see the module docstring). ``threads`` is
-    the number of concurrent fits, the calling thread included: ``threads=0``
-    means one per usable CPU (the process's CPU affinity where the platform
-    reports it) and ``threads <= 1`` runs inline. Otherwise the caller and a
+    broadcast fit per grid block (see the module docstring). ``threads``, a
+    whole number, is the number of concurrent fits, the calling thread
+    included: 0 means one per usable CPU (the process's CPU affinity where
+    the platform reports it) and 1 runs inline. Otherwise the caller and a
     pool of N - 1 workers, N being ``threads`` capped by the block count,
     take each part's blocks in turn until none is left, so a grid that is
     one block runs inline and starts no thread. Scores do not
@@ -149,6 +149,7 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
     per penalty adds them, so every score equals that loop's bit for bit.
     A failing fit raises the error of the first failing block, as inline.
     """
+    threads = whole(threads, "threads", 0)
     Y = prepare_data(Y, config.center)
     n, p = Y.shape
     grid, scheme = config.grid, config.scheme
@@ -161,10 +162,9 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
         parts = [np.array([i]) for i in range(n)]
     else:
         parts = [None]
-    once = estimators._one_decomposition(config.estimator, config.target)
-    blocks = estimators.stack_slices(grid.size, p if once else p * p)
+    blocks = estimators.grid_blocks(config.estimator, config.target, grid.size, p)
     scores = np.zeros(grid.size)
-    fits = min(max(threads or _usable_cpus(), 1), len(blocks))
+    fits = min(threads or _usable_cpus(), len(blocks))
     with ThreadPoolExecutor(max_workers=fits - 1) if fits > 1 else nullcontext() as pool:
         for held_out in parts:
             if held_out is None:
@@ -176,9 +176,7 @@ def score_grid(Y, config: CVConfig, threads: int = 1) -> np.ndarray:
 
             def add_block_terms(block):
                 est = estimators.fit(config.estimator, S, grid[block], config.target)
-                X, logdet = rows, 0.0
-                if est.scaled:
-                    X, logdet = est.target.power(rows.T, 0.5).T, est.target.log_det()
+                X, logdet = est.eigen_rows(rows)
                 # Per thread: a score that overflows is left NaN for select_lambda to name.
                 with np.errstate(over="ignore", invalid="ignore"):
                     scores[block] += [term(X, v, w, logdet) for v, w in zip(est.vectors, est.prec)]
@@ -225,11 +223,13 @@ def select_lambda(Y, config: CVConfig, threads: int = 1) -> CVResult:
 def default_grid(S, num: int = 50, kind: str | None = None) -> np.ndarray:
     """Default penalty grid: ``num`` log-spaced points on [1e-4 g, 1e4 g].
 
-    The anchor is ``g = tr(S)/p``, which must be finite and positive. For
-    "archetype-1" the grid is mapped through the penalty scale map into its
-    (0, 1] domain.
+    ``S`` is a nonempty square 2-D array, and the anchor ``g = tr(S)/p``
+    must be finite and positive. For "archetype-1" the grid is mapped
+    through the penalty scale map into its (0, 1] domain.
     """
     S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.size == 0:
+        raise InvalidMatrixError(f"S must be a nonempty square matrix, got shape {S.shape}")
     p = S.shape[0]
     g = float(np.trace(S)) / p
     if not np.isfinite(g) or g <= 0:

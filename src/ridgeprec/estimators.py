@@ -20,23 +20,15 @@ inversion: a fit is one eigendecomposition of ``S - lam*T`` with
 cancellation-free per-eigenvalue maps; dense matrices are built on demand.
 
 :func:`fit` broadcasts: ``lam`` may be a 1-D grid and ``S`` a stack
-``(..., p, p)``. With no target or a scalar one, ``psi*I`` (the thin rule
-:func:`_shares_S`), the kind's matrix has ``S``'s eigenvectors and a shift
-of its eigenvalues ``d`` (``d - lam*psi`` for alt-1, ``(1-lam)d + lam/psi``
-for archetype-1), so ``S`` is decomposed once for the whole grid.
-archetype-1 with a ``ddiag``, diagonal or full target ``T = c*T'`` is a
-congruence of that shift: it decomposes ``R = T'^(1/2) S T'^(1/2)`` once
-for the whole grid and holds a scaled fit (:attr:`RidgeEstimate.scaled`),
-unless the congruence leaves a fit's p.d. verdict undecided (a
-near-singular combined matrix, or an ill-conditioned target at a small
-penalty). Such a call, and alt-1 with such a target, decomposes one matrix
-per penalty, all in one stacked ``eigh``. Each slice is bit-identical to
-the fit of that ``S`` at that penalty alone, except in an archetype-1 grid
-that holds an undecided penalty: its other slices then agree with their
-own fits to rounding. Callers that stack many fits size
-:func:`stack_slices` blocks by what one grid point holds (the block rule
-:func:`_one_decomposition`): p eigenvalues when ``S`` or ``R`` is
-decomposed once, else a p x p matrix.
+``(..., p, p)``. With no target or a scalar one ``psi*I`` (the thin rule
+:func:`_shares_S`) it decomposes ``S`` once for the whole grid and shifts
+the eigenvalues. archetype-1 with a ``ddiag``, diagonal or full target
+``T = c*T'`` decomposes ``R = T'^(1/2) S T'^(1/2)`` once instead, and holds
+a scaled fit (:attr:`RidgeEstimate.scaled`) unless the congruence leaves a
+p.d. verdict undecided. Such a call, and alt-1 with such a target,
+decomposes one matrix per penalty (see :func:`fit`). Callers that stack
+many fits take their grid blocks from :func:`grid_blocks`, and read a fit
+of either form through :meth:`RidgeEstimate.eigen_rows`.
 
 :func:`fit_data` fits from the data rows instead of ``S``. With fewer rows
 than columns and no or a scalar target, it takes the n nonzero eigenpairs
@@ -94,10 +86,10 @@ def _shares_S(kind: str, target) -> bool:
     return kind not in _TARGETED or isinstance(target, Target) and target.kind == "scalar"
 
 
-def _one_decomposition(kind: str, target) -> bool:
-    """The block rule: a shift of ``S``, or archetype-1's congruence of one, decomposes
-    one matrix per ``S`` for a whole grid, so a fit holds p eigenvalues per penalty."""
-    return kind == "archetype-1" or _shares_S(kind, target)
+def grid_blocks(kind: str, target, count: int, p: int) -> list:
+    """:func:`stack_slices` blocks of ``count`` penalties for fits of one p x p ``S``: p
+    eigenvalues a penalty where :func:`fit` decomposes one matrix for the grid, else p x p."""
+    return stack_slices(count, p if kind == "archetype-1" or _shares_S(kind, target) else p * p)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +152,10 @@ class Target:
 
     @classmethod
     def full(cls, matrix) -> "Target":
-        m = check_symmetric(matrix, "full target")
-        require_pd(np.linalg.eigvalsh(m), "full target must be p.d.", InvalidTargetError)
-        m.flags.writeable = False  # matrix() hands it out
-        return cls("full", values=m)
+        target = cls("full", values=check_symmetric(matrix, "full target"))
+        target.values.flags.writeable = False  # matrix() hands it out
+        require_pd(target._pairs[0], "full target must be p.d.", InvalidTargetError)
+        return target
 
     @property
     def is_zero(self) -> bool:
@@ -192,6 +184,11 @@ class Target:
         return self.values
 
     @cached_property
+    def _pairs(self) -> tuple:
+        """A full target's eigenpairs: :meth:`full`'s check, the split and ``T^-1`` read them."""
+        return eig_sym_unchecked(self.values)
+
+    @cached_property
     def _split(self) -> tuple:
         """``(k, h, Q)`` with ``T = 2^k * Q diag(h^2) Q'``, for a diagonal or full target.
 
@@ -200,14 +197,13 @@ class Target:
         eigenvalues ``h^2 <= 1``, and ``h = sqrt(e) / 2^(k/2)`` rescales
         ``sqrt(e)`` exactly. ``k`` may reach 1024, where ``c`` itself
         overflows; the fit reads only ``h`` and ``1/c``. ``Q`` is None for
-        a diagonal target; a full one's eigenpairs are computed here, on
-        first use, and kept.
+        a diagonal target, and a full one's eigenvectors otherwise.
         """
         if self.kind == "diagonal":
             e, Q = self.values, None
             top = e.max(axis=-1)
         else:
-            e, Q = eig_sym_unchecked(self.values)  # Target.full validated the matrix
+            e, Q = self._pairs
             top = e[0]
         m, k = np.frexp(top)
         k = k - (m == 0.5)  # top <= 2^k
@@ -325,6 +321,14 @@ class RidgeEstimate:
     def p(self) -> int:
         return self.vectors.shape[-2]
 
+    def eigen_rows(self, rows) -> tuple:
+        """``(X, offset)`` with ``rows omega rows' = X V diag(prec) V' X'`` and ``ln|omega| =
+        sum(ln prec) + offset`` for a dense fit's ``V = vectors``: the ``rows`` (n x p) and 0,
+        or ``rows T'^(1/2)`` and ``ln|T'|`` for a scaled fit."""
+        if not self.scaled:
+            return rows, 0.0
+        return self.target.power(rows.T, 0.5).T, self.target.log_det()
+
 
 def _check_penalty(lam, upper: float = np.inf):
     """A penalty, or a 1-D grid of them, each in ``(0, upper]``.
@@ -429,7 +433,8 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
       call whose every shifted spectrum passes the eigenvalue rule for any
       congruence by ``T'`` is p.d.; any other call takes the combined
       matrices ``(1-lam)S + lam*T^-1`` themselves, one per penalty, and
-      holds an unscaled fit of them (:func:`_combined`).
+      holds an unscaled fit of them (:func:`_combined`), whose slices at
+      penalties the congruence decides match their own fits to rounding.
     * alt-1 with a ``ddiag``, diagonal or full target: the stack of
       ``S - lam*T`` (a diagonal target on the diagonal only) is
       decomposed in one ``eigh`` call. When the call has one matrix per
@@ -503,7 +508,8 @@ def _combined(S, lam, target) -> RidgeEstimate:
     """
     p = S.shape[-1]
     if target.kind == "full":
-        G = inv_pd(target.values)
+        e, Q = target._pairs  # inv_pd(T), bit for bit, from the target's own eigenpairs
+        G = symmetrize((Q / e) @ Q.T)
     else:
         G = np.zeros(target.values.shape + (p,))
         idx = np.arange(p)

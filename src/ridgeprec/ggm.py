@@ -78,21 +78,18 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 # Partial correlations
 
 
-def partial_correlations(omega, spectrum=None) -> np.ndarray:
+def partial_correlations(omega) -> np.ndarray:
     """Standardize a p.d. precision matrix to partial correlations.
 
     ``P[j, j'] = -omega[j, j'] / sqrt(omega[j, j] omega[j', j'])`` with unit
-    diagonal. Off-diagonal entries lie in (-1, 1) for p.d. input. The p.d.
-    check reads ``spectrum``, the eigenvalues of ``omega`` when they are
-    known already (a fit's ``prec``), and runs ``eigvalsh`` otherwise.
+    diagonal; ``eigvalsh`` checks ``omega`` p.d., so the rest lie in (-1, 1).
     """
-    return _partial_correlations(check_symmetric(omega, "omega"), spectrum)
+    return _partial_correlations(check_symmetric(omega, "omega"))
 
 
-def _partial_correlations(omega: np.ndarray, spectrum) -> np.ndarray:
+def _partial_correlations(omega: np.ndarray) -> np.ndarray:
     """:func:`partial_correlations` of an ``omega`` that ``check_symmetric`` returned."""
-    vals = np.linalg.eigvalsh(omega) if spectrum is None else spectrum
-    require_pd(vals, "partial correlations require a p.d. precision")
+    require_pd(np.linalg.eigvalsh(omega), "partial correlations require a p.d. precision")
     d = np.sqrt(np.diag(omega))
     P = -omega / np.outer(d, d)
     np.fill_diagonal(P, 1.0)
@@ -439,21 +436,17 @@ class GgmResult:
     min_eigenvalue: float
 
 
-def extract_network(omega, threshold: float = 0.99, spectrum=None) -> GgmResult:
+def extract_network(omega, threshold: float = 0.99) -> GgmResult:
     """Run the graph pipeline on a p.d. precision matrix.
 
-    ``spectrum`` is the eigenvalues of ``omega`` when they are known
-    already (a dense fit's ``prec``), which spares the p.d. check its
-    ``eigvalsh``. To start from data, fit first: ``est = fit(kind,
-    sample_cov(Y), lam, target)``, then ``extract_network(est.omega,
-    threshold, None if est.scaled else est.prec)``: a scaled fit's
-    ``prec`` is not ``omega``'s spectrum.
+    To start from data, fit first: ``est = fit(kind, sample_cov(Y), lam,
+    target)``, then ``extract_network(est.omega, threshold)``.
     """
     threshold = float(threshold)
     if not 0.0 <= threshold <= 1.0:
         raise InvalidParameterError(f"threshold must be in [0, 1], got {threshold}")
     omega = check_symmetric(omega, "omega")
-    P = _partial_correlations(omega, spectrum)
+    P = _partial_correlations(omega)
     fit = fit_lfdr(offdiagonal_values(P))
     probs = edge_probabilities(P, fit)
     selected = probs >= threshold

@@ -558,4 +558,4 @@ def network_from_data(Y, lam: float, threshold: float = 0.99):
     from ridgeprec import estimators, ggm
 
     est = estimators.fit("alt-1", estimators.sample_cov(Y), lam, estimators.DDIAG)
-    return ggm.extract_network(est.omega, threshold, est.prec)
+    return ggm.extract_network(est.omega, threshold)

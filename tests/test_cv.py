@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -21,6 +22,7 @@ from ridgeprec.cv import (
 )
 from ridgeprec.errors import (
     InvalidFoldsError,
+    InvalidMatrixError,
     InvalidParameterError,
     InvalidPenaltyError,
     InvalidTargetError,
@@ -293,6 +295,12 @@ class TestDefaultGrid:
         with pytest.raises(InvalidParameterError):
             default_grid(np.eye(2), 0)
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 4), (0, 0), (2, 2, 2)])
+    def test_rejects_s_that_is_not_a_nonempty_square_matrix(self, shape):
+        message = f"^S must be a nonempty square matrix, got shape {re.escape(str(shape))}$"
+        with pytest.raises(InvalidMatrixError, match=message):
+            default_grid(np.ones(shape))
+
 
 class TestScoreGrid:
     def test_matches_pointwise_scores(self):
@@ -359,6 +367,15 @@ class TestScoreGrid:
             npt.assert_array_equal(score_grid(Y, cfg, threads=2), inline)
             assert len(set(fit_threads)) == 2
             npt.assert_array_equal(score_grid(Y, cfg, threads=0), inline)
+
+    @pytest.mark.parametrize("threads", [2.5, "2", -1, None])
+    def test_threads_must_be_a_whole_count(self, threads):
+        Y = chain_data(30, p=6)
+        cfg = CVConfig(grid=[0.1, 1.0, 10.0], scheme="aloocv")
+        message = rf"^threads must be a non-negative integer, got {re.escape(repr(threads))}$"
+        for call in (score_grid, select_lambda):
+            with pytest.raises(InvalidParameterError, match=message):
+                call(Y, cfg, threads)
 
     @pytest.mark.parametrize("source", ["affinity", "cpu_count"])
     def test_threads_zero_counts_usable_cpus(self, source, monkeypatch):
@@ -560,8 +577,8 @@ class TestFoldOuterLoop:
         assert len(calls) == builds
 
     def test_full_target_split_once_for_all_folds(self, monkeypatch, decompositions):
-        # One R per fold for the whole grid, plus the full target's
-        # eigenpairs once per Target, on its first fit.
+        # One R per fold for the whole grid, after the full target's
+        # eigenpairs, computed once when the Target is built.
         p, G = 6, 4
         Y = chain_data(20, p=p)
         cfg = CVConfig(
@@ -617,8 +634,8 @@ class TestSharedRouteBlocks:
     def test_archetype1_decomposes_one_matrix_per_part(
         self, p, target_name, scheme, parts, monkeypatch, decompositions
     ):
-        # A congruence of a shift of S: one R per part, plus a full
-        # target's eigenpairs once.
+        # A congruence of a shift of S: one R per part. (A full target
+        # is decomposed when it is built, before the count starts.)
         Y = chain_data(10, p=p, seed=p)
         target = {
             "ddiag": "ddiag",
@@ -630,8 +647,9 @@ class TestSharedRouteBlocks:
             estimator="archetype-1", target=target,
         )
         monkeypatch.setattr(estimators, "STACK_BYTES", 8 * p * p)  # one p x p matrix a block
+        decompositions.clear()
         got = score_grid(Y, cfg)
-        assert decompositions == [1] * ((target_name == "full") + parts)
+        assert decompositions == [1] * parts
         assert same_bits(got, cv_scores_loop(Y, cfg))
 
 

@@ -195,13 +195,14 @@ class TestTarget:
 
     def test_full_eigenpairs_computed_once(self, rng, make_spd, decompositions):
         target = Target.full(make_spd(5, rng))
+        assert decompositions == [1]  # the p.d. check reads the eigenpairs it keeps
         fit("alt-1", make_spd(5, rng), 0.5, target)
-        assert decompositions == [1]  # building the target and alt-1 split nothing
+        assert decompositions == [1, 1]  # S - lam*T; alt-1 splits nothing
         decompositions.clear()
         for lam in (0.3, 0.6, [0.2, 0.7]):
             fit("archetype-1", make_spd(5, rng), lam, target)
-        # The target's eigenpairs on first use, then one R per fit, grid or not.
-        assert decompositions == [1, 1, 1, 1]
+        # The split reads the kept eigenpairs: one R per fit, grid or not.
+        assert decompositions == [1, 1, 1]
 
     def test_full_target_fit_validates_once(self, rng, make_spd, symmetry_checks):
         S, target = make_spd(4, rng), Target.full(make_spd(4, rng))
@@ -761,10 +762,10 @@ class TestBroadcastFit:
         stack = np.stack([sample_cov(rng.standard_normal((n, self.P))) for n in (3, 9, 20)])
         target = self.targets(rng, make_spd, self.P)[target_name]
         grid = self.GRIDS["archetype-1"]
+        decompositions.clear()  # a full target was decomposed when it was built
         fit("archetype-1", stack[0], grid, target)
         fit("archetype-1", stack, grid, target)
-        # A full target's eigenpairs once, on first use; then one R per S.
-        assert decompositions == [1] * (target_name == "full") + [1, 3]
+        assert decompositions == [1, 3]  # one R per S
 
     def test_undecided_congruence_keeps_the_combined_matrix_verdict(self, decompositions):
         # N = (1-lam)R + (lam/c)I = diag(1, 5e-13) fails its own cutoff, but
@@ -781,6 +782,24 @@ class TestBroadcastFit:
         message = r"^combined matrix not p\.d\. \(min eigenvalue 5\.000e-01\)$"
         with pytest.raises(NotPositiveDefiniteError, match=message):
             fit("archetype-1", np.zeros((2, 2)), 0.5, Target.diagonal([1.0, 1e-20]))
+
+    def test_undecided_full_target_is_decomposed_once(self, rng, decompositions):
+        # A target condition number of 1e11 leaves a penalty of 1e-12
+        # undecided: such a call decomposes R, then one M per penalty, and
+        # builds T^-1 from the target's own eigenpairs, bit for bit inv_pd(T).
+        p = self.P
+        Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        T = symmetrize((Q * np.logspace(-11, 0, p)) @ Q.T)
+        S = sample_cov(rng.standard_normal((4, p)))
+        decompositions.clear()
+        target = Target.full(T)
+        assert decompositions == [1]
+        for lam in (1e-12, [1e-12, 1e-11]):
+            decompositions.clear()
+            est = fit("archetype-1", S, lam, target)
+            assert not est.scaled and decompositions == [1, np.size(lam)]
+        vals, vecs = eig_sym_unchecked((1.0 - 1e-11) * S + 1e-11 * inv_pd(T))
+        assert same_bits(est.cov[1], vals) and same_bits(est.vectors[1], vecs)
 
     @pytest.mark.parametrize("target_name", ["diagonal", "full"])
     def test_ill_conditioned_target_agrees_with_the_lu_inverse(self, target_name, rng):
@@ -897,6 +916,7 @@ class TestFitOverflow:
         def forbidden(a):
             raise AssertionError("eigh ran on a matrix that is not finite")
 
+        full = Target.full(np.diag([1e10, 1.0]))  # its own eigenpairs, before eigh is forbidden
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         big = Target.diagonal([1e10] * 3)
         with pytest.raises(InvalidMatrixError, match=r"^fit overflow at penalty 1e\+300: "):
@@ -904,7 +924,7 @@ class TestFitOverflow:
         with pytest.raises(InvalidMatrixError, match=r"at penalty 1e\+299: "):
             fit("alt-1", np.stack([np.eye(3)] * 2), np.array([1.0, 1e299, 1e300]), big)
         with pytest.raises(InvalidMatrixError, match=r"at penalty 1e\+300: "):
-            fit("alt-1", np.eye(2), 1e300, Target.full(np.diag([1e10, 1.0])))
+            fit("alt-1", np.eye(2), 1e300, full)
 
     def test_overflowing_congruence_raises_before_eigh(self, monkeypatch):
         # S's entries are below half the float range, so S passes its check,

@@ -71,6 +71,33 @@ def test_only_linalg_decides_positive_definiteness():
     assert found == set()
 
 
+def test_only_estimators_knows_how_a_fit_is_held():
+    # The fit's representation (a scaled fit, the target's split and
+    # powers) and the route rules stay in estimators: other modules read a
+    # fit through RidgeEstimate.eigen_rows and size blocks by grid_blocks.
+    private = {"scaled", "_split", "power", "log_det", "_shares_S", "_one_decomposition"}
+    package = Path(ridgeprec.__file__).parent
+    found = set()
+    for path in package.glob("*.py"):
+        if path.stem == "estimators":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                names = {node.arg}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            else:
+                continue
+            found |= {(path.name, name) for name in names & private}
+    assert found == set()
+
+
 def test_importing_the_cli_loads_no_scipy_and_no_numpy_polynomial():
     # Both cost a command's start-up time and no command needs them.
     code = (

@@ -145,18 +145,18 @@ class TestPartialCorrelations:
         with pytest.raises(NotPositiveDefiniteError):
             partial_correlations(np.diag([1.0, -1.0]))
 
-    def test_known_spectrum_skips_eigvalsh(self, rng, make_spd, monkeypatch):
+    def test_checks_omega_with_one_eigvalsh(self, rng, make_spd, monkeypatch):
         omega = make_spd(5, rng)
-        want = partial_correlations(omega)
-        spectrum = np.linalg.eigvalsh(omega)[::-1]
+        checked = []
+        eigvalsh = np.linalg.eigvalsh
 
-        def forbidden(a):
-            raise AssertionError("eigvalsh called despite a known spectrum")
+        def recording(a):
+            checked.append(np.array(a))
+            return eigvalsh(a)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-        npt.assert_array_equal(partial_correlations(omega, spectrum), want)
-        with pytest.raises(NotPositiveDefiniteError):
-            partial_correlations(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        partial_correlations(omega)
+        assert len(checked) == 1 and np.array_equal(checked[0], omega)
 
 
 class TestOffdiagonalValues:
@@ -706,20 +706,23 @@ class TestExtractNetwork:
         npt.assert_array_equal(a.sparsified, b.sparsified)
         npt.assert_array_equal(a.probabilities, b.probabilities)
 
-    def test_fitted_precision_is_not_rechecked(self, monkeypatch):
+    def test_fitted_precision_is_checked_once(self, monkeypatch):
         Y, _ = self.chain_draw(4, n=100, p=8)
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
-        def counting(a):
-            calls.append(np.shape(a))
+        def recording(a):
+            calls.append(np.array(a))
             return eigvalsh(a)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         fitted = network_from_data(Y, 0.05)
-        assert len(calls) == 1  # sparsify's smallest eigenvalue only
+        # omega's p.d. check, then sparsify's smallest eigenvalue.
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], fitted.omega)
+        assert np.array_equal(calls[1], fitted.sparsified)
         extract_network(fitted.omega)
-        assert len(calls) == 3  # the --omega path keeps its p.d. check
+        assert len(calls) == 4  # the --omega path runs the same two
 
     def test_omega_is_checked_once(self, monkeypatch):
         Y, _ = self.chain_draw(4, n=100, p=8)

@@ -108,9 +108,8 @@ PD_FAILURES = {
         lambda: ggm.partial_correlations(INDEFINITE), NotPositiveDefiniteError,
         "partial correlations require a p.d. precision (min eigenvalue -1.000e+00)",
     ),
-    "partial_correlations spectrum": (
-        lambda: ggm.partial_correlations(INDEFINITE, np.array([1.0, -1.0])),
-        NotPositiveDefiniteError,
+    "extract_network": (
+        lambda: ggm.extract_network(INDEFINITE), NotPositiveDefiniteError,
         "partial correlations require a p.d. precision (min eigenvalue -1.000e+00)",
     ),
     "loglik": (
