@@ -2,18 +2,21 @@
 
 Subcommands: estimate, cv, ggm, simulate, moments. All output tables are
 CSV with 17-significant-digit values; a one-line provenance header goes to
-stderr. Exit codes: 0 success, 1 usage error, 2 data/numeric error.
+stderr. Exit codes: 0 success, 1 usage error, 2 data/numeric error. Each
+flag value is checked once, by its parser type, so a bad one exits 1; a value
+that is wrong only for another flag or for the data exits 2.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__, cv, estimators, ggm, matio, moments, simulate
-from .errors import InvalidParameterError, RidgeprecError, whole
+from .errors import InvalidParameterError, InvalidTargetError, RidgeprecError
 from .estimators import Target
 from .linalg import inv_pd
 from .matio import fmt
@@ -44,10 +47,9 @@ def parse_target(spec: str, header: bool = False):
         return estimators.DDIAG
     if spec.startswith("scalar:"):
         try:
-            psi = float(spec.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad scalar target {spec!r}") from None
-        return Target.scalar(psi)
+            return Target.scalar(float(spec.split(":", 1)[1]))
+        except (ValueError, InvalidTargetError):
+            raise UsageError(f"bad scalar target {spec!r}; expected a finite PSI >= 0") from None
     if spec.startswith("file:"):
         return Target.full(matio.read_matrix(spec.split(":", 1)[1], header=header))
     raise UsageError(
@@ -55,36 +57,12 @@ def parse_target(spec: str, header: bool = False):
     )
 
 
-def _parse_int_list(value: str) -> list[int]:
-    try:
-        return [int(tok) for tok in value.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"bad integer list {value!r}") from None
-
-
-def _parse_kind_list(value) -> list[str]:
-    kinds = [tok.strip() for tok in str(value).split(",") if tok.strip()]
-    for kind in kinds:
-        if kind not in estimators.KINDS:
-            raise UsageError(
-                f"unknown estimator {kind!r}; expected one of {', '.join(estimators.KINDS)}"
-            )
-    return kinds
-
-
 def _penalty(args) -> float | None:
-    """``--lambda``, which must be positive and may not come with ``--auto-lambda``."""
+    """``--lambda``, which may not come with ``--auto-lambda``."""
     lam = getattr(args, "lambda")
-    if lam is not None and lam <= 0:
-        raise UsageError("lambda must be positive")
     if lam is not None and getattr(args, "auto_lambda", False):
         raise UsageError("give either --lambda or --auto-lambda, not both")
     return lam
-
-
-def _seed(args) -> int:
-    """``--seed``, checked under its own name by the whole-number rule."""
-    return whole(args.seed, "--seed", 0)
 
 
 def _grid_from_flags(args, S, kind=None) -> np.ndarray:
@@ -92,8 +70,8 @@ def _grid_from_flags(args, S, kind=None) -> np.ndarray:
     if any(given) and not all(given):
         raise UsageError("--grid-min and --grid-max must be given together")
     if all(given):
-        if not 0 < args.grid_min < args.grid_max < np.inf:  # NaN fails every comparison
-            raise UsageError("grid bounds must be finite and satisfy 0 < min < max")
+        if not args.grid_min < args.grid_max:
+            raise UsageError("--grid-min must be less than --grid-max")
         return np.logspace(np.log10(args.grid_min), np.log10(args.grid_max), args.grid_n)
     return cv.default_grid(S, num=args.grid_n, kind=kind)
 
@@ -133,7 +111,7 @@ def _select(args, Y, S, target, scheme: str = "aloocv", k: int = 5) -> cv.CVResu
         grid=_grid_from_flags(args, S, kind=args.estimator),
         scheme=scheme,
         k=k,
-        fold_seed=_seed(args),
+        fold_seed=args.seed,
         estimator=args.estimator,
         target=target,
         center=args.center,
@@ -197,8 +175,6 @@ def cmd_ggm(args) -> int:
     if bool(args.data) == bool(args.omega):
         raise UsageError("give exactly one of --data and --omega")
     lam = _penalty(args)
-    if not 0.0 <= args.threshold <= 1.0:
-        raise UsageError("threshold must be in [0, 1]")
     if args.omega and (lam is not None or args.auto_lambda):
         raise UsageError("--lambda/--auto-lambda apply only with --data")
     if args.data:
@@ -239,16 +215,11 @@ def cmd_ggm(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sizes = _parse_int_list(args.n)
-    if not sizes:
-        raise UsageError("--n needs at least one sample size")
-    kinds = _parse_kind_list(args.estimators)
     target = parse_target(args.target, args.header)
-    seed = _seed(args)
     spec = simulate.PopulationSpec(
         topology=args.topology,
         p=args.p,
-        seed=seed,
+        seed=args.seed,
         n0=args.n0,
         blocks=args.blocks,
         offdiag=args.offdiag,
@@ -258,19 +229,19 @@ def cmd_simulate(args) -> int:
     grid = _grid_from_flags(args, Sigma)
     config = simulate.RiskConfig(
         population=spec,
-        sample_sizes=sizes,
+        sample_sizes=args.n,
         grid=grid,
-        estimators=kinds,
+        estimators=args.estimators,
         target=target,
         reps=args.reps,
         loss=args.loss,
-        base_seed=seed,
+        base_seed=args.seed,
     )
     curve = simulate.risk_curve(config, Omega, Sigma)
     lines = ["estimator,target,n,lambda,median_loss\n"]
-    for kind in kinds:
+    for kind in args.estimators:
         label = "none" if kind in ("alt-2", "archetype-2") else curve.target_label
-        for n in sizes:
+        for n in args.n:
             med = curve.medians[(kind, n)]
             lines += [
                 f"{kind},{label},{n},{fmt(la)},{fmt(m)}\n"
@@ -290,7 +261,7 @@ def cmd_moments(args) -> int:
     approx = moments.bias_approx_type2(Sigma, args.n, lam)
     out = ["# approximation\n", matio.matrix_to_csv(approx)]
     if args.mc_reps is not None:
-        mc = moments.mc_moments(Sigma, args.n, lam, reps=args.mc_reps, seed=_seed(args))
+        mc = moments.mc_moments(Sigma, args.n, lam, reps=args.mc_reps, seed=args.seed)
         out += ["# mc_estimate\n", matio.matrix_to_csv(mc)]
     _emit(out, args.output)
     return 0
@@ -300,20 +271,39 @@ def cmd_moments(args) -> int:
 # Parser assembly
 
 
-def _count(low: int):
-    """Parser type for a whole-number flag ``>= low`` (0 or 1); anything else exits 1."""
-    what = "a non-negative integer" if low == 0 else "a positive integer"
+def _flag(convert, ok, what: str):
+    """Parser type: ``convert(value)`` if it passes ``ok``, else a usage error (exit 1)."""
 
-    def parse(value: str) -> int:
-        if not value.isdecimal() or int(value) < low:
-            raise argparse.ArgumentTypeError(f"must be {what}, got {value!r}")
-        return int(value)
+    def parse(value: str):
+        try:
+            parsed = convert(value)
+            if ok(parsed):
+                return parsed
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {value!r}")
 
     return parse
 
 
+def _count(low: int):
+    """Parser type for a whole number ``>= low``, in any spelling ``int()`` accepts."""
+    what = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+    return _flag(int, lambda n: n >= low, what)
+
+
+_positive = _flag(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_sizes = _flag(lambda v: [int(tok) for tok in v.split(",") if tok.strip()],
+               lambda sizes: sizes and min(sizes) > 0, "a comma-separated list of integers > 0")
+_kinds = _flag(lambda v: [tok.strip() for tok in v.split(",") if tok.strip()],
+               lambda kinds: set(kinds) <= set(estimators.KINDS),
+               f"a comma-separated list of {', '.join(estimators.KINDS)}")
+
+
 def _add_common(sp) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="base RNG seed, a non-negative integer")
+    sp.add_argument(
+        "--seed", type=_count(0), default=0, help="base RNG seed, a non-negative integer"
+    )
     sp.add_argument(
         "--threads", type=_count(0),
         help="concurrent CV fits, the calling thread included, 0 means one per usable CPU; "
@@ -331,8 +321,8 @@ def _add_common(sp) -> None:
 
 
 def _add_grid_flags(sp) -> None:
-    sp.add_argument("--grid-min", type=float, help="smallest grid penalty")
-    sp.add_argument("--grid-max", type=float, help="largest grid penalty")
+    sp.add_argument("--grid-min", type=_positive, help="smallest grid penalty")
+    sp.add_argument("--grid-max", type=_positive, help="largest grid penalty")
     sp.add_argument("--grid-n", type=_count(1), default=50, help="number of grid points")
 
 
@@ -364,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="fit a precision matrix from data")
     p_est.add_argument("--data", help="n x p data CSV")
-    p_est.add_argument("--lambda", type=float, help="penalty in the estimator's own scale")
+    p_est.add_argument("--lambda", type=_positive, help="penalty in the estimator's own scale")
     p_est.add_argument(
         "--auto-lambda", action="store_true", help="choose the penalty by approximate LOOCV"
     )
@@ -376,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("cv", help="cross-validate the penalty")
     p_cv.add_argument("--data", help="n x p data CSV")
     p_cv.add_argument("--scheme", choices=cv.SCHEMES, default="aloocv")
-    p_cv.add_argument("--k", type=int, default=5, help="folds for the kfold scheme")
+    p_cv.add_argument("--k", type=_count(2), default=5, help="folds for the kfold scheme")
     _add_estimator_flags(p_cv)
     _add_grid_flags(p_cv)
     _add_common(p_cv)
@@ -385,12 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ggm = sub.add_parser("ggm", help="extract a conditional-independence graph")
     p_ggm.add_argument("--data", help="n x p data CSV")
     p_ggm.add_argument("--omega", help="p x p precision CSV (skips estimation)")
-    p_ggm.add_argument("--lambda", type=float, help="penalty in the estimator's own scale")
+    p_ggm.add_argument("--lambda", type=_positive, help="penalty in the estimator's own scale")
     p_ggm.add_argument(
         "--auto-lambda", action="store_true", help="choose the penalty by approximate LOOCV"
     )
     p_ggm.add_argument(
-        "--threshold", type=float, default=0.99, help="posterior presence cutoff"
+        "--threshold", type=_flag(float, lambda x: 0 <= x <= 1, "a number in [0, 1]"), default=0.99,
+        help="posterior presence cutoff",
     )
     p_ggm.add_argument("--edges-out", help="write the edge list here instead of stdout")
     p_ggm.add_argument(
@@ -403,18 +394,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo risk curves")
     p_sim.add_argument("--topology", choices=simulate.TOPOLOGIES, default="chain")
-    p_sim.add_argument("--p", type=int, default=10, help="dimension")
-    p_sim.add_argument("--n", default="10", help="comma-separated sample sizes")
-    p_sim.add_argument("--reps", type=int, default=100, help="replicates per sample size")
+    p_sim.add_argument("--p", type=_count(2), default=10, help="dimension")
+    p_sim.add_argument("--n", type=_sizes, default="10", help="comma-separated sample sizes")
+    p_sim.add_argument("--reps", type=_count(1), default=100, help="replicates per sample size")
     p_sim.add_argument("--loss", choices=simulate.LOSSES, default="quadratic")
     p_sim.add_argument(
         "--estimators",
+        type=_kinds,
         default="alt-1,archetype-1",
         help="comma-separated estimator kinds; --target applies to alt-1 and archetype-1",
     )
-    p_sim.add_argument("--n0", type=int, default=10000, help="draws behind the random topology")
-    p_sim.add_argument("--blocks", type=int, default=5, help="clique block count")
-    p_sim.add_argument("--offdiag", type=float, default=0.25, help="clique off-diagonal value")
+    p_sim.add_argument(
+        "--n0", type=_count(1), default=10000, help="draws behind the random topology"
+    )
+    p_sim.add_argument("--blocks", type=_count(1), default=5, help="clique block count")
+    p_sim.add_argument(
+        "--offdiag", type=_flag(float, math.isfinite, "a finite number"), default=0.25,
+        help="clique off-diagonal value",
+    )
     _add_target_flag(p_sim)
     _add_grid_flags(p_sim)
     _add_common(p_sim)
@@ -423,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom = sub.add_parser("moments", help="bias approximation and MC moments")
     p_mom.add_argument("--sigma", help="p x p population covariance CSV")
     p_mom.add_argument("--n", type=_count(1), default=10, help="sample size behind S")
-    p_mom.add_argument("--lambda", type=float, help="alternative-scale penalty")
+    p_mom.add_argument("--lambda", type=_positive, help="alternative-scale penalty")
     p_mom.add_argument("--mc-reps", type=_count(1), help="also run a Monte Carlo estimate")
     _add_common(p_mom)
     p_mom.set_defaults(func=cmd_moments)

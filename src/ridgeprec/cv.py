@@ -63,11 +63,7 @@ class CVConfig:
             raise InvalidParameterError(
                 f"estimator must be one of {estimators.KINDS}, got {self.estimator!r}"
             )
-        grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
-        if grid.size == 0:
-            raise InvalidParameterError("grid must be nonempty")
-        if not np.all(np.isfinite(grid)) or np.any(grid <= 0):
-            raise InvalidParameterError("grid values must be finite and positive")
+        grid = np.atleast_1d(estimators._check_penalty(self.grid, error=InvalidParameterError))
         if grid.size > 1 and np.any(np.diff(grid) <= 0):
             raise InvalidParameterError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
@@ -85,7 +81,7 @@ class CVResult:
 
 def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Seeded partition of range(n) into k near-equal folds."""
-    k = whole(k, "k", 2, InvalidFoldsError)
+    n, k = whole(n, "n", 1, InvalidFoldsError), whole(k, "k", 2, InvalidFoldsError)
     if k > n:
         raise InvalidFoldsError(f"cannot split {n} observations into {k} folds")
     perm = np.random.default_rng(whole(seed, "seed", 0)).permutation(n)

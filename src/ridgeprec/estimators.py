@@ -57,6 +57,7 @@ from .linalg import (
     inv_pd,
     pd_under_congruence,
     require_pd,
+    same_shape,
     symmetrize,
 )
 
@@ -330,18 +331,18 @@ class RidgeEstimate:
         return self.target.power(rows.T, 0.5).T, self.target.log_det()
 
 
-def _check_penalty(lam, upper: float = np.inf):
-    """A penalty, or a 1-D grid of them, each in ``(0, upper]``.
+def _check_penalty(lam, upper: float = np.inf, error=InvalidPenaltyError):
+    """A penalty, or a 1-D grid of them, each in ``(0, upper]``; else ``error``.
 
     Returns a float for a scalar and a float array for a grid.
     """
     grid = np.asarray(lam, dtype=float)
     if grid.ndim > 1 or grid.size == 0:
-        raise InvalidPenaltyError(f"penalty must be a scalar or a 1-D grid, got shape {grid.shape}")
+        raise error(f"penalty must be a scalar or a 1-D grid, got shape {grid.shape}")
     bad = ~(np.isfinite(grid) & (grid > 0) & (grid <= upper))
     if np.any(bad):
         bound = f"(0.0, {upper}]" if np.isfinite(upper) else "(0.0, inf)"
-        raise InvalidPenaltyError(f"penalty must be in {bound}, got {grid[bad].flat[0]}")
+        raise error(f"penalty must be in {bound}, got {grid[bad].flat[0]}")
     return float(grid) if grid.ndim == 0 else grid
 
 
@@ -433,13 +434,10 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
       call whose every shifted spectrum passes the eigenvalue rule for any
       congruence by ``T'`` is p.d.; any other call takes the combined
       matrices ``(1-lam)S + lam*T^-1`` themselves, one per penalty, and
-      holds an unscaled fit of them (:func:`_combined`), whose slices at
+      holds an unscaled fit of them (:func:`_per_penalty`), whose slices at
       penalties the congruence decides match their own fits to rounding.
-    * alt-1 with a ``ddiag``, diagonal or full target: the stack of
-      ``S - lam*T`` (a diagonal target on the diagonal only) is
-      decomposed in one ``eigh`` call. When the call has one matrix per
-      penalty (a scalar ``lam``, or a one-point grid), it is built in
-      place in the checked copy of ``S``, never the caller's.
+    * alt-1 with a ``ddiag``, diagonal or full target: one ``S - lam*T`` per
+      ``S`` and penalty (:func:`_per_penalty`).
     """
     S = check_symmetric(S, "S", stack=True)
     kind, lam, target = _resolve(kind, lam, target, S)
@@ -447,27 +445,7 @@ def fit(kind: str, S, lam, target=None) -> RidgeEstimate:
         return _spectral(kind, *eig_sym_unchecked(S), lam, target)
     if kind == "archetype-1":
         return _congruent(S, lam, target)
-    p = S.shape[-1]
-    grid = np.ndim(lam) == 1
-    if grid:  # the grid axis follows S's stack axes
-        S = S[..., None, :, :]
-    lam_v = np.asarray(lam)[..., None]  # against a spectrum (..., p)
-    lam_m = lam_v[..., None]  # against a stack (..., p, p)
-    shape = np.broadcast_shapes(S.shape, lam_m.shape)
-    # The checked copy is this call's own; reuse it when no grid axis widens it.
-    M = S if shape == S.shape else np.array(np.broadcast_to(S, shape))
-    with np.errstate(over="ignore"):  # an overflow is caught below, before eigh
-        if target.kind == "full":
-            M -= lam_m * target.matrix(p)
-        else:
-            t = target.diagonal_entries(p)
-            if grid:
-                t = t[..., None, :]
-            idx = np.arange(p)
-            M[..., idx, idx] -= lam_v * t
-    _check_fine(np.all(np.isfinite(M), axis=(-2, -1)), lam)
-    vals, vecs = eig_sym_unchecked(M)
-    return _estimate(kind, vals, vecs, lam, target)
+    return _per_penalty(kind, S, lam, target)
 
 
 def _congruent(S, lam, target) -> RidgeEstimate:
@@ -477,7 +455,7 @@ def _congruent(S, lam, target) -> RidgeEstimate:
     combined matrix ``M``'s but not its magnitudes. A call whose every ``N``
     passes :func:`~ridgeprec.linalg.pd_under_congruence`, with ``T``'s
     condition number as the spread, is decided p.d. and held scaled; any
-    other call is :func:`_combined`'s.
+    other call is :func:`_per_penalty`'s.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # caught below, before eigh
         R = symmetrize(target.power(target.power(S, 0.5).swapaxes(-1, -2), 0.5))
@@ -495,33 +473,50 @@ def _congruent(S, lam, target) -> RidgeEstimate:
         ends = r[..., [0, -1]].reshape(r.shape[:-1] + axes + (2,))
         ends = _shift("archetype-1", ends, np.asarray(lam)[..., None], 0.0, g)
     if not np.all(pd_under_congruence(ends, spread)):
-        return _combined(S, lam, target)
+        return _per_penalty("archetype-1", S, lam, target)
     return replace(_spectral("archetype-1", r, vecs, lam, target, g), scaled=True)
 
 
-def _combined(S, lam, target) -> RidgeEstimate:
-    """archetype-1 from one ``eigh`` of ``M = (1-lam)S + lam*T^-1`` per ``S`` and penalty.
+def _per_penalty(kind: str, S, lam, target) -> RidgeEstimate:
+    """The kind's matrix for each ``S`` and penalty, all decomposed in one ``eigh`` call.
 
-    For the calls :func:`_congruent` leaves undecided (a near-singular ``M``
-    or an ill-conditioned target): ``M``'s own spectrum decides, and ``M``
-    is inverted on its own eigenvectors.
+    alt-1 takes ``S - lam*T``, and archetype-1 the combined matrix
+    ``M = (1-lam)S + lam*T^-1`` where :func:`_congruent` leaves the verdict
+    undecided (a near-singular ``M`` or an ill-conditioned target): ``M``'s
+    own spectrum decides, and ``M`` is inverted on its own eigenvectors. A
+    diagonal target touches the diagonal only. The matrices are built in the
+    checked copy of ``S`` (a copy widened by the grid axis, if any), never
+    the caller's.
     """
     p = S.shape[-1]
-    if target.kind == "full":
+    if target.kind != "full":
+        G = target.diagonal_entries(p)
+        with np.errstate(over="ignore"):  # caught below, before eigh
+            G = G if kind == "alt-1" else 1.0 / G
+    elif kind == "alt-1":
+        G = target.matrix(p)
+    else:
         e, Q = target._pairs  # inv_pd(T), bit for bit, from the target's own eigenpairs
         G = symmetrize((Q / e) @ Q.T)
-    else:
-        G = np.zeros(target.values.shape + (p,))
-        idx = np.arange(p)
-        with np.errstate(over="ignore"):  # caught below, before eigh
-            G[..., idx, idx] = 1.0 / target.values
-    lam_m = np.asarray(lam)[..., None, None]
-    if np.ndim(lam) == 1:  # the grid axis follows S's stack axes
-        S, G = S[..., None, :, :], G[..., None, :, :]
-    with np.errstate(over="ignore"):  # caught below, before eigh
-        M = (1.0 - lam_m) * S + lam_m * G
+    grid = np.ndim(lam) == 1
+    if grid:  # the grid axis follows S's stack axes
+        S = S[..., None, :, :]
+    lam_v = np.asarray(lam)[..., None]  # against a spectrum (..., p)
+    lam_m = lam_v[..., None]  # against a stack (..., p, p)
+    shape = np.broadcast_shapes(S.shape, lam_m.shape)
+    # The checked copy is this call's own; reuse it when no grid axis widens it.
+    M = S if shape == S.shape else np.array(np.broadcast_to(S, shape))
+    sign = -1.0 if kind == "alt-1" else 1.0  # S - lam*T as S + (-lam)*T: T is not negated
+    with np.errstate(over="ignore"):  # an overflow is caught below, before eigh
+        if kind == "archetype-1":
+            M *= 1.0 - lam_m
+        if target.kind == "full":
+            M += (sign * lam_m) * G
+        else:
+            idx = np.arange(p)
+            M[..., idx, idx] += (sign * lam_v) * (G[..., None, :] if grid else G)
     _check_fine(np.all(np.isfinite(M), axis=(-2, -1)), lam)
-    return _estimate("archetype-1", *eig_sym_unchecked(M), lam, target)
+    return _estimate(kind, *eig_sym_unchecked(M), lam, target)
 
 
 def fit_data(kind: str, Y, lam, target=None) -> RidgeEstimate:
@@ -688,6 +683,7 @@ def loglik(omega, S) -> float:
     ``omega`` must be p.d. (checked via Cholesky).
     """
     omega, S = check_symmetric(omega, "omega"), check_symmetric(S, "S")
+    same_shape(omega, S, "omega and S")
     L = cholesky_pd(omega, "loglik requires a p.d. omega")
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return logdet - float(np.einsum("ij,ij->", S, omega))
@@ -702,6 +698,7 @@ def stationarity_residual(omega, S, target, lam: float) -> float:
     """
     omega = check_symmetric(omega, "omega")
     S = check_symmetric(S, "S")
+    same_shape(omega, S, "omega and S")
     lam = _check_penalty(lam)
     target = resolve_target(target, S)
     T = target.matrix(S.shape[0])

@@ -64,6 +64,12 @@ def check_symmetric(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return out
 
 
+def same_shape(a, b, names: str) -> None:
+    """Raise :class:`~ridgeprec.errors.InvalidMatrixError` naming both shapes unless they agree."""
+    if np.shape(a) != np.shape(b):
+        raise InvalidMatrixError(f"{names} differ in shape: {np.shape(a)} and {np.shape(b)}")
+
+
 def eig_sym_unchecked(a: np.ndarray) -> tuple:
     """``(values, vectors)`` of a finite, exactly symmetric array; validates nothing.
 

@@ -7,7 +7,7 @@ import numpy as np
 from . import estimators as _est
 from .errors import ConstructionFailedError, InvalidParameterError, whole
 from .estimators import sample_cov
-from .linalg import check_symmetric, cholesky_pd, inv_pd, require_pd, symmetrize
+from .linalg import check_symmetric, cholesky_pd, inv_pd, require_pd, same_shape, symmetrize
 
 TOPOLOGIES = ("random", "chain", "star", "clique")
 LOSSES = ("frobenius", "quadratic")
@@ -103,11 +103,13 @@ def _quadratic_given_sigma(omegas, Sigma):
 
 def loss_frobenius(omega_hat, Omega) -> float:
     """Squared Frobenius loss ``||omega_hat - Omega||_F^2``."""
+    same_shape(omega_hat, Omega, "omega_hat and Omega")
     return float(_frobenius(np.asarray(omega_hat, dtype=float), np.asarray(Omega, dtype=float)))
 
 
 def loss_quadratic(omega_hat, Omega) -> float:
     """Squared quadratic loss ``||omega_hat Omega^-1 - I||_F^2``."""
+    same_shape(omega_hat, Omega, "omega_hat and Omega")
     return float(_quadratic_given_sigma(np.asarray(omega_hat, dtype=float), inv_pd(Omega)))
 
 
@@ -142,9 +144,7 @@ class RiskConfig:
         sizes = tuple(whole(n, "sample size") for n in self.sample_sizes)
         if not sizes:
             raise InvalidParameterError("sample sizes must be a nonempty list")
-        grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
-        if grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(grid <= 0):
-            raise InvalidParameterError("grid values must be finite and positive")
+        grid = np.atleast_1d(_est._check_penalty(self.grid, error=InvalidParameterError))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "estimators", tuple(self.estimators))

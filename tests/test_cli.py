@@ -91,7 +91,7 @@ class TestEstimate:
         code = main(["estimate", "--data", path, "--lambda", "-1"])
         _, err = capsys.readouterr()
         assert code == 1
-        assert "lambda must be positive" in err
+        assert "argument --lambda: must be a finite number > 0, got '-1'" in err
 
     def test_lambda_flags_required_and_exclusive(self, data_file, capsys):
         path, _ = data_file
@@ -232,20 +232,25 @@ class TestCV:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "low, high", [("1e-3", "inf"), ("nan", "1"), ("1e-3", "nan"), ("inf", "inf")]
+        "low, high, bad",
+        [("1e-3", "inf", "max"), ("nan", "1", "min"), ("1e-3", "nan", "max"),
+         ("inf", "inf", "min")],
     )
-    def test_non_finite_grid_bounds_are_usage_errors(self, low, high, data_file, capsys):
-        # Rejected with the 0 < min < max check, before numpy sees them, so
-        # no RuntimeWarning reaches stderr (pytest turns one into an error).
+    def test_non_finite_grid_bounds_are_usage_errors(self, low, high, bad, data_file, capsys):
+        # Rejected by the flag's parser type, before numpy sees them, so no
+        # RuntimeWarning reaches stderr (pytest turns one into an error).
         path, _ = data_file
         bounds = ["--grid-min", low, "--grid-max", high]
+        value = {"min": low, "max": high}[bad]
         for cmd in (
             ["cv", "--data", path], ["estimate", "--auto-lambda", "--data", path],
             ["ggm", "--auto-lambda", "--data", path], ["simulate", "--p", "4", "--reps", "2"],
         ):
             assert main(cmd + bounds) == 1
             err = capsys.readouterr().err
-            assert err.endswith("error: grid bounds must be finite and satisfy 0 < min < max\n")
+            assert err.endswith(
+                f"error: argument --grid-{bad}: must be a finite number > 0, got '{value}'\n"
+            )
 
     def test_seed_is_the_fold_seed(self, data_file, capsys):
         path, Y = data_file
@@ -1057,23 +1062,28 @@ class TestSimulate:
         [["--topology", "clique", "--blocks", "0"], ["--topology", "clique", "--blocks", "-1"],
          ["--topology", "random", "--n0", "0"]],
     )
-    def test_bad_population_flags_are_data_errors(self, flags, capsys):
-        assert main(["simulate", "--p", "10", "--reps", "2"] + flags) == 2
+    def test_bad_population_flags_are_usage_errors(self, flags, capsys):
+        assert main(["simulate", "--p", "10", "--reps", "2"] + flags) == 1
         _, err = capsys.readouterr()
         assert "must be a positive integer" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_offdiag_is_data_error(self, value, capsys):
+    def test_non_finite_offdiag_is_usage_error(self, value, capsys):
         args = ["simulate", "--topology", "clique", "--p", "4", "--blocks", "2", "--reps", "2"]
-        assert main(args + ["--offdiag", value]) == 2
+        assert main(args + ["--offdiag", value]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines()[-1].startswith("ridgeprec simulate: error: offdiag must be finite")
+        assert err.splitlines()[-1] == (
+            f"ridgeprec simulate: error: argument --offdiag: must be a finite number, got '{value}'"
+        )
 
-    def test_negative_sample_size_is_data_error(self, capsys):
-        assert main(["simulate", "--p", "4", "--reps", "2", "--n", "-5"]) == 2
+    def test_negative_sample_size_is_usage_error(self, capsys):
+        assert main(["simulate", "--p", "4", "--reps", "2", "--n", "-5"]) == 1
         _, err = capsys.readouterr()
-        assert any(line.startswith("ridgeprec simulate: error:") for line in err.splitlines())
+        assert err.splitlines()[-1] == (
+            "ridgeprec simulate: error: argument --n: must be a comma-separated list of "
+            "integers > 0, got '-5'"
+        )
 
 
 class TestMoments:
@@ -1116,34 +1126,64 @@ class TestMoments:
 
 # subcommand -> {integer flag (and --offdiag): exit codes for the values -1, 0 and nan}
 INTEGER_FLAGS = {
-    "estimate": {"seed": (0, 0, 1), "threads": (1, 0, 1), "grid-n": (1, 1, 1)},
-    "cv": {"k": (2, 2, 1), "seed": (2, 0, 1), "threads": (1, 0, 1), "grid-n": (1, 1, 1)},
-    "ggm": {"seed": (0, 0, 1), "threads": (1, 0, 1), "grid-n": (1, 1, 1)},
+    "estimate": {"seed": (1, 0, 1), "threads": (1, 0, 1), "grid-n": (1, 1, 1)},
+    "cv": {"k": (1, 1, 1), "seed": (1, 0, 1), "threads": (1, 0, 1), "grid-n": (1, 1, 1)},
+    "ggm": {"seed": (1, 0, 1), "threads": (1, 0, 1), "grid-n": (1, 1, 1)},
     "simulate": {
-        "p": (2, 2, 1), "n": (2, 2, 1), "reps": (2, 2, 1), "n0": (2, 2, 1),
-        "blocks": (2, 2, 1), "offdiag": (2, 0, 2), "seed": (2, 0, 1),
+        "p": (1, 1, 1), "n": (1, 1, 1), "reps": (1, 1, 1), "n0": (1, 1, 1),
+        "blocks": (1, 1, 1), "offdiag": (2, 0, 1), "seed": (1, 0, 1),
         "threads": (1, 0, 1), "grid-n": (1, 1, 1),
     },
-    "moments": {"n": (1, 1, 1), "mc-reps": (1, 1, 1), "seed": (2, 0, 1), "threads": (1, 0, 1)},
+    "moments": {"n": (1, 1, 1), "mc-reps": (1, 1, 1), "seed": (1, 0, 1), "threads": (1, 0, 1)},
 }
 SWEEP_VALUES = {"-1": -1, "0": 0, "nan": float("nan")}
 
+# (subcommand, float flag, exit codes for the values -1, 0, nan and inf). An
+# --offdiag of -1 parses, but the population it builds is not p.d.
+FLOAT_FLAGS = [
+    ("estimate", "lambda", (1, 1, 1, 1)),
+    ("ggm", "lambda", (1, 1, 1, 1)),
+    ("moments", "lambda", (1, 1, 1, 1)),
+    ("ggm", "threshold", (1, 0, 1, 1)),
+    ("simulate", "offdiag", (2, 0, 1, 1)),
+    ("cv", "grid-min", (1, 1, 1, 1)),
+    ("cv", "grid-max", (1, 1, 1, 1)),
+]
+FLOAT_VALUES = {"-1": -1, "0": 0, "nan": float("nan"), "inf": float("inf")}
+
+
+def _flag_values(command, data, sigma) -> dict:
+    """Small valid flags for each subcommand."""
+    return {
+        "estimate": {"data": data, "lambda": "0.5", "grid-n": "3"},
+        "cv": {"data": data, "scheme": "kfold", "k": "3", "grid-n": "3"},
+        "ggm": {"data": data, "lambda": "0.5", "grid-n": "3"},
+        "simulate": {
+            "topology": "clique", "p": "4", "blocks": "2", "n": "5", "reps": "2", "grid-n": "3",
+        },
+        "moments": {"sigma": sigma, "lambda": "1", "mc-reps": "3"},
+    }[command]
+
+
+def _exit_code_with(command, flags, flag, value, json_value, route, tmp_path, capsys) -> int:
+    """Run ``command`` with ``flags`` and ``--flag value``, typed or from a config file."""
+    flags = {name: v for name, v in flags.items() if name != flag}
+    argv = [command] + [tok for name, v in flags.items() for tok in (f"--{name}", v)]
+    if route == "argv":
+        argv += [f"--{flag}", value]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag.replace("-", "_"): json_value}))
+        argv += ["--config", str(config)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.splitlines()[-1].startswith(f"ridgeprec {command}: error:")
+    return code
+
 
 class TestIntegerFlags:
-    @staticmethod
-    def base(command, data, sigma) -> dict:
-        """Small valid flags for each subcommand."""
-        return {
-            "estimate": {"data": data, "lambda": "0.5", "grid-n": "3"},
-            "cv": {"data": data, "scheme": "kfold", "k": "3", "grid-n": "3"},
-            "ggm": {"data": data, "lambda": "0.5", "grid-n": "3"},
-            "simulate": {
-                "topology": "clique", "p": "4", "blocks": "2", "n": "5", "reps": "2",
-                "grid-n": "3",
-            },
-            "moments": {"sigma": sigma, "lambda": "1", "mc-reps": "3"},
-        }[command]
-
     @pytest.mark.parametrize("route", ["argv", "config"])
     @pytest.mark.parametrize(
         "command, flag, value, code",
@@ -1157,20 +1197,11 @@ class TestIntegerFlags:
     def test_bad_values_exit_cleanly(
         self, command, flag, value, code, route, data_file, sigma_file, tmp_path, capsys
     ):
-        flags = self.base(command, data_file[0], sigma_file[0])
-        flags.pop(flag, None)
-        argv = [command] + [tok for name, v in flags.items() for tok in (f"--{name}", v)]
-        if route == "argv":
-            argv += [f"--{flag}", value]
-        else:
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({flag.replace("-", "_"): SWEEP_VALUES[value]}))
-            argv += ["--config", str(config)]
-        assert main(argv) == code
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        if code:
-            assert err.splitlines()[-1].startswith(f"ridgeprec {command}: error:")
+        flags = _flag_values(command, data_file[0], sigma_file[0])
+        json_value = SWEEP_VALUES[value]
+        assert _exit_code_with(
+            command, flags, flag, value, json_value, route, tmp_path, capsys
+        ) == code
 
     @pytest.mark.parametrize(
         "args",
@@ -1181,16 +1212,16 @@ class TestIntegerFlags:
             ["moments", "--lambda", "1", "--mc-reps", "3", "--seed", "-1"],
         ],
     )
-    def test_negative_seeds_are_data_errors(self, args, data_file, sigma_file, capsys):
+    def test_negative_seeds_are_usage_errors(self, args, data_file, sigma_file, capsys):
         data = ["--data", data_file[0]]
         inputs = {"cv": data, "estimate": data, "moments": ["--sigma", sigma_file[0]]}
-        assert main(args + inputs.get(args[0], [])) == 2
+        assert main(args + inputs.get(args[0], [])) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert "Traceback" not in err
         last = err.splitlines()[-1]
         assert last.startswith(f"ridgeprec {args[0]}: error:")
-        assert "must be a non-negative integer" in last
+        assert "argument --seed: must be a non-negative integer" in last
 
     @pytest.mark.parametrize(
         "args",
@@ -1205,15 +1236,80 @@ class TestIntegerFlags:
     def test_seed_error_names_the_flag(self, args, data_file, sigma_file, capsys):
         data = ["--data", data_file[0]]
         inputs = {"moments": ["--sigma", sigma_file[0]], "simulate": []}
-        assert main(args + inputs.get(args[0], data)) == 2
+        assert main(args + inputs.get(args[0], data)) == 1
         assert capsys.readouterr().err.splitlines()[-1] == (
-            f"ridgeprec {args[0]}: error: --seed must be a non-negative integer, got -1"
+            f"ridgeprec {args[0]}: error: argument --seed: must be a non-negative integer, "
+            "got '-1'"
         )
+
+    @pytest.mark.parametrize(
+        "flag, value", [("grid-n", "+5"), ("threads", " 1"), ("mc-reps", "1_0"), ("reps", "+2")]
+    )
+    def test_counts_take_every_int_spelling(self, flag, value):
+        command = "simulate" if flag == "reps" else "moments" if flag == "mc-reps" else "cv"
+        args = build_parser().parse_args([command, f"--{flag}", value])
+        assert getattr(args, flag.replace("-", "_")) == int(value)
 
     def test_unused_grid_n_is_still_checked(self, data_file, capsys):
         assert main(["estimate", "--data", data_file[0], "--lambda", "1", "--grid-n", "0"]) == 1
         _, err = capsys.readouterr()
         assert "argument --grid-n: must be a positive integer" in err
+
+
+class TestFloatFlags:
+    @pytest.mark.parametrize("route", ["argv", "config"])
+    @pytest.mark.parametrize(
+        "command, flag, value, code",
+        [
+            (command, flag, value, code)
+            for command, flag, codes in FLOAT_FLAGS
+            for value, code in zip(FLOAT_VALUES, codes)
+        ],
+    )
+    def test_bad_values_exit_cleanly(
+        self, command, flag, value, code, route, data_file, sigma_file, tmp_path, capsys
+    ):
+        flags = _flag_values(command, data_file[0], sigma_file[0])
+        if command == "cv":
+            flags |= {"grid-min": "1e-3", "grid-max": "10"}
+        json_value = FLOAT_VALUES[value]
+        assert _exit_code_with(
+            command, flags, flag, value, json_value, route, tmp_path, capsys
+        ) == code
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--data", "DATA", "--estimator", "archetype-1", "--lambda", "2"],
+            ["simulate", "--topology", "clique", "--p", "7", "--blocks", "5", "--reps", "2"],
+            ["cv", "--data", "DATA", "--scheme", "kfold", "--k", "40"],
+        ],
+    )
+    def test_values_wrong_only_for_another_flag_or_the_data_are_data_errors(
+        self, argv, data_file, capsys
+    ):
+        # Each value parses; the kind's penalty domain, the block count's
+        # divisor and the row count are known only past the parser.
+        assert main([data_file[0] if tok == "DATA" else tok for tok in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"ridgeprec {argv[0]}: error:")
+
+
+def test_every_typed_flag_has_a_checking_parser():
+    # A bare int or float type lets a bad value through to a later check,
+    # which then decides the exit code: every value check is in the parser.
+    parser = build_parser()
+    subcommands = next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    )
+    bare = [
+        (command, action.option_strings[0])
+        for command, sub in subcommands.choices.items()
+        for action in sub._actions
+        if action.type in (int, float)
+    ]
+    assert bare == []
 
 
 class _ReadRecorder(argparse.Namespace):

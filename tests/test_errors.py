@@ -1,14 +1,21 @@
 """Every whole-number count and RNG seed is checked by ``errors.whole``.
 
 Each site must turn a bad value into its documented ``RidgeprecError``
-subclass, never a ``ValueError``, ``OverflowError`` or ``TypeError``.
+subclass, never a ``ValueError``, ``OverflowError`` or ``TypeError``. The same
+holds for matrix pairs of mismatched sizes and for grids that are not 1-D.
 """
 
 import numpy as np
 import pytest
 
-from ridgeprec import cv, moments, simulate
-from ridgeprec.errors import InvalidFoldsError, InvalidParameterError, RidgeprecError, whole
+from ridgeprec import cv, estimators, moments, simulate
+from ridgeprec.errors import (
+    InvalidFoldsError,
+    InvalidMatrixError,
+    InvalidParameterError,
+    RidgeprecError,
+    whole,
+)
 from ridgeprec.linalg import inv_pd
 
 SIGMA = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -19,6 +26,7 @@ BAD = [float("nan"), float("inf"), -float("inf"), 2.5, "3", None]
 COUNTS = {
     "CVConfig.k": (lambda v: cv.CVConfig(grid=[1.0], k=v), 2, InvalidParameterError),
     "make_folds.k": (lambda v: cv.make_folds(10, v, 0), 2, InvalidFoldsError),
+    "make_folds.n": (lambda v: cv.make_folds(v, 2, 0), 1, InvalidFoldsError),
     "default_grid.num": (lambda v: cv.default_grid(SIGMA, v), 1, InvalidParameterError),
     "wishart_moments.n": (lambda v: moments.wishart_moments(SIGMA, v), 1, InvalidParameterError),
     "bias_approx_type2.n": (
@@ -53,6 +61,25 @@ SEEDS = {
     "RiskConfig.base_seed": lambda v: simulate.RiskConfig(CHAIN, (5,), [1.0], base_seed=v),
     "PopulationSpec.seed": lambda v: simulate.PopulationSpec("random", 3, seed=v),
     "mc_moments.seed": lambda v: moments.mc_moments(SIGMA, 3, 1.0, reps=2, seed=v),
+}
+
+
+I2, I3 = np.eye(2), np.eye(3)
+
+# name -> a call with a 3 x 3 and a 2 x 2 matrix where one size belongs
+MISMATCHED = {
+    "loglik": lambda: estimators.loglik(I3, I2),
+    "stationarity_residual": lambda: estimators.stationarity_residual(
+        I3, I2, estimators.Target.identity(), 1.0
+    ),
+    "loss_frobenius": lambda: simulate.loss_frobenius(I3, I2),
+    "loss_quadratic": lambda: simulate.loss_quadratic(I3, I2),
+}
+
+# name -> a config built with a 2-D grid
+GRIDS_2D = {
+    "CVConfig.grid": lambda: cv.CVConfig(grid=[[1.0, 2.0], [3.0, 4.0]]),
+    "RiskConfig.grid": lambda: simulate.RiskConfig(CHAIN, (5,), [[1.0, 2.0], [3.0, 4.0]]),
 }
 
 
@@ -108,3 +135,15 @@ def test_configs_store_the_checked_ints():
     assert all(type(getattr(spec, f)) is int for f in ("p", "seed", "n0", "blocks"))
     risk = simulate.RiskConfig(spec, (5.0,), [1.0], reps=2.0, base_seed=1.0)
     assert all(type(x) is int for x in (risk.reps, risk.base_seed, *risk.sample_sizes))
+
+
+@pytest.mark.parametrize("site", sorted(MISMATCHED))
+def test_mismatched_sizes_are_matrix_errors(site):
+    with pytest.raises(InvalidMatrixError, match=r"\(3, 3\) and \(2, 2\)"):
+        MISMATCHED[site]()
+
+
+@pytest.mark.parametrize("site", sorted(GRIDS_2D))
+def test_two_dimensional_grids_are_parameter_errors(site):
+    with pytest.raises(InvalidParameterError, match=r"shape \(2, 2\)"):
+        GRIDS_2D[site]()
