@@ -8,6 +8,8 @@ recovery via local false discovery rates, and Monte Carlo risk studies.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .cv import (
     CVConfig,
     CVResult,
@@ -75,73 +77,7 @@ from .simulate import (
     sample_mvn,
 )
 
-__all__ = [
-    "__version__",
-    # errors
-    "RidgeprecError",
-    "InvalidMatrixError",
-    "NotPositiveDefiniteError",
-    "InvalidPenaltyError",
-    "InvalidTargetError",
-    "EmptyDataError",
-    "InvalidFoldsError",
-    "InsufficientDataError",
-    "DegenerateFitError",
-    "ConstructionFailedError",
-    "InvalidParameterError",
-    # estimators
-    "KINDS",
-    "DDIAG",
-    "Target",
-    "RidgeEstimate",
-    "sample_cov",
-    "fit",
-    "fit_data",
-    "shrunk_eigenvalues",
-    "penalty_map_1",
-    "loglik",
-    "stationarity_residual",
-    # cv
-    "CVConfig",
-    "CVResult",
-    "make_folds",
-    "score_grid",
-    "select_lambda",
-    "default_grid",
-    # moments
-    "WishartMoments",
-    "wishart_moments",
-    "bias_approx_type2",
-    "mc_moments",
-    # ggm
-    "partial_correlations",
-    "offdiagonal_values",
-    "null_density",
-    "LfdrFit",
-    "fit_lfdr",
-    "lfdr_values",
-    "edge_probabilities",
-    "sparsify",
-    "support_metrics",
-    "stable_edges",
-    "GgmResult",
-    "extract_network",
-    # simulate
-    "TOPOLOGIES",
-    "LOSSES",
-    "PopulationSpec",
-    "population_precision",
-    "sample_mvn",
-    "loss_frobenius",
-    "loss_quadratic",
-    "RiskConfig",
-    "RiskCurve",
-    "risk_curve",
-    "penalty_in_kind_scale",
-    "figure1_inverse",
-    "figure1_matrix",
-    "coefficient_paths",
-    # io
-    "read_data",
-    "read_matrix",
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

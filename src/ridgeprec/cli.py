@@ -47,8 +47,8 @@ def parse_target(spec: str, header: bool = False):
         return estimators.DDIAG
     if spec.startswith("scalar:"):
         try:
-            return Target.scalar(float(spec.split(":", 1)[1]))
-        except (ValueError, InvalidTargetError):
+            return Target.scalar(spec.split(":", 1)[1])
+        except InvalidTargetError:
             raise UsageError(f"bad scalar target {spec!r}; expected a finite PSI >= 0") from None
     if spec.startswith("file:"):
         return Target.full(matio.read_matrix(spec.split(":", 1)[1], header=header))
@@ -296,7 +296,7 @@ _positive = _flag(float, lambda x: 0 < x < math.inf, "a finite number > 0")
 _sizes = _flag(lambda v: [int(tok) for tok in v.split(",") if tok.strip()],
                lambda sizes: sizes and min(sizes) > 0, "a comma-separated list of integers > 0")
 _kinds = _flag(lambda v: [tok.strip() for tok in v.split(",") if tok.strip()],
-               lambda kinds: set(kinds) <= set(estimators.KINDS),
+               lambda kinds: kinds and set(kinds) <= set(estimators.KINDS),
                f"a comma-separated list of {', '.join(estimators.KINDS)}")
 
 

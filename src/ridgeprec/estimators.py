@@ -134,10 +134,13 @@ class Target:
 
     @classmethod
     def scalar(cls, psi: float) -> "Target":
-        psi = float(psi)
-        if not np.isfinite(psi) or psi < 0:
-            raise InvalidTargetError(f"scalar target needs finite psi >= 0, got {psi}")
-        return cls("scalar", psi=psi)
+        try:
+            psi = float(psi)
+            if np.isfinite(psi) and psi >= 0:
+                return cls("scalar", psi=psi)
+        except (TypeError, ValueError):
+            pass
+        raise InvalidTargetError(f"scalar target needs finite psi >= 0, got {psi}")
 
     @classmethod
     def identity(cls) -> "Target":
@@ -145,8 +148,12 @@ class Target:
 
     @classmethod
     def diagonal(cls, values) -> "Target":
-        v = np.array(values, dtype=float, ndmin=1)  # a copy, so the caller's array may change
-        if v.size == 0 or not np.all(np.isfinite(v)) or np.any(v <= 0):
+        try:
+            v = np.array(values, dtype=float, ndmin=1)  # a copy, so the caller's array may change
+            ok = v.size > 0 and np.all(np.isfinite(v)) and not np.any(v <= 0)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
             raise InvalidTargetError("diagonal target needs finite positive entries")
         v.flags.writeable = False
         return cls("diagonal", values=v)
@@ -336,7 +343,10 @@ def _check_penalty(lam, upper: float = np.inf, error=InvalidPenaltyError):
 
     Returns a float for a scalar and a float array for a grid.
     """
-    grid = np.asarray(lam, dtype=float)
+    try:
+        grid = np.asarray(lam, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"penalty must be a number or a 1-D grid of numbers, got {lam!r}") from None
     if grid.ndim > 1 or grid.size == 0:
         raise error(f"penalty must be a scalar or a 1-D grid, got shape {grid.shape}")
     bad = ~(np.isfinite(grid) & (grid > 0) & (grid <= upper))

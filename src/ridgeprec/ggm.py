@@ -52,7 +52,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFitError, InsufficientDataError, InvalidParameterError
+from .errors import (
+    DegenerateFitError,
+    InsufficientDataError,
+    InvalidMatrixError,
+    InvalidParameterError,
+)
 from .linalg import check_symmetric, require_pd, symmetrize
 
 #: Quantile of |values| bounding the null-dominated region used for the
@@ -99,6 +104,8 @@ def _partial_correlations(omega: np.ndarray) -> np.ndarray:
 def offdiagonal_values(P) -> np.ndarray:
     """The p(p-1)/2 nonredundant off-diagonal entries (upper triangle, row-major)."""
     P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise InvalidMatrixError(f"P must be square, got shape {P.shape}")
     iu = np.triu_indices(P.shape[0], k=1)
     return P[iu]
 
@@ -108,10 +115,19 @@ def offdiagonal_values(P) -> np.ndarray:
 
 
 def _check_kappa(kappa: float) -> float:
-    kappa = float(kappa)
-    if not np.isfinite(kappa) or kappa <= 1.0:
-        raise InvalidParameterError(f"kappa must be finite and > 1, got {kappa}")
-    return kappa
+    try:
+        kappa = float(kappa)
+        if np.isfinite(kappa) and kappa > 1.0:
+            return kappa
+    except (TypeError, ValueError):
+        pass
+    raise InvalidParameterError(f"kappa must be finite and > 1, got {kappa}")
+
+
+def _check_inside(values: np.ndarray) -> None:
+    """Raise unless every value is finite and strictly inside (-1, 1)."""
+    if not np.all(np.abs(values) < 1.0):
+        raise InvalidParameterError("values must be finite and strictly inside (-1, 1)")
 
 
 def null_density(r, kappa: float):
@@ -120,8 +136,12 @@ def null_density(r, kappa: float):
     Vectorized over ``r`` (must lie in [-1, 1]); scalar in, scalar out.
     """
     kappa = _check_kappa(kappa)
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(np.abs(arr) > 1.0):
+    try:
+        arr = np.atleast_1d(np.asarray(r, dtype=float))
+        inside = np.all(np.abs(arr) <= 1.0)
+    except (TypeError, ValueError):
+        inside = False
+    if not inside:
         raise InvalidParameterError("null density domain is [-1, 1]")
     out = np.exp(_log_null_density(arr, kappa))
     return out if np.ndim(r) else float(out[0])
@@ -204,9 +224,8 @@ def _fit_kappa(kept: np.ndarray, cutoff: float) -> float:
 class LfdrFit:
     """Fitted two-component mixture over partial-correlation values.
 
-    ``density`` holds the mixture density on :func:`kde_nodes` once
-    :func:`fit_lfdr` has convolved it; a fit built without it convolves on
-    every :meth:`mixture_density` call.
+    ``density`` holds the mixture density on :func:`kde_nodes`, as
+    :func:`fit_lfdr` convolved it from ``values`` and ``bandwidth``.
     """
 
     eta0: float
@@ -214,7 +233,7 @@ class LfdrFit:
     values: np.ndarray = field(compare=False)
     bandwidth: float
     cutoff: float
-    density: np.ndarray | None = field(default=None, compare=False, repr=False)
+    density: np.ndarray = field(compare=False, repr=False)
 
     def warnings(self) -> list[str]:
         """One line per sign of a degenerate fit or a coarse density.
@@ -254,10 +273,7 @@ class LfdrFit:
         density at ``r`` is read off the nodes by linear interpolation.
         """
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        density = self.density
-        if density is None:
-            density = _node_density(self.values, self.bandwidth)
-        out = np.interp(arr, kde_nodes(self.bandwidth), density)
+        out = np.interp(arr, kde_nodes(self.bandwidth), self.density)
         return out if np.ndim(r) else float(out[0])
 
 
@@ -307,8 +323,7 @@ def fit_lfdr(values) -> LfdrFit:
         raise InsufficientDataError(
             f"mixture fit needs at least 10 values, got {values.size}"
         )
-    if not np.all(np.isfinite(values)) or np.any(np.abs(values) >= 1.0):
-        raise InvalidParameterError("values must be finite and strictly inside (-1, 1)")
+    _check_inside(values)
     if np.ptp(values) == 0.0:
         raise DegenerateFitError("all values identical; no mixture to fit")
     cutoff = min(float(np.quantile(np.abs(values), CENTRAL_FRACTION)), CENTRAL_CAP)
@@ -337,9 +352,11 @@ def fit_lfdr(values) -> LfdrFit:
 def lfdr_values(values, fit: LfdrFit) -> np.ndarray:
     """Local FDR for each value: ``min(1, eta0 f0 / f)``.
 
-    ``eta0 == 1`` short-circuits to all ones (the pure-null posterior).
+    The values are held to :func:`fit_lfdr`'s domain; ``eta0 == 1`` then
+    short-circuits to all ones (the pure-null posterior).
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
+    _check_inside(values)
     if fit.eta0 >= 1.0:
         return np.ones_like(values)
     f0 = null_density(values, fit.kappa)

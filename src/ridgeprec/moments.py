@@ -41,11 +41,9 @@ def bias_approx_type2(Sigma, n: int, lam: float) -> np.ndarray:
     ``(1/2) Sigma + sqrt(lam) I + E[S^2] / (8 sqrt(lam))`` — accurate when
     ``lam`` is large relative to ``||Sigma||_2^2``.
     """
-    Sigma = check_symmetric(Sigma, "Sigma")
-    n = whole(n, "n")
+    Sigma, mean_sq = wishart_moments(Sigma, n)
     lam = float(estimators._check_penalty(lam))
     p = Sigma.shape[0]
-    _, mean_sq = wishart_moments(Sigma, n)
     return symmetrize(
         0.5 * Sigma + np.sqrt(lam) * np.eye(p) + mean_sq / (8.0 * np.sqrt(lam))
     )

@@ -136,7 +136,10 @@ class RiskConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise InvalidParameterError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        for kind in self.estimators:
+        kinds = tuple(self.estimators)
+        if not kinds:
+            raise InvalidParameterError("estimators must be a nonempty list")
+        for kind in kinds:
             if kind not in _est.KINDS:
                 raise InvalidParameterError(f"unknown estimator kind {kind!r}")
         object.__setattr__(self, "reps", whole(self.reps, "reps"))
@@ -147,7 +150,7 @@ class RiskConfig:
         grid = np.atleast_1d(_est._check_penalty(self.grid, error=InvalidParameterError))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "sample_sizes", sizes)
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        object.__setattr__(self, "estimators", kinds)
 
 
 @dataclass(frozen=True)

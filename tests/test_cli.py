@@ -1041,6 +1041,16 @@ class TestSimulate:
         assert main(["simulate", "--estimators", "lasso"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("route", ["argv", "config"])
+    @pytest.mark.parametrize(
+        "value, json_value", [("", []), (",", ","), (" , ", " , ")], ids=["empty", "comma", "blank"]
+    )
+    def test_empty_estimator_list_is_usage_error(self, route, value, json_value, tmp_path, capsys):
+        flags = _flag_values("simulate", None, None)
+        code = _exit_code_with("simulate", flags, "estimators", value, json_value, route, tmp_path,
+                               capsys)
+        assert code == 1
+
     def test_estimator_prefix_reaches_estimators(self, capsys):
         base = ["simulate", "--p", "4", "--reps", "2", "--grid-n", "3"]
         assert main(base + ["--estimator", "alt-2"]) == 0

@@ -2,17 +2,22 @@
 
 Each site must turn a bad value into its documented ``RidgeprecError``
 subclass, never a ``ValueError``, ``OverflowError`` or ``TypeError``. The same
-holds for matrix pairs of mismatched sizes and for grids that are not 1-D.
+holds for matrix pairs of mismatched sizes, for grids that are not 1-D, for
+strings where numbers belong, and for the graph layer's matrices and values.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ridgeprec import cv, estimators, moments, simulate
+from ridgeprec import cv, estimators, ggm, moments, simulate
 from ridgeprec.errors import (
     InvalidFoldsError,
     InvalidMatrixError,
     InvalidParameterError,
+    InvalidPenaltyError,
+    InvalidTargetError,
     RidgeprecError,
     whole,
 )
@@ -82,6 +87,50 @@ GRIDS_2D = {
     "RiskConfig.grid": lambda: simulate.RiskConfig(CHAIN, (5,), [[1.0, 2.0], [3.0, 4.0]]),
 }
 
+# name -> (a call with a non-number where a number belongs, error class)
+STRINGS = {
+    "Target.scalar": (lambda v: estimators.Target.scalar(v), InvalidTargetError),
+    "Target.diagonal": (lambda v: estimators.Target.diagonal([1.0, v]), InvalidTargetError),
+    "null_density.r": (lambda v: ggm.null_density(v, 3.0), InvalidParameterError),
+    "null_density.kappa": (lambda v: ggm.null_density(0.0, v), InvalidParameterError),
+    "fit.lam": (lambda v: estimators.fit("alt-2", I3, v), InvalidPenaltyError),
+    "penalty_map_1": (lambda v: estimators.penalty_map_1(v), InvalidPenaltyError),
+    "penalty_in_kind_scale": (
+        lambda v: simulate.penalty_in_kind_scale("alt-2", v), InvalidPenaltyError
+    ),
+    "bias_approx_type2.lam": (
+        lambda v: moments.bias_approx_type2(SIGMA, 3, v), InvalidPenaltyError
+    ),
+    "stationarity_residual.lam": (
+        lambda v: estimators.stationarity_residual(I3, I3, estimators.Target.identity(), v),
+        InvalidPenaltyError,
+    ),
+    "shrunk_eigenvalues.lam": (
+        lambda v: estimators.shrunk_eigenvalues("alt-2", [1.0], v), InvalidPenaltyError
+    ),
+    "CVConfig.grid": (lambda v: cv.CVConfig(grid=[1.0, v]), InvalidParameterError),
+    "RiskConfig.grid": (
+        lambda v: simulate.RiskConfig(CHAIN, (5,), [1.0, v]), InvalidParameterError
+    ),
+}
+
+
+def mixture_fit():
+    """An lFDR fit with ``eta0`` in (0, 1): a null bulk and 20 values near 0.8."""
+    rng = np.random.default_rng(0)
+    spikes = np.clip(0.8 + 0.02 * rng.standard_normal(20), -0.99, 0.99)
+    return ggm.fit_lfdr(np.concatenate([0.2 * rng.standard_normal(80), spikes]))
+
+
+# name -> a graph-layer call with an array that is not a square matrix
+NOT_SQUARE = {
+    "offdiagonal_values.1d": lambda: ggm.offdiagonal_values(np.ones(3)),
+    "offdiagonal_values.2x3": lambda: ggm.offdiagonal_values(np.ones((2, 3))),
+    "edge_probabilities.1d": lambda: ggm.edge_probabilities(np.ones(3), mixture_fit()),
+}
+
+OUTSIDE = [float("nan"), float("inf"), -1.0, 1.0, 1.5]
+
 
 class TestWhole:
     @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0)])
@@ -147,3 +196,47 @@ def test_mismatched_sizes_are_matrix_errors(site):
 def test_two_dimensional_grids_are_parameter_errors(site):
     with pytest.raises(InvalidParameterError, match=r"shape \(2, 2\)"):
         GRIDS_2D[site]()
+
+
+@pytest.mark.parametrize("site", sorted(STRINGS))
+@pytest.mark.parametrize("value", ["x", ""])
+def test_strings_for_numbers_raise_typed_errors(site, value):
+    call, error = STRINGS[site]
+    with pytest.raises(RidgeprecError) as info:
+        call(value)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("site", ["Target.scalar", "null_density.r", "null_density.kappa"])
+def test_none_for_a_number_raises_a_typed_error(site):
+    call, error = STRINGS[site]
+    with pytest.raises(RidgeprecError) as info:
+        call(None)
+    assert type(info.value) is error
+
+
+def test_targets_keep_their_messages_for_strings():
+    with pytest.raises(InvalidTargetError, match="scalar target needs finite psi >= 0, got x"):
+        estimators.Target.scalar("x")
+    with pytest.raises(InvalidTargetError, match="diagonal target needs finite positive entries"):
+        estimators.Target.diagonal(["a"])
+
+
+def test_empty_estimator_list_is_a_parameter_error():
+    with pytest.raises(InvalidParameterError, match="estimators must be a nonempty list"):
+        simulate.RiskConfig(simulate.PopulationSpec("star", 5), (5,), [1.0], estimators=())
+
+
+@pytest.mark.parametrize("site", sorted(NOT_SQUARE))
+def test_graph_matrices_must_be_square(site):
+    with pytest.raises(InvalidMatrixError, match=r"P must be square, got shape \("):
+        NOT_SQUARE[site]()
+
+
+@pytest.mark.parametrize("eta0", ["fitted", 1.0])
+@pytest.mark.parametrize("value", OUTSIDE)
+def test_lfdr_values_take_the_fits_domain(eta0, value):
+    fit = mixture_fit()
+    fit = fit if eta0 == "fitted" else replace(fit, eta0=eta0)
+    with pytest.raises(InvalidParameterError, match=r"strictly inside \(-1, 1\)"):
+        ggm.lfdr_values([0.0, value], fit)

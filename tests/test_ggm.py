@@ -81,6 +81,12 @@ def oracle_probabilities(values, fit):
     return 1.0 - np.minimum(1.0, eta0 * null_density(values, fit.kappa) / f)
 
 
+def lfdr_fit(eta0, kappa, values, bandwidth, cutoff):
+    """An ``LfdrFit`` built by hand, holding the density ``fit_lfdr`` would convolve."""
+    values = np.asarray(values, dtype=float)
+    return LfdrFit(eta0, kappa, values, bandwidth, cutoff, ggm._node_density(values, bandwidth))
+
+
 def full_reflection_density(values, bandwidth):
     """``_node_density`` built plainly: three full copies of the grid, no wrap-around."""
     n = kde_nodes(bandwidth).size - 1
@@ -481,7 +487,7 @@ class TestFitWarnings:
     """The upper bound and eta0 = 1 are checked through the CLI in test_cli.py."""
 
     def test_lower_bound_and_zero_eta0(self):
-        fit = LfdrFit(0.0, 1.0 + math.exp(ggm.KAPPA_U_MIN), np.zeros(3), 0.1, 0.5)
+        fit = lfdr_fit(0.0, 1.0 + math.exp(ggm.KAPPA_U_MIN), np.zeros(3), 0.1, 0.5)
         lines = fit.warnings()
         assert len(lines) == 2
         assert "lower bound" in lines[0] and "eta0 is clamped to 0" in lines[1]
@@ -513,7 +519,7 @@ class TestFitWarnings:
         at_cap = 400.0 / ggm.KDE_MAX_INTERVALS
         assert kde_nodes(at_cap).size == ggm.KDE_MAX_INTERVALS + 1
         for bandwidth, count in ((at_cap, 0), (np.nextafter(at_cap, 0.0), 1)):
-            fit = LfdrFit(0.5, 20.0, np.zeros(3), bandwidth, 0.5)
+            fit = lfdr_fit(0.5, 20.0, np.zeros(3), bandwidth, 0.5)
             assert len(fit.warnings()) == count
 
     def test_graph_like_data_is_not_capped(self):
@@ -531,7 +537,7 @@ class TestLfdrValues:
     def manual_fit(eta0, values=None):
         if values is None:
             values = np.linspace(-0.4, 0.4, 30)
-        return LfdrFit(eta0, 10.0, np.asarray(values), 0.1, 0.75)
+        return lfdr_fit(eta0, 10.0, values, 0.1, 0.75)
 
     def test_pure_null_short_circuit(self):
         lf = lfdr_values([0.0, 0.5, -0.9], self.manual_fit(1.0))
@@ -563,7 +569,7 @@ class TestEdgeSelection:
 
     def test_pure_null_fit_selects_nothing(self):
         P, _ = self.planted_matrix_and_fit()
-        null_fit = LfdrFit(1.0, 10.0, offdiagonal_values(P), 0.1, 0.75)
+        null_fit = lfdr_fit(1.0, 10.0, offdiagonal_values(P), 0.1, 0.75)
         assert not np.any(edge_probabilities(P, null_fit) >= 0.5)
 
     def test_threshold_nesting(self):
