@@ -58,7 +58,7 @@ from .errors import (
     InvalidMatrixError,
     InvalidParameterError,
 )
-from .linalg import check_symmetric, require_pd, symmetrize
+from .linalg import check_symmetric, require_pd
 
 #: Quantile of |values| bounding the null-dominated region used for the
 #: kappa fit.
@@ -96,18 +96,29 @@ def _partial_correlations(omega: np.ndarray) -> np.ndarray:
     """:func:`partial_correlations` of an ``omega`` that ``check_symmetric`` returned."""
     require_pd(np.linalg.eigvalsh(omega), "partial correlations require a p.d. precision")
     d = np.sqrt(np.diag(omega))
-    P = -omega / np.outer(d, d)
+    # omega is exactly symmetric and d_i d_j == d_j d_i, so P is too.
+    P = np.outer(d, d)
+    np.divide(omega, P, out=P)
+    np.negative(P, out=P)
     np.fill_diagonal(P, 1.0)
-    return symmetrize(P)
+    return P
 
 
 def offdiagonal_values(P) -> np.ndarray:
-    """The p(p-1)/2 nonredundant off-diagonal entries (upper triangle, row-major)."""
+    """The p(p-1)/2 nonredundant off-diagonal entries (upper triangle, row-major).
+
+    ``P`` must be square and pass :func:`~ridgeprec.linalg.check_symmetric`:
+    only its upper triangle is read, so an asymmetric ``P`` has no one answer.
+    """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise InvalidMatrixError(f"P must be square, got shape {P.shape}")
-    iu = np.triu_indices(P.shape[0], k=1)
-    return P[iu]
+    return _offdiagonal_values(check_symmetric(P, "P"))
+
+
+def _offdiagonal_values(P: np.ndarray) -> np.ndarray:
+    """:func:`offdiagonal_values` of an exactly symmetric ``P``."""
+    return P[np.triu_indices(P.shape[0], k=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +290,13 @@ class LfdrFit:
 
 def _node_density(values: np.ndarray, bandwidth: float) -> np.ndarray:
     """The reflected-KDE density on :func:`kde_nodes`; see :meth:`LfdrFit.mixture_density`."""
-    n = kde_nodes(bandwidth).size - 1
+    n = _kde_intervals(bandwidth)
     delta = 2.0 / n
     pos = (values + 1.0) / delta
     left = np.clip(np.floor(pos).astype(np.intp), 0, n - 1)
     frac = pos - left
-    counts = np.bincount(left, 1.0 - frac, n + 1) + np.bincount(left + 1, frac, n + 1)
+    counts = np.bincount(left, 1.0 - frac, n + 1)
+    counts += np.bincount(left + 1, frac, n + 1)
     reach = math.ceil(KDE_KERNEL_REACH * bandwidth / delta)
     # Index i holds node i - r. Reflection puts counts[k] at node -k and
     # counts[n - k] at node n + k, for k up to the r nodes the kernel reaches.
@@ -298,8 +310,16 @@ def _node_density(values: np.ndarray, bandwidth: float) -> np.ndarray:
     kernel /= kernel.sum() * delta * values.size
     # A circular convolution of this size wraps no output that is read.
     size = 1 << (n + r + reach).bit_length()
-    conv = np.fft.irfft(np.fft.rfft(extended, size) * np.fft.rfft(kernel, size), size)
+    spectrum = np.fft.rfft(extended, size)
+    del extended
+    spectrum *= np.fft.rfft(kernel, size)
+    conv = np.fft.irfft(spectrum, size)
     return np.maximum(conv[r + reach : n + r + reach + 1], 0.0)
+
+
+def _kde_intervals(bandwidth: float) -> int:
+    """Intervals of :func:`kde_nodes` over [-1, 1]."""
+    return math.ceil(min(2.0 * KDE_NODES_PER_BANDWIDTH / bandwidth, KDE_MAX_INTERVALS))
 
 
 def kde_nodes(bandwidth: float) -> np.ndarray:
@@ -308,8 +328,23 @@ def kde_nodes(bandwidth: float) -> np.ndarray:
     The interval count is capped at ``KDE_MAX_INTERVALS``, which bounds the
     memory a tiny bandwidth can ask for; the spacing is then coarser.
     """
-    intervals = min(2.0 * KDE_NODES_PER_BANDWIDTH / bandwidth, KDE_MAX_INTERVALS)
-    return np.linspace(-1.0, 1.0, math.ceil(intervals) + 1)
+    return np.linspace(-1.0, 1.0, _kde_intervals(bandwidth) + 1)
+
+
+def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(a, q)``'s default linear rule, read off ``ordered = np.sort(a)``.
+
+    numpy's float operations, its ``t >= 0.5`` branch included, so the two
+    agree bit for bit up to the sign of a zero between -0.0 and 0.0 ties.
+    np.quantile would import numpy.ma on its first call.
+    """
+    index = (ordered.size - 1) * q
+    below = math.floor(index)
+    if below >= ordered.size - 1:
+        return float(ordered[-1])
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    t = index - below
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def fit_lfdr(values) -> LfdrFit:
@@ -326,7 +361,7 @@ def fit_lfdr(values) -> LfdrFit:
     _check_inside(values)
     if np.ptp(values) == 0.0:
         raise DegenerateFitError("all values identical; no mixture to fit")
-    cutoff = min(float(np.quantile(np.abs(values), CENTRAL_FRACTION)), CENTRAL_CAP)
+    cutoff = min(_sorted_quantile(np.sort(np.abs(values)), CENTRAL_FRACTION), CENTRAL_CAP)
     kept = values[np.abs(values) <= cutoff]
     if kept.size < 5:
         raise DegenerateFitError(
@@ -336,7 +371,9 @@ def fit_lfdr(values) -> LfdrFit:
         raise DegenerateFitError("central-region values are all identical")
     kappa = _fit_kappa(kept, cutoff)
     sd = float(np.std(values))
-    iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
+    ordered = np.sort(values)
+    # Only iqr > 0 and iqr itself are read, so the sign of a zero quartile is moot.
+    iqr = _sorted_quantile(ordered, 0.75) - _sorted_quantile(ordered, 0.25)
     scale = min(sd, iqr / 1.34) if iqr > 0 else sd
     bandwidth = 0.9 * scale * values.size ** (-0.2)
     density = _node_density(values, bandwidth)
@@ -365,7 +402,10 @@ def lfdr_values(values, fit: LfdrFit) -> np.ndarray:
 
 
 def edge_probabilities(P, fit: LfdrFit) -> np.ndarray:
-    """Presence probability ``1 - lFDR`` per pair j < j', in ``np.triu_indices`` order."""
+    """Presence probability ``1 - lFDR`` per pair j < j', in ``np.triu_indices`` order.
+
+    ``P`` is held to :func:`offdiagonal_values`'s checks.
+    """
     return 1.0 - lfdr_values(offdiagonal_values(P), fit)
 
 
@@ -464,8 +504,9 @@ def extract_network(omega, threshold: float = 0.99) -> GgmResult:
         raise InvalidParameterError(f"threshold must be in [0, 1], got {threshold}")
     omega = check_symmetric(omega, "omega")
     P = _partial_correlations(omega)
-    fit = fit_lfdr(offdiagonal_values(P))
-    probs = edge_probabilities(P, fit)
+    values = _offdiagonal_values(P)
+    fit = fit_lfdr(values)
+    probs = 1.0 - lfdr_values(values, fit)
     selected = probs >= threshold
     sparsified, min_eig = _sparsify(omega, selected)
     return GgmResult(

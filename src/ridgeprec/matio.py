@@ -6,7 +6,15 @@ round-trip), no header by default. Square symmetric inputs are validated on
 load by :func:`~ridgeprec.linalg.check_symmetric`, the rule every matrix
 entering the package meets; rectangular data matrices skip the symmetry
 check.
+
+Readers parse the input a line at a time, each row straight into a float64
+array, and never hold the file's text or one Python float per value. A row
+numpy rejects is parsed again with one ``float`` per token, which names the
+bad token.
 """
+
+from contextlib import nullcontext
+from itertools import chain
 
 import numpy as np
 
@@ -32,28 +40,29 @@ def matrix_to_csv(a) -> str:
 
 
 def _read_table(source, header: bool) -> np.ndarray:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
     rows = []
-    for i, line in enumerate(text.splitlines()):
-        if i == 0 and header:
-            continue
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise InvalidMatrixError(f"unparseable CSV row {i + 1}: {exc}") from exc
+    with nullcontext(source) if hasattr(source, "read") else open(source) as fh:
+        # Splitting each line again numbers the rows as str.splitlines does.
+        for i, line in enumerate(chain.from_iterable(map(str.splitlines, fh))):
+            if i == 0 and header:
+                continue
+            line = line.strip()
+            if not line:
+                continue
+            tokens = line.split(",")
+            try:
+                rows.append(np.array(tokens, dtype=float))
+            except ValueError:
+                try:
+                    rows.append(np.array([float(tok) for tok in tokens]))
+                except ValueError as exc:
+                    raise InvalidMatrixError(f"unparseable CSV row {i + 1}: {exc}") from exc
     if not rows:
         raise InvalidMatrixError("no rows in CSV input")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    width = rows[0].size
+    if any(r.size != width for r in rows):
         raise InvalidMatrixError("ragged CSV rows")
-    return np.asarray(rows, dtype=float)
+    return np.stack(rows)
 
 
 def read_data(source, header: bool = False) -> np.ndarray:

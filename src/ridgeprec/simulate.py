@@ -190,6 +190,19 @@ def penalty_in_kind_scale(kind: str, lam_a):
     return lam_a
 
 
+def _replicate_median(stacked: np.ndarray) -> np.ndarray:
+    """``np.median(stacked, axis=0)`` bit for bit, which would import numpy.ma.
+
+    Like np.median: the mean of the one or two middle sorted rows, and the
+    last sorted value (a NaN sorts last) wherever that value is NaN.
+    """
+    reps = stacked.shape[0]
+    ordered = np.sort(stacked, axis=0)
+    med = np.mean(ordered[(reps - 1) // 2 : reps // 2 + 1], axis=0)
+    np.copyto(med, ordered[-1], where=np.isnan(ordered[-1]))
+    return med
+
+
 def risk_curve(config: RiskConfig, Omega=None, Sigma=None) -> RiskCurve:
     """Median loss per (estimator, sample size, grid penalty) over replicates.
 
@@ -230,7 +243,7 @@ def risk_curve(config: RiskConfig, Omega=None, Sigma=None) -> RiskCurve:
                     omegas = _est.fit(kind, S, lam_table[kind][block], config.target).omega
                     stacked[r, ki, block] = loss_fn(omegas, reference)
                     del omegas  # free this stack before the next fit builds one
-        med = np.median(stacked, axis=0)
+        med = _replicate_median(stacked)
         for ki, kind in enumerate(kinds):
             medians[(kind, n)] = med[ki]
             losses[(kind, n)] = stacked[:, ki, :]

@@ -129,6 +129,16 @@ NOT_SQUARE = {
     "edge_probabilities.1d": lambda: ggm.edge_probabilities(np.ones(3), mixture_fit()),
 }
 
+# Read by its upper triangle alone, this P gave pair (0, 1) an edge
+# probability of 0.99997 and its transpose 0.0096.
+ASYMMETRIC_P = np.array([[1.0, 0.8, 0.0], [-0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+# name -> a graph-layer call that reads a partial-correlation matrix
+READS_P = {
+    "offdiagonal_values": ggm.offdiagonal_values,
+    "edge_probabilities": lambda P: ggm.edge_probabilities(P, mixture_fit()),
+}
+
 OUTSIDE = [float("nan"), float("inf"), -1.0, 1.0, 1.5]
 
 
@@ -231,6 +241,13 @@ def test_empty_estimator_list_is_a_parameter_error():
 def test_graph_matrices_must_be_square(site):
     with pytest.raises(InvalidMatrixError, match=r"P must be square, got shape \("):
         NOT_SQUARE[site]()
+
+
+@pytest.mark.parametrize("site", sorted(READS_P))
+@pytest.mark.parametrize("P", [ASYMMETRIC_P, ASYMMETRIC_P.T], ids=["upper", "lower"])
+def test_graph_matrices_must_be_symmetric(site, P):
+    with pytest.raises(InvalidMatrixError, match="P is not symmetric"):
+        READS_P[site](P)
 
 
 @pytest.mark.parametrize("eta0", ["fitted", 1.0])

@@ -43,6 +43,7 @@ from oracles import (
     network_from_data,
     null_partial_corr_draws,
     reflected_kde_exact,
+    same_bits,
     truncated_null_mean_mp,
 )
 
@@ -267,6 +268,49 @@ class TestFitLfdr:
             lambda r: f.mixture_density(float(r)), -1.0, 1.0, limit=200
         )
         npt.assert_allclose(total, 1.0, atol=1e-3)
+
+
+def quantile_table():
+    """name -> values: plain, tied and signed-zero draws at each size."""
+    rng = np.random.default_rng(33)
+    table = {}
+    for size in (10, 11, 57, 1000, 11175):
+        x = 0.3 * rng.standard_normal(size)
+        table[f"plain-{size}"] = x
+        table[f"ties-{size}"] = np.round(x, 1)
+        table[f"signed-zeros-{size}"] = rng.choice([-0.0, 0.0, -0.25, 0.5], size)
+    return table
+
+
+QUANTILES = quantile_table()
+
+
+class TestSortedQuantile:
+    # fit_lfdr reads np.quantile's linear rule off one np.sort, because
+    # np.quantile imports numpy.ma on its first call.
+
+    @pytest.mark.parametrize("magnitudes", [False, True], ids=["values", "magnitudes"])
+    @pytest.mark.parametrize("q", [0.25, 0.75])
+    @pytest.mark.parametrize("name", sorted(QUANTILES))
+    def test_matches_np_quantile_bit_for_bit(self, name, q, magnitudes):
+        x = np.abs(QUANTILES[name]) if magnitudes else QUANTILES[name]
+        got, want = ggm._sorted_quantile(np.sort(x), q), np.quantile(x, q)
+        zero_signs = np.signbit(x[x == 0.0])
+        if want == 0.0 and zero_signs.any() and not zero_signs.all():
+            # np.sort and np.partition may leave -0.0 and 0.0 ties in
+            # either order, so only the value is fixed.
+            assert got == want
+        else:
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fit_reads_the_quantiles_np_quantile_gives(self, seed):
+        values = planted_values(seed)
+        fit = fit_lfdr(values)
+        iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
+        scale = min(float(np.std(values)), iqr / 1.34)
+        assert fit.cutoff == min(float(np.quantile(np.abs(values), 0.75)), 0.75)
+        assert fit.bandwidth == 0.9 * scale * values.size ** (-0.2)
 
 
 class TestBinnedMixtureDensity:

@@ -1,9 +1,12 @@
 import io
+import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ridgeprec import matio
 from ridgeprec.errors import InvalidMatrixError
 from ridgeprec.matio import (
     fmt,
@@ -116,3 +119,114 @@ class TestReadData:
         path = tmp_path / "d.csv"
         path.write_text("x,y\n1,2\n")
         npt.assert_array_equal(read_data(path, header=True), [[1.0, 2.0]])
+
+
+#: Tokens ``float`` accepts that are easy to misparse: 17 digits, a
+#: subnormal, signed zero, bare points, a sign, an upper-case exponent,
+#: surrounding spaces, a digit separator and an overflow to inf.
+TOKENS = [
+    "0.33333333333333331", "1e-320", "-0", ".5", "5.",
+    "+1", "1E5", " 2.5 ", "1_0", "1e309",
+]
+
+#: text -> the message every reader gives for it, row numbers included.
+#: Rows are numbered as ``str.splitlines`` numbers them: blank lines and a
+#: header count, and so does each break it knows (\f, \x1c, \u2028, ...).
+READ_ERRORS = {
+    "1,0\n0\n": "ragged CSV rows",
+    "1,2\n\n3,x\n": "unparseable CSV row 3: could not convert string to float: 'x'",
+    "1,2\n3\n4,z\n": "unparseable CSV row 3: could not convert string to float: 'z'",
+    "1,,2\n": "unparseable CSV row 1: could not convert string to float: ''",
+    "1,2\f3,x\n": "unparseable CSV row 2: could not convert string to float: 'x'",
+    "1,2\r3,x": "unparseable CSV row 2: could not convert string to float: 'x'",
+    "1,2\r\n3,x\r\n": "unparseable CSV row 2: could not convert string to float: 'x'",
+    "1,2\x1c\x1c3,x": "unparseable CSV row 3: could not convert string to float: 'x'",
+    "1,2\u20283,x": "unparseable CSV row 2: could not convert string to float: 'x'",
+    "": "no rows in CSV input",
+    "\n \n": "no rows in CSV input",
+    "1,nan\n2,3\n": "data matrix contains non-finite entries",
+    "1e309,1\n": "data matrix contains non-finite entries",
+}
+
+
+def per_token(text):
+    """The table as one ``float`` call per token parses it."""
+    rows = [line.strip() for line in text.splitlines()]
+    return np.array([[float(tok) for tok in row.split(",")] for row in rows if row])
+
+
+class LinesOnly(io.StringIO):
+    """A text stream that may be iterated but not read whole."""
+
+    def read(self, *args):
+        raise AssertionError("the reader took the whole stream at once")
+
+
+def source(kind, text, tmp_path):
+    if kind == "stream":
+        return io.StringIO(text)
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    return path
+
+
+class TestReader:
+    @pytest.mark.parametrize("kind", ["stream", "path"])
+    def test_tokens_parse_as_float_does(self, kind, tmp_path):
+        text = "\n".join(",".join(TOKENS[i:] + TOKENS[:i]) for i in range(len(TOKENS)))
+        got = matio._read_table(source(kind, text, tmp_path), header=False)
+        assert same_bits(got, per_token(text))
+
+    @pytest.mark.parametrize("kind", ["stream", "path"])
+    @pytest.mark.parametrize("text", ["1,0\f0,1\n", "1,0\r0,1", "1,0\r\n\u20280,1\r\n"])
+    def test_every_line_break_splits_rows(self, kind, text, tmp_path):
+        assert same_bits(read_matrix(source(kind, text, tmp_path)), np.eye(2))
+
+    @pytest.mark.parametrize("kind", ["stream", "path"])
+    @pytest.mark.parametrize("text", sorted(READ_ERRORS))
+    def test_error_messages(self, kind, text, tmp_path):
+        with pytest.raises(InvalidMatrixError) as info:
+            read_data(source(kind, text, tmp_path))
+        assert str(info.value) == READ_ERRORS[text]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,y\n", "unparseable CSV row 2: could not convert string to float: 'y'"),
+            ("a,b\n", "no rows in CSV input"),
+            ("x\n1,2\n3\n", "ragged CSV rows"),
+        ],
+    )
+    def test_header_error_messages(self, text, message):
+        with pytest.raises(InvalidMatrixError) as info:
+            read_data(io.StringIO(text), header=True)
+        assert str(info.value) == message
+
+    def test_no_numpy_warning(self):
+        texts = [",".join(TOKENS), *READ_ERRORS]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for text in texts:
+                try:
+                    matio._read_table(io.StringIO(text), header=False)
+                except InvalidMatrixError:
+                    pass
+        assert caught == []
+
+    def test_reads_a_stream_a_line_at_a_time(self):
+        npt.assert_array_equal(read_data(LinesOnly("1,2\n3,4\n")), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_peak_memory_is_a_small_multiple_of_the_table(self, tmp_path):
+        # Neither the file's text nor one Python float per value is held:
+        # the traced peak is the parsed rows, their stacked copy and a line.
+        a = np.random.default_rng(7).standard_normal((200, 150))
+        path = tmp_path / "table.csv"
+        path.write_text(matrix_to_csv(a))
+        tracemalloc.start()
+        try:
+            got = read_data(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(got, a)
+        assert peak < 3 * a.nbytes

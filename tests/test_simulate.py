@@ -221,6 +221,34 @@ class TestDefaultRiskGrid:
             )
 
 
+def replicate_stack(reps, kind):
+    """A (reps, 3, 4) stack of losses: plain draws, heavy ties or signed zeros."""
+    rng = np.random.default_rng([34, reps])
+    if kind == "signed-zeros":
+        return rng.choice([-0.0, 0.0, 1.0], (reps, 3, 4))
+    stacked = rng.standard_normal((reps, 3, 4))
+    return np.round(stacked) if kind == "ties" else stacked
+
+
+class TestReplicateMedian:
+    # risk_curve takes the median off one np.sort, because np.median
+    # imports numpy.ma on its first call.
+
+    @pytest.mark.parametrize("kind", ["plain", "ties", "signed-zeros"])
+    @pytest.mark.parametrize("reps", [1, 2, 5, 6, 11, 30])
+    def test_matches_np_median_bit_for_bit(self, reps, kind):
+        stacked = replicate_stack(reps, kind)
+        assert same_bits(simulate._replicate_median(stacked), np.median(stacked, axis=0))
+
+    @pytest.mark.parametrize("reps", [5, 6])
+    def test_a_nan_in_a_column_gives_nan(self, reps):
+        stacked = replicate_stack(reps, "plain")
+        stacked[1, 0, 2] = np.nan
+        got = simulate._replicate_median(stacked)
+        assert np.isnan(got[0, 2]) and np.isnan(got).sum() == 1
+        assert same_bits(got, np.median(stacked, axis=0))
+
+
 class TestRiskCurve:
     def test_single_rep_equals_direct_computation(self):
         pop = PopulationSpec("chain", 4)
